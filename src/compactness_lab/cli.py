@@ -25,7 +25,8 @@ from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
 from .mollify import make_mollifier, commutator
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
-                      poincare_constant, uniform_poincare_sweep)
+                      poincare_constant, symmetric_difference_band,
+                      uniform_poincare_sweep)
 from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
                         energy_report, mass, run_scheme, hypothesis_monitor)
 from .probe import kruzhkov_probe, ns_probe
@@ -172,10 +173,7 @@ def _exp_porous(cfg, seed, out_dir):
     monitor = hypothesis_monitor(series_list, phi, m_dual, domain)
     if not monitor.verdict:
         failures.extend(monitor.failures)
-    rows = ["N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev"]
-    for r in monitor.rows:
-        rows.append(",".join([str(r[0])] + [repr(float(x)) for x in r[1:]]))
-    return rows, failures
+    return monitor.csv_lines(), failures
 
 
 def _exp_commutator(cfg, seed, out_dir):
@@ -244,10 +242,7 @@ def _exp_productlimit(cfg, seed, out_dir):
     totals = [abs(t) for t in report.column("total", k=k_big)]
     if totals[-1] > 0.6 * totals[0] + 1e-9:
         failures.append("pipeline total pairing does not settle in n")
-    rows = ["n,k,step1,step2,step3,step4,total"]
-    for r in report.rows:
-        rows.append(f"{r.n},{r.k},{r.step1!r},{r.step2!r},{r.step3!r},{r.step4!r},{r.total!r}")
-    return rows, failures
+    return report.csv_lines(), failures
 
 
 def _exp_movedom(cfg, seed, out_dir):
@@ -290,9 +285,7 @@ def _exp_movedom(cfg, seed, out_dir):
     e1 = eps_interior(disk, eps / 2)
     e2 = eps_interior(e1, eps / 2)
     direct = eps_interior(disk, eps)
-    sym = e2.inside ^ direct.inside
-    band = 2.0 * max(grid.spacing)
-    off_band = int(np.count_nonzero(sym & (np.abs(disk.signed_distance - eps) > band)))
+    off_band = symmetric_difference_band(e2, direct, disk.signed_distance, eps)
     record("semigroup", "disk", off_band, 0, off_band == 0)
     return rows, failures
 
@@ -384,11 +377,7 @@ def _exp_nsprobe(cfg, seed, out_dir):
     failures = list(report.failures)
     if report.budget_defect > 1e-10:
         failures.append(f"budget additivity defect {report.budget_defect:.3e}")
-    rows = ["n,delta,s,step1,step3,line1,line2,line3,total"]
-    for r in report.rows:
-        rows.append(f"{r.n},{r.delta!r},{r.s!r},{r.step1!r},{r.step3!r},"
-                    f"{r.line1!r},{r.line2!r},{r.line3!r},{r.total!r}")
-    return rows, failures
+    return report.csv_lines(), failures
 
 
 def _exp_kruzhkov(cfg, seed, out_dir):
@@ -420,11 +409,7 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     failures = list(report.failures)
     if report.max_budget_defect > cfg.get("budget_tol", float):
         failures.append(f"three-term budget defect {report.max_budget_defect:.3e}")
-    rows = ["n,q,ell,term1,term2,term3,total"]
-    for rr in report.rows:
-        n_, q_, ell, t1, t2, t3, tot = rr
-        rows.append(f"{n_},{q_},{ell},{t1!r},{t2!r},{t3!r},{tot!r}")
-    return rows, failures
+    return report.csv_lines(), failures
 
 
 EXPERIMENTS = {

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
-                   divergence, face_masks, neumann_laplacian, staggered_inner,
-                   staggered_l2)
+                   _axis_slices, divergence, face_masks, gradient,
+                   neumann_laplacian, staggered_inner, staggered_l2)
 from .movedom import poincare_constant
 
 CG_TOL = 1e-10
@@ -31,7 +31,7 @@ def face_measure(grid, axis):
 
 def restrict_staggered(u, domain):
     """Zero all faces not adjacent to an inside cell; attaches the raster."""
-    masks = face_masks(domain)
+    masks = face_masks(domain.inside)
     comps = []
     for a in range(u.grid.dim):
         interior, boundary, _ = masks[a]
@@ -71,7 +71,7 @@ class BoundaryData:
 
 def normal_trace(u, domain):
     """Outward-normal face components on the raster boundary."""
-    masks = face_masks(domain)
+    masks = face_masks(domain.inside)
     vals = []
     for a in range(u.grid.dim):
         _, boundary, sign = masks[a]
@@ -113,23 +113,16 @@ def neumann_harmonic(g_data, domain):
         raise ValueError("harmonic extension needs a connected raster")
     g_data.check_compatibility()
     grid = domain.grid
-    L, index = neumann_laplacian(domain)
-    rhs = np.zeros(domain.n_inside)
-    masks = face_masks(domain)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        _, boundary, sign = masks[a]
-        vals = g_data.values[a]
-        # face f (1..n) has cell f-1 below it; face f (0..n-1) has cell f above
-        face_lo = [slice(None)] * grid.dim
-        face_lo[a] = slice(1, None)
-        b_plus = boundary[tuple(face_lo)] & (sign[tuple(face_lo)] > 0)
-        np.add.at(rhs, index[b_plus], vals[tuple(face_lo)][b_plus] / h)
-        face_hi = [slice(None)] * grid.dim
-        face_hi[a] = slice(None, -1)
-        b_minus = boundary[tuple(face_hi)] & (sign[tuple(face_hi)] < 0)
-        np.add.at(rhs, index[b_minus], vals[tuple(face_hi)][b_minus] / h)
-    sol, _ = _cg_mean_zero(L, rhs)
+    L, _ = neumann_laplacian(domain)
+    rhs = np.zeros(grid.shape)
+    for a, (_, _, sign) in enumerate(face_masks(domain.inside)):
+        below, above, _ = _axis_slices(grid.dim, a)
+        flux = g_data.values[a] / grid.spacing[a]
+        # a boundary face feeds its one inside cell: outward sign +1 when it is
+        # that cell's high face, -1 when it is its low face
+        rhs += np.where(sign[above] > 0, flux[above], 0.0)
+        rhs += np.where(sign[below] < 0, flux[below], 0.0)
+    sol, _ = _cg_mean_zero(L, rhs[domain.inside])
     vals = np.zeros(grid.shape)
     vals[domain.inside] = sol
     return ScalarField(grid, vals, mask=domain)
@@ -138,27 +131,12 @@ def neumann_harmonic(g_data, domain):
 def harmonic_gradient(v, domain, g_data=None):
     """Face gradient of the harmonic extension: interior differences plus the
     prescribed flux on boundary faces (signed back to face components)."""
-    grid = v.grid
-    masks = face_masks(domain)
-    comps = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        interior, boundary, sign = masks[a]
-        shape = list(grid.shape)
-        shape[a] += 1
-        out = np.zeros(shape)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        mid = [slice(None)] * grid.dim
-        mid[a] = slice(1, -1)
-        diff = (v.values[tuple(hi)] - v.values[tuple(lo)]) / h
-        out[tuple(mid)] = np.where(interior[tuple(mid)], diff, 0.0)
-        if g_data is not None:
-            out = np.where(boundary, sign * g_data.values[a], out)
-        comps.append(out)
-    return StaggeredVectorField(grid, tuple(comps), mask=domain)
+    grad = gradient(v.restricted(domain))
+    if g_data is None:
+        return grad
+    masks = face_masks(domain.inside)
+    return grad.with_components([np.where(boundary, sign * gd, c) for (_, boundary, sign), gd, c
+                                 in zip(masks, g_data.values, grad.components)])
 
 
 def interior_dirichlet_energy(v, domain):
@@ -177,17 +155,22 @@ def trace_norm_surrogate(g_data, domain):
 DIV_RESIDUAL_TOL = 1e-10
 
 
+def _helmholtz_split(u, domain):
+    """(u on the raster, grad v, P u = u - grad v), v the harmonic extension of
+    the normal trace of u."""
+    u = restrict_staggered(u, domain)
+    g = normal_trace(u, domain)
+    gv = harmonic_gradient(neumann_harmonic(g, domain), domain, g)
+    return u, gv, restrict_staggered(u - gv, domain)
+
+
 def project_divfree0(u, domain, verify=False):
     """Orthogonal projection of a div-free field onto the zero-normal-trace
     subspace: P u = u - grad v, v the harmonic extension of the trace.
 
     Always checks the divergence and trace residuals; `verify=True` also checks
     idempotence and sampled orthogonality (extra solves)."""
-    u = restrict_staggered(u, domain)
-    g = normal_trace(u, domain)
-    v = neumann_harmonic(g, domain)
-    gv = harmonic_gradient(v, domain, g)
-    pu = restrict_staggered(u - gv, domain)
+    u, _, pu = _helmholtz_split(u, domain)
     scale = staggered_l2(u) + 1e-300
     h = min(domain.grid.spacing)
     div_res = float(np.max(np.abs(divergence(pu).values[domain.inside]))) if domain.n_inside else 0.0
@@ -227,11 +210,7 @@ def dual_norm_check(u, domain, c_poincare=None):
     """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u)."""
     if c_poincare is None:
         c_poincare = poincare_constant(domain)
-    u = restrict_staggered(u, domain)
-    g = normal_trace(u, domain)
-    v = neumann_harmonic(g, domain)
-    gv = harmonic_gradient(v, domain, g)
-    pu = restrict_staggered(u - gv, domain)
+    u, gv, pu = _helmholtz_split(u, domain)
     l2 = staggered_l2(u)
     seminorm = staggered_l2(pu)
     surrogate = staggered_l2(gv)
@@ -312,12 +291,7 @@ def per_slice_project(series, nc, eps):
     surrs = []
     pyth = 0.0
     for k, u in enumerate(series.fields):
-        d = nc.transported(k, eps)
-        u_r = restrict_staggered(u, d)
-        g = normal_trace(u_r, d)
-        v = neumann_harmonic(g, d)
-        gv = harmonic_gradient(v, d, g)
-        pu = restrict_staggered(u_r - gv, d)
+        u_r, gv, pu = _helmholtz_split(u, nc.transported(k, eps))
         out.append(pu)
         surr = staggered_l2(gv)
         surrs.append(surr)

@@ -5,6 +5,13 @@ divergence of a face field is exact on cells and gradient/divergence are
 skew-adjoint up to boundary terms.  All norms and inner products use midpoint
 quadrature with weight h^d per cell (and per face), so they are mutually
 consistent.
+
+Every face stencil goes through one slice helper (cells below / above each
+interior face, and the interior faces) and `face_masks`.  The one operator
+assembler, `face_laplacian`, builds -div(c grad .) on a raster's inside cells
+from per-face coefficients plus a boundary-face closure: the Dirichlet and
+Neumann Laplacians are two calls to it, and the parabolic scheme's Newton
+matrix is built from the same operator.
 """
 
 from __future__ import annotations
@@ -298,21 +305,29 @@ def inner(f, g):
     return float(np.sum(f.values * g.values) * f.grid.cell_volume)
 
 
-def face_masks(domain):
-    """(interior, boundary, outward_sign) per axis for a raster domain: a face
-    is interior when both adjacent cells are inside, boundary when exactly one
-    is (grid edges count as outside)."""
+def _axis_slices(dim, axis):
+    """(below, above, inner) index tuples along `axis`.  On a cell array, below
+    and above pick the cells on either side of each interior face; on a face
+    array they pick each cell's low and high face, and inner the interior faces."""
+    below = [slice(None)] * dim
+    above, inner = list(below), list(below)
+    below[axis], above[axis], inner[axis] = slice(None, -1), slice(1, None), slice(1, -1)
+    return tuple(below), tuple(above), tuple(inner)
+
+
+def face_masks(inside):
+    """(interior, boundary, outward_sign) per axis for a boolean cell raster: a
+    face is interior when both adjacent cells are inside, boundary when exactly
+    one is (grid edges count as outside)."""
     out = []
-    for a in range(domain.grid.dim):
-        pad_shape = list(domain.inside.shape)
-        pad_shape[a] = 1
-        pad = np.zeros(pad_shape, dtype=bool)
-        low = np.concatenate([pad, domain.inside], axis=a)
-        high = np.concatenate([domain.inside, pad], axis=a)
-        interior = low & high
-        boundary = low ^ high
-        sign = np.where(low & ~high, 1.0, np.where(high & ~low, -1.0, 0.0))
-        out.append((interior, boundary, sign))
+    for a in range(inside.ndim):
+        below, above, _ = _axis_slices(inside.ndim, a)
+        shape = list(inside.shape)
+        shape[a] += 1
+        low, high = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        low[above] = inside  # the cell below each face
+        high[below] = inside  # the cell above it
+        out.append((low & high, low ^ high, low.astype(float) - high))
     return out
 
 
@@ -321,23 +336,9 @@ def _face_weights(grid, mask):
     domain's boundary faces (their volume share), 0 outside.  mask=None means
     the whole box."""
     vol = grid.cell_volume
-    out = []
-    if mask is None:
-        for a in range(grid.dim):
-            shape = list(grid.shape)
-            shape[a] += 1
-            w = np.full(shape, vol)
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = -1
-            w[tuple(first)] = vol / 2
-            w[tuple(last)] = vol / 2
-            out.append(w)
-        return out
-    for interior, boundary, _ in face_masks(mask):
-        out.append(np.where(interior, vol, np.where(boundary, vol / 2, 0.0)))
-    return out
+    return [np.where(interior, vol, boundary * (vol / 2))
+            for interior, boundary, _ in face_masks(
+                mask.inside if mask is not None else np.ones(grid.shape, dtype=bool))]
 
 
 def staggered_l2(u):
@@ -366,22 +367,16 @@ def gradient(f):
     stencils never cross the mask.
     """
     g = f.grid
-    inside = f.mask.inside if f.mask is not None else np.ones(g.shape, dtype=bool)
     comps = []
     for a in range(g.dim):
-        h = g.spacing[a]
+        below, above, inner = _axis_slices(g.dim, a)
         shape = list(g.shape)
         shape[a] += 1
         out = np.zeros(shape)
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        interior = inside[tuple(lo)] & inside[tuple(hi)]
-        mid = [slice(None)] * g.dim
-        mid[a] = slice(1, -1)
-        diff = (f.values[tuple(hi)] - f.values[tuple(lo)]) / h
-        out[tuple(mid)] = np.where(interior, diff, 0.0)
+        diff = np.diff(f.values, axis=a) / g.spacing[a]
+        if f.mask is not None:
+            diff = np.where(f.mask.inside[below] & f.mask.inside[above], diff, 0.0)
+        out[inner] = diff
         comps.append(out)
     return StaggeredVectorField(g, tuple(comps), mask=f.mask)
 
@@ -391,89 +386,61 @@ def divergence(u):
     g = u.grid
     vals = np.zeros(g.shape)
     for a in range(g.dim):
-        h = g.spacing[a]
-        c = u.components[a]
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        vals = vals + (c[tuple(hi)] - c[tuple(lo)]) / h
+        vals = vals + np.diff(u.components[a], axis=a) / g.spacing[a]
     return ScalarField(g, vals, mask=u.mask)
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet Laplacian eigenbasis and the discrete H^{-m} norm
+# the face-stencil operator, Dirichlet eigenbasis and the discrete H^{-m} norm
+
+
+def face_laplacian(grid, inside, coef, boundary_coef):
+    """-div(c grad .) on the inside cells of a raster: CSR matrix and cell index
+    (row number per cell, -1 outside).
+
+    `coef[a]` and `boundary_coef[a]` are scalars or face arrays of axis a.  A
+    face between two inside cells couples them with weight coef; a face with
+    exactly one inside neighbour adds boundary_coef to that cell's diagonal
+    (grid edges count as outside).  Every row stores its diagonal entry.
+    """
+    n = int(np.count_nonzero(inside))
+    if n == 0:
+        raise ValueError("empty domain")
+    index = -np.ones(grid.shape, dtype=int)
+    index[inside] = np.arange(n)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(grid.shape)
+    for a, (interior, boundary, _) in enumerate(face_masks(inside)):
+        below, above, inner = _axis_slices(grid.dim, a)
+        c = np.broadcast_to(coef[a], interior.shape)
+        w = np.where(interior, c, boundary * boundary_coef[a])
+        diag += w[above]
+        diag += w[below]
+        link = interior[inner]
+        i, j = index[below][link], index[above][link]
+        rows.extend([i, j])
+        cols.extend([j, i])
+        vals.extend([-c[inner][link]] * 2)
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag[inside])
+    L = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return L, index
 
 
 def dirichlet_laplacian(domain):
     """5-point (3-point in 1D) Dirichlet Laplacian on a raster's inside cells, CSR."""
-    g = domain.grid
-    inside = domain.inside
-    n = domain.n_inside
-    if n == 0:
-        raise ValueError("empty domain")
-    index = -np.ones(g.shape, dtype=int)
-    index[inside] = np.arange(n)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for a in range(g.dim):
-        h2 = g.spacing[a] ** 2
-        diag += 2.0 / h2
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        both = inside[tuple(lo)] & inside[tuple(hi)]
-        i = index[tuple(lo)][both]
-        j = index[tuple(hi)][both]
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([np.full(i.size, -1.0 / h2)] * 2)
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    L = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return L, index
+    c = [1.0 / h ** 2 for h in domain.grid.spacing]
+    return face_laplacian(domain.grid, domain.inside, c, c)
 
 
 def neumann_laplacian(domain):
-    """5-point Neumann (no-flux) Laplacian on a raster's inside cells, CSR.
-
-    Only faces interior to the mask couple; the diagonal counts interior faces,
-    so constants are in the kernel exactly.
-    """
-    g = domain.grid
-    inside = domain.inside
-    n = domain.n_inside
-    if n == 0:
-        raise ValueError("empty domain")
-    index = -np.ones(g.shape, dtype=int)
-    index[inside] = np.arange(n)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for a in range(g.dim):
-        h2 = g.spacing[a] ** 2
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        both = inside[tuple(lo)] & inside[tuple(hi)]
-        i = index[tuple(lo)][both]
-        j = index[tuple(hi)][both]
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([np.full(i.size, -1.0 / h2)] * 2)
-        np.add.at(diag, i, 1.0 / h2)
-        np.add.at(diag, j, 1.0 / h2)
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    L = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return L, index
+    """5-point Neumann (no-flux) Laplacian on a raster's inside cells, CSR; the
+    diagonal counts interior faces only, so constants are in the kernel exactly."""
+    c = [1.0 / h ** 2 for h in domain.grid.spacing]
+    return face_laplacian(domain.grid, domain.inside, c, [0.0] * len(c))
 
 
 MAX_EIGENPAIRS = 512
@@ -518,11 +485,6 @@ class DirichletEigenbasis:
         v = f.values[self.domain.inside]
         total = float(np.sum(v ** 2) * self.domain.grid.cell_volume)
         return max(0.0, total - float(np.sum(c ** 2)))
-
-    def eigenfield(self, k):
-        vals = np.zeros(self.domain.grid.shape)
-        vals[self.domain.inside] = self.eigenvectors[:, k]
-        return ScalarField(self.domain.grid, vals, mask=self.domain)
 
 
 _eigenbasis_cache = weakref.WeakKeyDictionary()

@@ -353,19 +353,6 @@ class NonCylindricalDomain:
             self._exterior[key] = eps_exterior(self.slice_raster(k), eps)
         return self._exterior[key]
 
-    def check_slice_consistency(self, band_cells=1.0):
-        """Slice rasters must match the image rasters within one cell Hausdorff
-        (they are built as image rasters, so this checks the cache wiring)."""
-        band = band_cells * max(self.grid.spacing)
-        for k in range(self.n_slices):
-            r = self.slice_raster(k)
-            again = self.transported(k, 0.0)
-            if np.any(r.inside ^ again.inside):
-                return False
-            if abs(r.measure - again.measure) > band:
-                return False
-        return True
-
 
 @dataclass
 class FramingReport:

@@ -2,9 +2,13 @@
 the hypothesis monitor for the degenerate-parabolic compactness diagnostics.
 
 The scheme is backward Euler in the flux: (u_{k+1} - u_k)/delta =
-div(A grad phi(u_{k+1})), solved by Newton with an exact residual and a
-derivative-clamped Jacobian (the clamp only guards the degenerate cells where
-phi' = 0).  With no-flux faces the discrete mass telescopes exactly.
+div(A grad phi(u_{k+1})).  Each step assembles L_A = -div(A grad .) once with
+`grid.face_laplacian` (face coefficients 2 A/h^2 on the box edges under
+`dirichlet0`, 0 under `noflux`) and solves
+u - u_k + delta L_A (phi(u) - phi(0)) = 0 by Newton.  The Newton matrix
+I + delta L_A diag(phi') is the exact derivative of that residual, with phi'
+clamped at 1e-12 to guard the degenerate cells where phi' = 0.  With no-flux
+faces the discrete mass telescopes exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .grid import ScalarField, gradient, h_minus_m_norm, lp_norm
+from .grid import (ScalarField, _axis_slices, face_laplacian, gradient,
+                   h_minus_m_norm, lp_norm)
 
 NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-10
@@ -103,15 +108,6 @@ def series_l2(s, slice_masks=None):
     return float(np.sqrt(total * s.delta))
 
 
-def series_lp(s, p, slice_masks=None):
-    total = 0.0
-    for k, f in enumerate(s.fields):
-        if slice_masks is not None:
-            f = f.restricted(slice_masks[k])
-        total += lp_norm(f, p) ** p
-    return float((total * s.delta) ** (1.0 / p))
-
-
 def series_inner(s, theta):
     """Pairing of a series against a static spatial test function."""
     from .grid import inner
@@ -152,9 +148,8 @@ def shift_series_steps(s, j):
 class DiffusionTensor:
     """Cellwise diagonal diffusion tensor A(t, x) with a declared coercivity.
 
-    `entries(t, grid)` returns per-cell arrays (a11,) in 1D or (a11, a22) in 2D.
-    Off-diagonal tensors are representable via `matrix_entries` for the
-    coercivity check, but the scheme only accepts diagonal ones.
+    `entries(t, grid)` returns per-cell arrays (a11,) in 1D or (a11, a22) in 2D;
+    the scheme only accepts diagonal tensors.
     """
 
     def __init__(self, entries, coercivity, name="custom"):
@@ -205,98 +200,40 @@ class DiffusionTensor:
 def _face_coefficients(entries, grid, axis):
     """Arithmetic-mean face values of a cellwise coefficient along one axis;
     boundary faces take the adjacent cell's value."""
-    a = entries[axis]
-    shape = list(grid.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lo = [slice(None)] * grid.dim
-    hi = [slice(None)] * grid.dim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    mid = [slice(None)] * grid.dim
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = 0.5 * (a[tuple(lo)] + a[tuple(hi)])
-    first = [slice(None)] * grid.dim
-    first[axis] = 0
-    last = [slice(None)] * grid.dim
-    last[axis] = -1
-    out[tuple(first)] = a[tuple(first)]
-    out[tuple(last)] = a[tuple(last)]
-    return out
+    pad = [(int(a == axis),) * 2 for a in range(grid.dim)]
+    a = np.pad(entries[axis], pad, mode="edge")
+    below, above, _ = _axis_slices(grid.dim, axis)
+    return 0.5 * (a[below] + a[above])
 
 
-def _flux_divergence(w, entries, grid, bc, boundary_value=0.0):
-    """div(A grad w) with the chosen boundary closure for the cell field w."""
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        coef = _face_coefficients(entries, grid, a)
-        shape = list(grid.shape)
-        shape[a] += 1
-        flux = np.zeros(shape)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        mid = [slice(None)] * grid.dim
-        mid[a] = slice(1, -1)
-        flux[tuple(mid)] = (w[tuple(hi)] - w[tuple(lo)]) / h
-        if bc == "dirichlet0":
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = -1
-            cell_first = [slice(None)] * grid.dim
-            cell_first[a] = 0
-            cell_last = [slice(None)] * grid.dim
-            cell_last[a] = -1
-            flux[tuple(first)] = 2.0 * (w[tuple(cell_first)] - boundary_value) / h
-            flux[tuple(last)] = 2.0 * (boundary_value - w[tuple(cell_last)]) / h
-        flux *= coef
-        out += (flux[tuple(hi)] - flux[tuple(lo)]) / h
-    return out
+def _backward_euler(u_k, delta, A, phi, bc, t):
+    """Residual and Newton matrix of one backward-Euler step, as functions of
+    the flat state u: F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
+    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP))."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if bc not in ("noflux", "dirichlet0"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    grid = u_k.grid
+    entries = A.entries(t, grid)
+    coef = [_face_coefficients(entries, grid, a) / h ** 2 for a, h in enumerate(grid.spacing)]
+    edge = [2.0 * c if bc == "dirichlet0" else 0.0 for c in coef]
+    L, _ = face_laplacian(grid, np.ones(grid.shape, dtype=bool), coef, edge)
+    u0 = u_k.values.reshape(-1)
+    phi0 = float(phi.phi(np.zeros(1))[0])
+    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+    on_diag = L.indices == rows
 
+    def residual(u):
+        return u - u0 + delta * (L @ (phi.phi(u) - phi0))
 
-def _flux_jacobian(wprime, entries, grid, bc):
-    """Sparse matrix of v -> div(A grad(wprime * v)), same closure as the flux."""
-    n = grid.n_cells
-    idx = np.arange(n).reshape(grid.shape)
-    rows, cols, vals = [], [], []
+    def newton_matrix(u):
+        # L_A is symmetric, so its CSR arrays scaled by row are L_A diag(.) in CSC
+        data = L.data * (delta * np.maximum(phi.dphi(u), JACOBIAN_CLAMP))[rows]
+        data[on_diag] += 1.0
+        return scipy.sparse.csc_matrix((data, L.indices, L.indptr), shape=L.shape)
 
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
-    for a in range(grid.dim):
-        h2 = grid.spacing[a] ** 2
-        coef = _face_coefficients(entries, grid, a)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        mid = [slice(None)] * grid.dim
-        mid[a] = slice(1, -1)
-        c_int = coef[tuple(mid)] / h2
-        i, j = idx[tuple(lo)], idx[tuple(hi)]
-        wi, wj = wprime[tuple(lo)], wprime[tuple(hi)]
-        # interior face between i (low) and j (high): flux = c (w_j v_j - w_i v_i)/h
-        add(i, j, c_int * wj)
-        add(i, i, -c_int * wi)
-        add(j, j, -c_int * wj)
-        add(j, i, c_int * wi)
-        if bc == "dirichlet0":
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = -1
-            i0 = idx[tuple(first)]
-            add(i0, i0, -2.0 * coef[tuple(first)] * wprime[tuple(first)] / h2)
-            i1 = idx[tuple(last)]
-            add(i1, i1, -2.0 * coef[tuple(last)] * wprime[tuple(last)] / h2)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    return residual, newton_matrix
 
 
 class NewtonFailure(RuntimeError):
@@ -305,36 +242,24 @@ class NewtonFailure(RuntimeError):
 
 def semi_implicit_step(u_k, delta, A, phi, bc="noflux", t=0.0):
     """One backward-Euler step; returns u_{k+1} with residual <= 1e-10 in the
-    max norm relative to ||u_k||_inf + 1.  Newton diagnostics on `.info` of the
-    returned field are not kept; use run_scheme for records."""
+    max norm relative to ||u_k||_inf + 1.  Newton records are dropped; use
+    run_scheme to keep them."""
     out, _ = _newton_step(u_k, delta, A, phi, bc, t)
     return out
 
 
 def _newton_step(u_k, delta, A, phi, bc, t):
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if bc not in ("noflux", "dirichlet0"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    grid = u_k.grid
-    entries = A.entries(t, grid)
-    u0 = u_k.values
-    scale = float(np.max(np.abs(u0))) + 1.0
-    boundary_value = float(phi.phi(np.zeros(1))[0])
-    u = u0.copy()
-    n = grid.n_cells
-    eye = scipy.sparse.identity(n, format="csr")
+    residual, newton_matrix = _backward_euler(u_k, delta, A, phi, bc, t)
+    u = u_k.values.reshape(-1).copy()
+    scale = float(np.max(np.abs(u))) + 1.0
     history = []
     for _ in range(NEWTON_MAX_ITERS):
-        F = u - u0 - delta * _flux_divergence(phi.phi(u), entries, grid, bc, boundary_value)
+        F = residual(u)
         res = float(np.max(np.abs(F))) / scale
         history.append(res)
         if res <= NEWTON_TOL:
-            return ScalarField(grid, u, mask=u_k.mask), history
-        wprime = np.maximum(phi.dphi(u), JACOBIAN_CLAMP)
-        J = eye - delta * _flux_jacobian(wprime, entries, grid, bc)
-        du = scipy.sparse.linalg.spsolve(J.tocsc(), F.reshape(-1))
-        u = u - du.reshape(grid.shape)
+            return ScalarField(u_k.grid, u, mask=u_k.mask), history
+        u = u - scipy.sparse.linalg.spsolve(newton_matrix(u), F)
     raise NewtonFailure(
         f"Newton did not reach residual {NEWTON_TOL:g} in {NEWTON_MAX_ITERS} iterations "
         f"(last {history[-1]:.3e}); degenerate Jacobian on the data range?")
@@ -452,12 +377,13 @@ class MonitorReport:
     verdict: bool
     failures: list
 
+    def csv_lines(self):
+        return ["N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev"] + [
+            ",".join([str(row[0])] + [repr(float(x)) for x in row[1:]]) for row in self.rows]
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev\n")
-            for row in self.rows:
-                cells = [str(row[0])] + [repr(float(x)) for x in row[1:]]
-                fh.write(",".join(cells) + "\n")
+            fh.write("\n".join(self.csv_lines()) + "\n")
 
     @property
     def verdict_text(self):

@@ -16,7 +16,8 @@ import numpy as np
 from .divfree import (VectorStepSeries, per_slice_project, restrict_staggered,
                       shift_vector_series_steps, staggered_inner, staggered_l2,
                       vector_series_l2)
-from .grid import ScalarField, inner, lp_norm, signed_distance_transform
+from .grid import (ScalarField, _axis_slices, inner, lp_norm,
+                   signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import (bilipschitz, eps_interior,
                       sobolev_embedding_exponent, transported_poincare)
@@ -32,18 +33,6 @@ FLOOR_FACTOR = 1e-6
 
 def _floor(scale):
     return FLOOR_FACTOR * (scale + 1e-300)
-
-
-def _lo(grid, axis):
-    sl = [slice(None)] * grid.dim
-    sl[axis] = slice(None, -1)
-    return tuple(sl)
-
-
-def _hi(grid, axis):
-    sl = [slice(None)] * grid.dim
-    sl[axis] = slice(1, None)
-    return tuple(sl)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +71,8 @@ def staggered_l2_on_cells(u, cell_mask):
     total = 0.0
     for a in range(g.dim):
         c2 = u.components[a] ** 2
-        avg = 0.5 * (c2[_lo(g, a)] + c2[_hi(g, a)])
+        below, above, _ = _axis_slices(g.dim, a)
+        avg = 0.5 * (c2[below] + c2[above])
         total += float(np.sum(avg[cell_mask]))
     return float(np.sqrt(total * g.cell_volume))
 
@@ -116,11 +106,14 @@ class KruzhkovReport:
     verdict: bool
     failures: list
 
+    def csv_lines(self):
+        return ["n,q,ell,term1,term2,term3,total"] + [
+            f"{n},{q},{ell},{t1!r},{t2!r},{t3!r},{tot!r}"
+            for n, q, ell, t1, t2, t3, tot in self.rows]
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("n,q,ell,term1,term2,term3,total\n")
-            for n, q, ell, t1, t2, t3, tot in self.rows:
-                fh.write(f"{n},{q},{ell},{t1!r},{t2!r},{t3!r},{tot!r}\n")
+            fh.write("\n".join(self.csv_lines()) + "\n")
 
 
 def kruzhkov_probe(f_seq, nc, m_interior, ell_list, p=2):
@@ -504,12 +497,14 @@ class NsProbeReport:
     verdict: bool
     failures: list
 
+    def csv_lines(self):
+        return ["n,delta,s,step1,step3,line1,line2,line3,total"] + [
+            f"{r.n},{r.delta!r},{r.s!r},{r.step1!r},{r.step3!r},"
+            f"{r.line1!r},{r.line2!r},{r.line3!r},{r.total!r}" for r in self.rows]
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("n,delta,s,step1,step3,line1,line2,line3,total\n")
-            for r in self.rows:
-                fh.write(f"{r.n},{r.delta!r},{r.s!r},{r.step1!r},{r.step3!r},"
-                         f"{r.line1!r},{r.line2!r},{r.line3!r},{r.total!r}\n")
+            fh.write("\n".join(self.csv_lines()) + "\n")
 
 
 def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None,

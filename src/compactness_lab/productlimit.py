@@ -158,11 +158,14 @@ class PipelineRow:
 class PipelineReport:
     rows: list
 
+    def csv_lines(self):
+        return ["n,k,step1,step2,step3,step4,total"] + [
+            f"{r.n},{r.k},{r.step1!r},{r.step2!r},{r.step3!r},{r.step4!r},{r.total!r}"
+            for r in self.rows]
+
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("n,k,step1,step2,step3,step4,total\n")
-            for r in self.rows:
-                fh.write(f"{r.n},{r.k},{r.step1!r},{r.step2!r},{r.step3!r},{r.step4!r},{r.total!r}\n")
+            fh.write("\n".join(self.csv_lines()) + "\n")
 
     def max_accounting_defect(self):
         return max(r.accounting_defect for r in self.rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import gradient
+from .grid import _axis_slices, gradient
 
 
 @dataclass(frozen=True)
@@ -261,15 +261,10 @@ def chain_gradient_check(u, beta, phi, rel_tol=1e-9):
     scale = float(np.max(np.abs(gp.components[0]))) + 1e-30
     zones = _zone_index(vals, beta)
     for a in range(u.grid.dim):
-        lo = [slice(None)] * u.grid.dim
-        hi = [slice(None)] * u.grid.dim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        zl, zh = zones[tuple(lo)], zones[tuple(hi)]
-        mid = [slice(None)] * u.grid.dim
-        mid[a] = slice(1, -1)
-        b_faces = gb.components[a][tuple(mid)]
-        p_faces = gp.components[a][tuple(mid)]
+        below, above, mid = _axis_slices(u.grid.dim, a)
+        zl, zh = zones[below], zones[above]
+        b_faces = gb.components[a][mid]
+        p_faces = gp.components[a][mid]
         same_inner = (zl == zh) & (zl >= 1)
         same_outer = (zl == zh) & (zl < 0)
         cross = ~(same_inner | same_outer)

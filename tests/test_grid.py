@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compactness_lab.grid import (DirichletEigenbasis, Grid, RasterDomain,
                                   ScalarField, StaggeredVectorField,
                                   dirichlet_laplacian, divergence, gradient,
                                   h_m_norm_dual_weight, h_minus_m_norm, inner,
-                                  lp_norm, read_grid_file, staggered_inner,
-                                  write_grid_file)
+                                  lp_norm, neumann_laplacian, read_grid_file,
+                                  staggered_inner, write_grid_file)
 from compactness_lab.movedom import make_domain
 
 
@@ -94,6 +97,24 @@ def test_gradient_divergence_skew_adjoint():
     lhs = inner(divergence(u), f)
     rhs = -staggered_inner(u, gradient(f))
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_neumann_laplacian_is_minus_div_grad(data):
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    inside = data.draw(hnp.arrays(bool, shape).filter(np.any))
+    vals = data.draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    g = Grid(shape, extent)
+    d = RasterDomain.from_membership(g, inside)
+    v = ScalarField(g, vals, mask=d)
+    L, _ = neumann_laplacian(d)
+    lhs = -(L @ v.values[inside])
+    rhs = divergence(gradient(v)).values[inside]
+    scale = float(np.max(abs(L) @ np.abs(v.values[inside])))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 def test_gradient_never_crosses_mask():

