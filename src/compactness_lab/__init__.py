@@ -6,7 +6,8 @@ The package is organized by mechanism:
 - `grid`: Cartesian grids, scalar/MAC fields, discrete calculus, H^{-m} norms
 - `mollify`: bump mollifiers, shifts, the product commutator
 - `truncate`: nonlinearities with finite critical sets and the C^1 truncation
-- `parabolic`: the semi-implicit degenerate-parabolic scheme and its monitor
+- `parabolic`: step-in-time series of scalar or face fields, the semi-implicit
+  degenerate-parabolic scheme and its monitor
 - `productlimit`: the four-line product-limit pipeline and Orlicz machinery
 - `movedom`: diffeomorphism families, epsilon-interiors, uniform constants
 - `divfree`: normal traces, Neumann-harmonic projection, dual seminorm
@@ -33,9 +34,9 @@ from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F40
 from .productlimit import (build_cutoff, exp_orlicz_pair, localize,  # noqa: F401
                            luxemburg_gauge, orlicz_holder_check,
                            product_pipeline)
-from .divfree import (VectorStepSeries, dual_norm_check, dual_seminorm,  # noqa: F401
-                      neumann_harmonic, normal_trace, per_slice_project,
-                      project_divfree0, trace_norm_surrogate)
+from .divfree import (dual_norm_check, dual_seminorm, neumann_harmonic,  # noqa: F401
+                      normal_trace, per_slice_project, project_divfree0,
+                      trace_norm_surrogate)
 from .probe import (dual_time_estimate, kruzhkov_probe, local_to_global,  # noqa: F401
                     ns_probe, limsup_probe, time_shift_safety)
 from .truncate import build_beta, chain_gradient_check, nonlinearity_preset  # noqa: F401

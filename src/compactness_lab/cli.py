@@ -302,9 +302,10 @@ def _exp_divfree(cfg, seed, out_dir):
     failures = []
     fields = [random_stream_velocity(grid, rng) for _ in range(n_fields)]
     projected = []
+    c_poincare = poincare_constant(domain)
     for i, u in enumerate(fields):
-        rep = dual_norm_check(u, domain)
-        pu = project_divfree0(u, domain)
+        rep = dual_norm_check(u, domain, c_poincare)
+        pu = rep.projected
         projected.append(pu)
         div_res = float(np.max(np.abs(divergence(pu).values)))
         tr = normal_trace(pu, domain)

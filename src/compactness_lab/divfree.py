@@ -1,6 +1,7 @@
 """Discrete divergence-free calculus: normal traces, Neumann-harmonic extension,
 projection onto zero-normal-trace fields, the dual seminorm, and per-slice
-versions on moving domains.
+versions on moving domains, where a time-indexed face field is a
+`parabolic.StepTimeSeries` of `StaggeredVectorField` slices.
 
 Divergence-free means the exact MAC stencil zero, so "u is div-free" and
 "trace of the projection vanishes" are floating-point statements, not modeling
@@ -19,6 +20,7 @@ from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
                    _axis_slices, divergence, face_masks, gradient,
                    neumann_laplacian, staggered_inner, staggered_l2)
 from .movedom import poincare_constant
+from .parabolic import StepTimeSeries
 
 CG_TOL = 1e-10
 CG_MAX_ITERS = 50000
@@ -27,16 +29,6 @@ CG_MAX_ITERS = 50000
 def face_measure(grid, axis):
     """Transverse measure of a face (1 in 1D, h_perp in 2D)."""
     return grid.cell_volume / grid.spacing[axis]
-
-
-def restrict_staggered(u, domain):
-    """Zero all faces not adjacent to an inside cell; attaches the raster."""
-    masks = face_masks(domain.inside)
-    comps = []
-    for a in range(u.grid.dim):
-        interior, boundary, _ = masks[a]
-        comps.append(np.where(interior | boundary, u.components[a], 0.0))
-    return StaggeredVectorField(u.grid, tuple(comps), mask=domain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +150,15 @@ DIV_RESIDUAL_TOL = 1e-10
 def _helmholtz_split(u, domain):
     """(u on the raster, grad v, P u = u - grad v), v the harmonic extension of
     the normal trace of u."""
-    u = restrict_staggered(u, domain)
+    u = u.restricted(domain)
     g = normal_trace(u, domain)
     gv = harmonic_gradient(neumann_harmonic(g, domain), domain, g)
-    return u, gv, restrict_staggered(u - gv, domain)
+    return u, gv, (u - gv).restricted(domain)
 
 
-def project_divfree0(u, domain, verify=False):
-    """Orthogonal projection of a div-free field onto the zero-normal-trace
-    subspace: P u = u - grad v, v the harmonic extension of the trace.
-
-    Always checks the divergence and trace residuals; `verify=True` also checks
-    idempotence and sampled orthogonality (extra solves)."""
-    u, _, pu = _helmholtz_split(u, domain)
+def _check_residuals(u, pu, domain):
+    """Raise unless P u is divergence-free and trace-free to tolerance; returns
+    the residual scale ||u||_2."""
     scale = staggered_l2(u) + 1e-300
     h = min(domain.grid.spacing)
     div_res = float(np.max(np.abs(divergence(pu).values[domain.inside]))) if domain.n_inside else 0.0
@@ -180,8 +168,19 @@ def project_divfree0(u, domain, verify=False):
     tr_max = max(float(np.max(np.abs(tv))) for tv in tr.values)
     if tr_max > 10 * DIV_RESIDUAL_TOL * scale:
         raise RuntimeError(f"projected field trace residual {tr_max:.3e} out of tolerance")
+    return scale
+
+
+def project_divfree0(u, domain, verify=False):
+    """Orthogonal projection of a div-free field onto the zero-normal-trace
+    subspace: P u = u - grad v, v the harmonic extension of the trace.
+
+    Always checks the divergence and trace residuals; `verify=True` also checks
+    idempotence and sampled orthogonality (extra solves)."""
+    u, _, pu = _helmholtz_split(u, domain)
+    scale = _check_residuals(u, pu, domain)
     if verify:
-        ppu = restrict_staggered(project_divfree0(pu, domain), domain)
+        ppu = project_divfree0(pu, domain).restricted(domain)
         if staggered_l2(ppu - pu) > 1e-8 * scale:
             raise RuntimeError("projection is not idempotent at 1e-8")
     return pu
@@ -200,6 +199,7 @@ class DualNormReport:
     surrogate: float
     c_poincare: float
     slack: float
+    projected: StaggeredVectorField  # P u, residual-checked as in project_divfree0
 
     @property
     def ok(self):
@@ -207,75 +207,29 @@ class DualNormReport:
 
 
 def dual_norm_check(u, domain, c_poincare=None):
-    """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u)."""
+    """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u).
+
+    One Helmholtz split serves the check and the report's P u, which passes the
+    same residual checks as `project_divfree0`.  C_Omega is computed on the
+    domain unless given; pass it when checking many fields on one domain."""
     if c_poincare is None:
         c_poincare = poincare_constant(domain)
     u, gv, pu = _helmholtz_split(u, domain)
+    _check_residuals(u, pu, domain)
     l2 = staggered_l2(u)
     seminorm = staggered_l2(pu)
     surrogate = staggered_l2(gv)
     slack = seminorm + (1.0 + c_poincare) * surrogate - l2
-    return DualNormReport(l2, seminorm, surrogate, c_poincare, slack)
+    return DualNormReport(l2, seminorm, surrogate, c_poincare, slack, pu)
 
 
 # ---------------------------------------------------------------------------
 # time-indexed fields on moving domains
 
 
-@dataclass(frozen=True, eq=False)
-class VectorStepSeries:
-    """Piecewise-constant-in-time staggered fields (slice k rules (t_k, t_{k+1}))."""
-
-    interval: tuple
-    fields: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if not self.fields:
-            raise ValueError("empty series")
-
-    @property
-    def n_steps(self):
-        return len(self.fields)
-
-    @property
-    def delta(self):
-        a, b = self.interval
-        return (b - a) / self.n_steps
-
-    @property
-    def grid(self):
-        return self.fields[0].grid
-
-    def map(self, fn):
-        return VectorStepSeries(self.interval, tuple(fn(f) for f in self.fields))
-
-    def __sub__(self, other):
-        return VectorStepSeries(self.interval, tuple(a - b for a, b in zip(self.fields, other.fields)))
-
-
-def vector_series_l2(s, slice_domains=None):
-    total = 0.0
-    for k, f in enumerate(s.fields):
-        if slice_domains is not None:
-            f = restrict_staggered(f, slice_domains[k])
-        total += staggered_l2(f) ** 2
-    return float(np.sqrt(total * s.delta))
-
-
-def shift_vector_series_steps(s, j):
-    zero = s.fields[0] * 0.0
-    n = s.n_steps
-    fields = []
-    for k in range(n):
-        src = k - j
-        fields.append(s.fields[src] if 0 <= src < n else zero)
-    return VectorStepSeries(s.interval, tuple(fields))
-
-
 @dataclass
 class PerSliceProjection:
-    projected: VectorStepSeries
+    projected: StepTimeSeries
     slice_surrogates: list
     spacetime_trace_norm: float
     pythagoras_defect: float
@@ -298,7 +252,7 @@ def per_slice_project(series, nc, eps):
         lhs = staggered_l2(u_r) ** 2
         rhs = staggered_l2(pu) ** 2 + surr ** 2
         pyth = max(pyth, abs(lhs - rhs) / (lhs + 1e-300))
-    projected = VectorStepSeries(series.interval, tuple(out))
+    projected = StepTimeSeries(series.interval, tuple(out))
     st_norm = float(np.sqrt(series.delta * sum(s ** 2 for s in surrs)))
     return PerSliceProjection(projected, surrs, st_norm, pyth)
 

@@ -269,6 +269,12 @@ class StaggeredVectorField:
     def with_components(self, comps):
         return StaggeredVectorField(self.grid, tuple(comps), mask=self.mask)
 
+    def restricted(self, domain):
+        """Zero all faces not adjacent to an inside cell; attaches the raster."""
+        comps = [np.where(interior | boundary, c, 0.0)
+                 for (interior, boundary, _), c in zip(face_masks(domain.inside), self.components)]
+        return StaggeredVectorField(self.grid, tuple(comps), mask=domain)
+
     def __add__(self, other):
         return self.with_components([a + b for a, b in zip(self.components, other.components)])
 

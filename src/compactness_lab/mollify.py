@@ -5,7 +5,9 @@ argument.
 Kernels are the standard bump exp(-1/(1-|kx|^2)) rasterized on the grid lattice
 and renormalized to discrete mass one.  Convolution is direct summation over
 the kernel footprint with zero extension (no FFT), so masked semantics stay
-exact and summation order is fixed.
+exact and summation order is fixed.  A step series convolves slice by slice:
+`convolve_space(s, mol)` for scalar slices, `s.map(lambda u:
+convolve_staggered(u, mol))` for face slices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.ndimage
 
 from .grid import ScalarField
-from .parabolic import StepTimeSeries, shift_series_steps
+from .parabolic import StepTimeSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +71,11 @@ def _convolve_values(values, mol):
 
 
 def convolve_space(f, mol):
-    """Space convolution with a mollifier; a ScalarField or a StepTimeSeries
-    slice by slice.  Inputs are read zero-extended outside their mask; the
+    """Space convolution with a mollifier; a ScalarField, or a StepTimeSeries of
+    them slice by slice.  Inputs are read zero-extended outside their mask; the
     output is unmasked (its support grows by the kernel radius)."""
     if isinstance(f, StepTimeSeries):
-        return StepTimeSeries(f.interval, tuple(convolve_space(g, mol) for g in f.fields))
+        return f.map(lambda g: convolve_space(g, mol))
     if f.grid != mol.grid:
         raise ValueError("grid mismatch between field and mollifier")
     return ScalarField(f.grid, _convolve_values(f.values, mol))
@@ -127,7 +129,7 @@ def shift_time(s, sigma):
     j = round(r)
     if abs(r - j) > 1e-9 * max(1.0, abs(r)):
         raise ValueError(f"time shift {sigma:g} is not a multiple of the step {delta:g}")
-    return shift_series_steps(s, int(j))
+    return s.shifted(int(j))
 
 
 def commutator(a, b, mol):

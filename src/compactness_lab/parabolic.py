@@ -13,6 +13,7 @@ faces the discrete mass telescopes exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .grid import (ScalarField, _axis_slices, face_laplacian, gradient,
-                   h_minus_m_norm, lp_norm)
+from .grid import (ScalarField, StaggeredVectorField, _axis_slices,
+                   face_laplacian, gradient, h_minus_m_norm, lp_norm,
+                   staggered_l2)
 
 NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-10
@@ -30,7 +32,8 @@ JACOBIAN_CLAMP = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class StepTimeSeries:
-    """Piecewise-constant-in-time family: field k rules (t_k, t_{k+1})."""
+    """Piecewise-constant-in-time family: slice k rules (t_k, t_{k+1}).  The
+    slices are all ScalarFields or all StaggeredVectorFields on one grid."""
 
     interval: tuple
     fields: tuple
@@ -40,10 +43,13 @@ class StepTimeSeries:
         object.__setattr__(self, "fields", tuple(self.fields))
         if not self.fields:
             raise ValueError("a step series needs at least one field")
+        kind = type(self.fields[0])
+        if kind not in (ScalarField, StaggeredVectorField):
+            raise TypeError("series slices must be ScalarFields or StaggeredVectorFields")
         g = self.fields[0].grid
         for f in self.fields:
-            if f.grid != g:
-                raise ValueError("series fields must share one grid")
+            if type(f) is not kind or f.grid != g:
+                raise ValueError("series fields must share one grid and one field type")
 
     @property
     def n_steps(self):
@@ -69,25 +75,49 @@ class StepTimeSeries:
     def map_values(self, fn):
         return self.map(lambda f: f.map(fn))
 
-    def __sub__(self, other):
+    def restricted(self, domains):
+        """Slice k restricted to the raster domains[k]."""
+        return StepTimeSeries(self.interval, tuple(
+            f.restricted(d) for f, d in zip(self.fields, domains, strict=True)))
+
+    def shifted(self, j):
+        """lambda_{j delta}: shift by j steps (f(t - j delta)), zero-filled; the
+        kept slices are the same objects."""
+        zero = self.fields[0] * 0.0
+        n = self.n_steps
+        return StepTimeSeries(self.interval, tuple(
+            self.fields[k - j] if 0 <= k - j < n else zero for k in range(n)))
+
+    def _zip(self, other, op):
         if other.interval != self.interval or other.n_steps != self.n_steps:
             raise ValueError("series partitions differ")
-        return StepTimeSeries(self.interval, tuple(a - b for a, b in zip(self.fields, other.fields)))
+        return StepTimeSeries(self.interval, tuple(op(a, b) for a, b in zip(self.fields, other.fields)))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
 
     def __mul__(self, other):
+        """Slice by slice with a series; with a field or a number, every slice."""
         if isinstance(other, StepTimeSeries):
-            if other.interval != self.interval or other.n_steps != self.n_steps:
-                raise ValueError("series partitions differ")
-            return StepTimeSeries(self.interval, tuple(a * b for a, b in zip(self.fields, other.fields)))
-        if isinstance(other, ScalarField):
-            return StepTimeSeries(self.interval, tuple(f * other for f in self.fields))
-        return StepTimeSeries(self.interval, tuple(f * other for f in self.fields))
+            return self._zip(other, operator.mul)
+        return self.map(lambda f: f * other)
 
     __rmul__ = __mul__
 
 
 def constant_series(f, interval, n_steps):
     return StepTimeSeries(interval, (f,) * n_steps)
+
+
+def limit_series(limit, template):
+    """A declared limit on `template`'s partition: a series as it is, a single
+    field as the constant series."""
+    if isinstance(limit, StepTimeSeries):
+        return limit
+    return constant_series(limit, template.interval, template.n_steps)
 
 
 def oscillating_series(g, interval, n_osc):
@@ -98,13 +128,14 @@ def oscillating_series(g, interval, n_osc):
     return StepTimeSeries(interval, fields)
 
 
-def series_l2(s, slice_masks=None):
-    """L^2(I x Omega) norm of a step series; optional per-slice raster masks."""
+def series_l2(s, domains=None):
+    """L^2(I x Omega) norm of a step series, optionally on per-slice rasters;
+    face slices are measured by `staggered_l2` (boundary faces half-weighted)."""
+    if domains is not None:
+        s = s.restricted(domains)
     total = 0.0
-    for k, f in enumerate(s.fields):
-        if slice_masks is not None:
-            f = f.restricted(slice_masks[k])
-        total += lp_norm(f, 2) ** 2
+    for f in s.fields:
+        total += (lp_norm(f, 2) if isinstance(f, ScalarField) else staggered_l2(f)) ** 2
     return float(np.sqrt(total * s.delta))
 
 
@@ -128,17 +159,6 @@ def series_distance(fine, coarse):
         diff = f - coarse.fields[k // ratio]
         total += lp_norm(diff, 2) ** 2
     return float(np.sqrt(total * fine.delta))
-
-
-def shift_series_steps(s, j):
-    """lambda_{j*delta}: shift by j steps (f(t - j delta)), zero-filled."""
-    zero = s.fields[0] * 0.0
-    n = s.n_steps
-    fields = []
-    for k in range(n):
-        src = k - j
-        fields.append(s.fields[src] if 0 <= src < n else zero)
-    return StepTimeSeries(s.interval, tuple(fields))
 
 
 # ---------------------------------------------------------------------------

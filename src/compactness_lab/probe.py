@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divfree import (VectorStepSeries, per_slice_project, restrict_staggered,
-                      shift_vector_series_steps, staggered_inner, staggered_l2,
-                      vector_series_l2)
-from .grid import (ScalarField, _axis_slices, inner, lp_norm,
+from .divfree import per_slice_project, staggered_inner, staggered_l2
+from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
                    signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import (bilipschitz, eps_interior,
                       sobolev_embedding_exponent, transported_poincare)
-from .parabolic import StepTimeSeries, constant_series, series_l2, time_derivative_tv
+from .parabolic import limit_series, series_l2, time_derivative_tv
 from .productlimit import product_pipeline
 from .synth import bump, generator, random_stream_velocity
 from .truncate import build_beta
@@ -39,29 +37,19 @@ def _floor(scale):
 # norms over moving-domain slices
 
 
-def _series_lp_masked(s, p, domains):
+def series_lp(s, p, domains=None):
+    """L^p(I x Omega) norm of a step series, optionally on per-slice rasters.
+    Face slices weight every face fully (unlike `staggered_l2`, which
+    half-weights boundary faces)."""
+    if domains is not None:
+        s = s.restricted(domains)
     total = 0.0
-    for k, f in enumerate(s.fields):
-        total += lp_norm(f.restricted(domains[k]), p) ** p
+    for f in s.fields:
+        if isinstance(f, ScalarField):
+            total += lp_norm(f, p) ** p
+        else:
+            total += sum(float(np.sum(np.abs(c) ** p)) for c in f.components) * f.grid.cell_volume
     return float((total * s.delta) ** (1.0 / p))
-
-
-def vector_series_lp(s, p, domains=None):
-    vol = s.grid.cell_volume
-    total = 0.0
-    for k, u in enumerate(s.fields):
-        if domains is not None:
-            u = restrict_staggered(u, domains[k])
-        total += sum(float(np.sum(np.abs(c) ** p)) for c in u.components) * vol
-    return float((total * s.delta) ** (1.0 / p))
-
-
-def _vector_series_l2_window(s, domain, window):
-    """L^2 over a fixed slice window (the time part of a compact subset)."""
-    total = 0.0
-    for k in window:
-        total += staggered_l2(restrict_staggered(s.fields[k], domain)) ** 2
-    return float(np.sqrt(total * s.delta))
 
 
 def staggered_l2_on_cells(u, cell_mask):
@@ -128,31 +116,27 @@ def kruzhkov_probe(f_seq, nc, m_interior, ell_list, p=2):
             f"ell = {ell_list[0]} below the well-definedness bound 2m/eta = {min_ell:.1f}")
     inner_domains = [nc.transported(k, 1.0 / m_interior) for k in range(nc.n_slices)]
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    members = [StepTimeSeries(s.interval, tuple(f.restricted(slice_domains[k])
-                                                for k, f in enumerate(s.fields)))
-               for s in f_seq]
+    members = [s.restricted(slice_domains) for s in f_seq]
     conv = {ell: [convolve_space(s, make_mollifier(ell, nc.grid)) for s in members]
             for ell in ell_list}
     uniform, pairwise = {}, {}
     rows = []
     max_defect = 0.0
-    scale = max(_series_lp_masked(s, p, slice_domains) for s in members)
+    scale = max(series_lp(s, p, slice_domains) for s in members)
     for ell in ell_list:
-        moduli = [_series_lp_masked(m - c, p, inner_domains)
+        moduli = [series_lp(m - c, p, inner_domains)
                   for m, c in zip(members, conv[ell])]
         uniform[ell] = max(moduli)
         pw = {}
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                t2 = _series_lp_masked(conv[ell][i] - conv[ell][j], p, inner_domains)
+                t2 = series_lp(conv[ell][i] - conv[ell][j], p, inner_domains)
                 pw[(i + 1, j + 1)] = t2
                 direct = members[i] - members[j]
-                total = _series_lp_masked(direct, p, inner_domains)
-                resum = StepTimeSeries(members[i].interval, tuple(
-                    (a - ca) + (ca - cb) + (cb - b)
-                    for a, ca, cb, b in zip(members[i].fields, conv[ell][i].fields,
-                                            conv[ell][j].fields, members[j].fields)))
-                defect = _series_lp_masked(resum - direct, p, inner_domains)
+                total = series_lp(direct, p, inner_domains)
+                resum = ((members[i] - conv[ell][i]) + (conv[ell][i] - conv[ell][j])
+                         + (conv[ell][j] - members[j]))
+                defect = series_lp(resum - direct, p, inner_domains)
                 max_defect = max(max_defect, defect / (total + 1e-300))
                 rows.append((i + 1, j + 1, ell, moduli[i], t2, moduli[j], total))
         pairwise[ell] = pw
@@ -253,10 +237,7 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
     if tv_arr.max() > max(4.0 * max(tv_arr.min(), tv_floor), tv_floor):
         failures.append("time-derivative measure bound fails across the family "
                         "(pipeline Step 2 hypothesis)")
-    if isinstance(a_limit, StepTimeSeries):
-        a_lim_series = a_limit
-    else:
-        a_lim_series = constant_series(a_limit, a_seq[0].interval, a_seq[0].n_steps)
+    a_lim_series = limit_series(a_limit, a_seq[0])
     lim_l2 = series_l2(a_lim_series)
     if k_pipeline is None:
         k_pipeline = int(1.0 / (4.0 * max(grid.spacing)))
@@ -270,8 +251,7 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
         b_lim = a_lim_series.map_values(beta)
         dev_bound = beta.deviation_constant * eps * np.sqrt(interval_measure) + 1e-12
         for s, b in zip(a_seq, b_seq):
-            dev = series_l2(StepTimeSeries(s.interval, tuple(
-                (x - y).restricted(domain) for x, y in zip(s.fields, b.fields))))
+            dev = series_l2(s - b, [domain] * s.n_steps)
             if dev > dev_bound * (1.0 + 1e-9):
                 failures.append(f"truncation deviation exceeds C_meas*eps at eps={eps:g}")
                 break
@@ -528,11 +508,10 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
     if c_transport is None:
         c_transport = transported_poincare(nc.family, nc.reference, gamma)
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    members = [VectorStepSeries(s.interval, tuple(
-        restrict_staggered(u, slice_domains[k]) for k, u in enumerate(s.fields)))
-        for s in u_seq]
-    scale = max(vector_series_l2(s) for s in members)
-    r_norms = [vector_series_lp(s, r) for s in members]
+    nowhere = RasterDomain.from_membership(grid, np.zeros(grid.shape, dtype=bool))
+    members = [s.restricted(slice_domains) for s in u_seq]
+    scale = max(series_l2(s) for s in members)
+    r_norms = [series_lp(s, r) for s in members]
     battery = make_battery(grid, members[0].interval, members[0].n_steps,
                            seed=battery_seed, kind="vector")
     delta_t = members[0].delta
@@ -558,8 +537,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
                                   for m in strips)
         defects, kappas, c3s, molls, projected = [], [], [], [], []
         for i, u_series in enumerate(members):
-            v = VectorStepSeries(u_series.interval, tuple(
-                convolve_staggered(u, mol) for u in u_series.fields))
+            v = u_series.map(lambda u: convolve_staggered(u, mol))
             proj = per_slice_project(v, nc, 2.0 * delta)
             projected.append((v, proj))
             defect = proj.spacetime_trace_norm
@@ -570,7 +548,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
             kappas.append(defect / (strip_mass + 1e-300))
             c3, _ = step3_dual_constant(v, battery)
             c3s.append(c3)
-            molls.append(vector_series_l2(u_series - v, [compact] * nc.n_slices))
+            molls.append(series_l2(u_series - v, [compact] * nc.n_slices))
             holder = r_norms[i] * mu_strip ** (0.5 - 1.0 / r)
             chain_rows.append((i + 1, delta, defect, kappas[0] * holder,
                                (c_transport + 1.0) * holder))
@@ -585,12 +563,14 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
         c3_map[delta] = c3s
         moll_sup[delta] = max(molls)
         moll_ratio[delta] = max(
-            vector_series_l2(u_series - v, inner_domains) / (delta * grad_norms[i] + 1e-300)
+            series_l2(u_series - v, inner_domains) / (delta * grad_norms[i] + 1e-300)
             for i, (u_series, (v, _)) in enumerate(zip(members, projected)))
         xi = time_shift_safety(nc.family, nc.reference, delta)
         xi_map[delta] = xi
+        # the compact subset of space-time: `compact` on the slices from the
+        # largest shift on, nothing before it
         j_window = max((round(s / delta_t) for s in s_list), default=0)
-        window = range(j_window, nc.n_slices)
+        window = [nowhere] * j_window + [compact] * (nc.n_slices - j_window)
         for s in sorted(s_list):
             if not (0 < s <= xi + 1e-12):
                 continue
@@ -600,18 +580,11 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
             for i, u_series in enumerate(members):
                 v, proj = projected[i]
                 pu = proj.projected
-                line_fields = (u_series - v,
-                               VectorStepSeries(v.interval, tuple(
-                                   a - b for a, b in zip(v.fields, pu.fields))),
-                               pu)
-                diffs = [shift_vector_series_steps(f, j) - f for f in line_fields]
-                total_field = shift_vector_series_steps(u_series, j) - u_series
-                l1, l2v, l3 = (_vector_series_l2_window(dv, compact, window) for dv in diffs)
-                tot = _vector_series_l2_window(total_field, compact, window)
-                resum = VectorStepSeries(u_series.interval, tuple(
-                    a + b + c for a, b, c in zip(diffs[0].fields, diffs[1].fields,
-                                                 diffs[2].fields)))
-                defect = _vector_series_l2_window(resum - total_field, compact, window)
+                diffs = [f.shifted(j) - f for f in (u_series - v, v - pu, pu)]
+                total_field = u_series.shifted(j) - u_series
+                l1, l2v, l3 = (series_l2(dv, window) for dv in diffs)
+                tot = series_l2(total_field, window)
+                defect = series_l2(diffs[0] + diffs[1] + diffs[2] - total_field, window)
                 budget_defect = max(budget_defect, defect / (tot + 1e-300))
                 rows.append(NsProbeRow(i + 1, delta, s, defects[i], c3s[i],
                                        l1, l2v, l3, tot))
@@ -647,8 +620,8 @@ def interpolation_check(u_series, r, q_exp, domains=None):
     """Measured ||u||_r <= ||u||_2^{1-theta} ||u||_q^theta with
     1/r = theta/q + (1-theta)/2 (discrete interpolation inequality)."""
     theta = (0.5 - 1.0 / r) / (0.5 - 1.0 / q_exp)
-    lr = vector_series_lp(u_series, r, domains)
-    l2 = vector_series_lp(u_series, 2, domains)
-    lq = vector_series_lp(u_series, q_exp, domains)
+    lr = series_lp(u_series, r, domains)
+    l2 = series_lp(u_series, 2, domains)
+    lq = series_lp(u_series, q_exp, domains)
     bound = l2 ** (1.0 - theta) * lq ** theta
     return lr, bound, bound - lr

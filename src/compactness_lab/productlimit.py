@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import ScalarField, lp_norm
 from .mollify import convolve_space, make_mollifier
-from .parabolic import StepTimeSeries, constant_series, series_inner
+from .parabolic import limit_series, series_inner
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +176,6 @@ class PipelineReport:
         return [getattr(r, name) for r in rows]
 
 
-def _as_series(limit, template):
-    if isinstance(limit, StepTimeSeries):
-        return limit
-    if isinstance(limit, ScalarField):
-        return constant_series(limit, template.interval, template.n_steps)
-    raise TypeError("limit must be a ScalarField or StepTimeSeries")
-
-
 def product_pipeline(a_seq, b_seq, theta, k_list, a_limit, b_limit):
     """Pair the four decomposition lines of a b - a_n b_n against theta for each
     member n and mollifier scale k.
@@ -196,8 +188,8 @@ def product_pipeline(a_seq, b_seq, theta, k_list, a_limit, b_limit):
     if len(a_seq) != len(b_seq):
         raise ValueError("family sizes differ")
     grid = theta.grid
-    a_lim = _as_series(a_limit, a_seq[0])
-    b_lim = _as_series(b_limit, b_seq[0])
+    a_lim = limit_series(a_limit, a_seq[0])
+    b_lim = limit_series(b_limit, b_seq[0])
     ab = a_lim * b_lim
     rows = []
     for k in k_list:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divfree import VectorStepSeries
 from .grid import ScalarField, StaggeredVectorField
 from .parabolic import StepTimeSeries
 
@@ -160,7 +159,7 @@ def translating_disk_ns_family(grid, interval, n_slices, n_members, center,
 
             fields.append(disk_bump_velocity(grid, c, stream_fraction * disk_radius,
                                              amplitude=amplitude, modulation=modulation))
-        members.append(VectorStepSeries(interval, tuple(fields)))
+        members.append(StepTimeSeries(interval, tuple(fields)))
     return members
 
 
@@ -174,5 +173,5 @@ def oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_radiu
     members = []
     for n in osc_list:
         coefs = np.sin(2.0 * np.pi * n * (mids - a) / (b - a))
-        members.append(VectorStepSeries(interval, tuple(u0 * float(c) for c in coefs)))
+        members.append(StepTimeSeries(interval, tuple(u0 * float(c) for c in coefs)))
     return members

@@ -12,8 +12,7 @@ import scipy.linalg
 
 from compactness_lab.cli import run as cli_run
 from compactness_lab.divfree import (dual_norm_check, normal_trace,
-                                     per_slice_project, project_divfree0,
-                                     restrict_staggered)
+                                     per_slice_project, project_divfree0)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence,
                                   neumann_laplacian, staggered_inner,
@@ -209,7 +208,7 @@ def test_criterion_07_dual_inequalities(projection_suite):
         out = per_slice_project(s, nc, 0.04)
         for k, u in enumerate(s.fields):
             d = nc.transported(k, 0.04)
-            u_r = restrict_staggered(u, d)
+            u_r = u.restricted(d)
             l2 = staggered_l2(u_r)
             if l2 == 0.0:
                 continue

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from compactness_lab.divfree import (BoundaryData, VectorStepSeries,
+from compactness_lab.divfree import (BoundaryData,
                                      dual_norm_check, dual_seminorm,
                                      face_measure, interior_dirichlet_energy,
                                      neumann_harmonic, normal_trace,
                                      per_slice_project, project_divfree0,
-                                     read_sgrid_file, restrict_staggered,
-                                     trace_norm_surrogate, vector_series_l2,
+                                     read_sgrid_file, trace_norm_surrogate,
                                      write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence, inner,
                                   staggered_inner, staggered_l2)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, poincare_constant)
+from compactness_lab.parabolic import StepTimeSeries, series_l2
 from compactness_lab.synth import (disk_bump_velocity, generator,
                                    random_stream_velocity,
                                    translating_disk_ns_family)
@@ -178,10 +178,10 @@ def test_per_slice_static_matches_single_slice():
     nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 4)
     rng = generator(17)
     u = random_stream_velocity(GRID, rng)
-    series = VectorStepSeries((0.0, 1.0), (u,) * 4)
+    series = StepTimeSeries((0.0, 1.0), (u,) * 4)
     out = per_slice_project(series, nc, 0.05)
     d = nc.transported(0, 0.05)
-    single = project_divfree0(restrict_staggered(u, d), d)
+    single = project_divfree0(u.restricted(d), d)
     for f in out.projected.fields:
         assert staggered_l2(f - single) <= 1e-9 * staggered_l2(u)
     assert out.pythagoras_defect <= 1e-8
@@ -191,11 +191,11 @@ def test_per_slice_zero_trace_is_identity():
     disk = make_domain("disk:0.4", GRID)
     nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 3)
     u = disk_bump_velocity(GRID, (0.5, 0.5), 0.2)
-    series = VectorStepSeries((0.0, 1.0), (u,) * 3)
+    series = StepTimeSeries((0.0, 1.0), (u,) * 3)
     out = per_slice_project(series, nc, 0.02)
     for f, orig in zip(out.projected.fields, series.fields):
         d = nc.transported(0, 0.02)
-        assert staggered_l2(f - restrict_staggered(orig, d)) <= 1e-9 * staggered_l2(u)
+        assert staggered_l2(f - orig.restricted(d)) <= 1e-9 * staggered_l2(u)
     assert out.spacetime_trace_norm <= 1e-10
 
 
@@ -223,10 +223,10 @@ def test_sgrid_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_vector_series_l2_masked():
+def test_face_series_l2_masked():
     disk = make_domain("disk:0.3", GRID)
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    s = VectorStepSeries((0.0, 1.0), (u, u))
-    full_norm = vector_series_l2(s)
-    masked = vector_series_l2(s, [disk, disk])
+    s = StepTimeSeries((0.0, 1.0), (u, u))
+    full_norm = series_l2(s)
+    masked = series_l2(s, [disk, disk])
     assert masked < full_norm

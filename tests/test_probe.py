@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from compactness_lab.divfree import VectorStepSeries, restrict_staggered, staggered_l2
+from compactness_lab.divfree import staggered_l2
 from compactness_lab.grid import Grid, RasterDomain, ScalarField, h_minus_m_norm, lp_norm
 from compactness_lab.movedom import (NonCylindricalDomain, eps_interior,
                                      make_domain, make_family)
@@ -11,8 +11,8 @@ from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
 from compactness_lab.probe import (dual_time_estimate, interpolation_check,
                                    kruzhkov_probe, local_to_global,
                                    make_battery, ns_probe, step3_dual_constant,
-                                   limsup_probe, time_shift_safety,
-                                   vector_series_lp)
+                                   limsup_probe, series_lp,
+                                   time_shift_safety)
 from compactness_lab.productlimit import smoothstep
 from compactness_lab.synth import (boundary_bump_family, disk_bump_velocity,
                                    generator, oscillating_ns_family,
@@ -274,8 +274,8 @@ def test_interpolation_inequality(ns_setup):
     nc, members, _, _, _ = ns_setup
     domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
     for s in members[:2]:
-        restricted = VectorStepSeries(s.interval, tuple(
-            restrict_staggered(u, domains[k]) for k, u in enumerate(s.fields)))
+        restricted = StepTimeSeries(s.interval, tuple(
+            u.restricted(domains[k]) for k, u in enumerate(s.fields)))
         lr, bound, slack = interpolation_check(restricted, 2.5, 3.0)
         assert slack >= -1e-8 * (bound + 1.0)
 
@@ -289,7 +289,7 @@ def test_step3_constant_matched_battery_scaling():
     c_prev = None
     for n in (4, 8, 16):
         coefs = np.sign(np.sin(2 * np.pi * n * mids))
-        series = VectorStepSeries(INTERVAL, tuple(u0 * float(c) for c in coefs))
+        series = StepTimeSeries(INTERVAL, tuple(u0 * float(c) for c in coefs))
         c, _ = step3_dual_constant(series, battery)
         if c_prev is not None:
             assert c / c_prev >= 1.8
