@@ -15,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
                    _axis_slices, divergence, face_masks, gradient,
                    neumann_laplacian, staggered_inner, staggered_l2)
 from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
-
-CG_TOL = 1e-10
-CG_MAX_ITERS = 50000
 
 
 def face_measure(grid, axis):
@@ -71,36 +69,13 @@ def normal_trace(u, domain):
     return BoundaryData(domain, tuple(vals))
 
 
-def _cg_mean_zero(L, b, tol=CG_TOL):
-    """Conjugate gradients on the mean-zero subspace of the Neumann Laplacian."""
-    n = L.shape[0]
-    b = b - b.mean()
-    b_norm = float(np.linalg.norm(b))
-    x = np.zeros(n)
-    if b_norm == 0.0:
-        return x, 0.0
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for it in range(CG_MAX_ITERS):
-        Ap = L @ p
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if it % 50 == 49:
-            r -= r.mean()
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * b_norm:
-            x -= x.mean()
-            return x, np.sqrt(rs_new) / b_norm
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise RuntimeError(f"CG stalled at relative residual {np.sqrt(rs) / b_norm:.3e}")
-
-
 def neumann_harmonic(g_data, domain):
     """Solve Delta v = 0 on the raster with prescribed outward normal flux and
-    zero mean (CG to relative residual 1e-10)."""
+    zero mean.
+
+    One sparse direct solve of (L + e_0 e_0^T) v = b - mean(b), nonsingular on a
+    connected raster.  The columns of the Neumann Laplacian L sum to zero, so
+    summing the rows gives v_0 = 0, and v also solves L v = b - mean(b)."""
     if not domain.is_connected():
         raise ValueError("harmonic extension needs a connected raster")
     g_data.check_compatibility()
@@ -114,7 +89,11 @@ def neumann_harmonic(g_data, domain):
         # that cell's high face, -1 when it is its low face
         rhs += np.where(sign[above] > 0, flux[above], 0.0)
         rhs += np.where(sign[below] < 0, flux[below], 0.0)
-    sol, _ = _cg_mean_zero(L, rhs[domain.inside])
+    L[0, 0] += 1.0  # in place: every row of L stores its diagonal
+    b = rhs[domain.inside]
+    # minimum degree on L + L^T: the default COLAMD ordering was 1.3-1.5x slower on 64x64
+    sol = scipy.sparse.linalg.spsolve(L, b - b.mean(), permc_spec="MMD_AT_PLUS_A")
+    sol -= sol.mean()
     vals = np.zeros(grid.shape)
     vals[domain.inside] = sol
     return ScalarField(grid, vals, mask=domain)
@@ -157,8 +136,8 @@ def _helmholtz_split(u, domain):
 
 
 def _check_residuals(u, pu, domain):
-    """Raise unless P u is divergence-free and trace-free to tolerance; returns
-    the residual scale ||u||_2."""
+    """Raise unless P u is divergence-free and trace-free to tolerance, relative
+    to ||u||_2."""
     scale = staggered_l2(u) + 1e-300
     h = min(domain.grid.spacing)
     div_res = float(np.max(np.abs(divergence(pu).values[domain.inside]))) if domain.n_inside else 0.0
@@ -168,21 +147,15 @@ def _check_residuals(u, pu, domain):
     tr_max = max(float(np.max(np.abs(tv))) for tv in tr.values)
     if tr_max > 10 * DIV_RESIDUAL_TOL * scale:
         raise RuntimeError(f"projected field trace residual {tr_max:.3e} out of tolerance")
-    return scale
 
 
-def project_divfree0(u, domain, verify=False):
+def project_divfree0(u, domain):
     """Orthogonal projection of a div-free field onto the zero-normal-trace
     subspace: P u = u - grad v, v the harmonic extension of the trace.
 
-    Always checks the divergence and trace residuals; `verify=True` also checks
-    idempotence and sampled orthogonality (extra solves)."""
+    Checks the divergence and trace residuals."""
     u, _, pu = _helmholtz_split(u, domain)
-    scale = _check_residuals(u, pu, domain)
-    if verify:
-        ppu = project_divfree0(pu, domain).restricted(domain)
-        if staggered_l2(ppu - pu) > 1e-8 * scale:
-            raise RuntimeError("projection is not idempotent at 1e-8")
+    _check_residuals(u, pu, domain)
     return pu
 
 

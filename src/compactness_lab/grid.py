@@ -124,13 +124,7 @@ class RasterDomain:
     @classmethod
     def full(cls, grid):
         """The whole box (signed distance to the box boundary)."""
-
-        def box_sdf(pts):
-            d = np.minimum.reduce([np.minimum(pts[:, a], grid.extent[a] - pts[:, a])
-                                   for a in range(grid.dim)])
-            return d
-
-        return cls.from_sdf(grid, box_sdf)
+        return cls.from_sdf(grid, lambda pts: _box_distance(grid, pts))
 
     @property
     def measure(self):
@@ -159,6 +153,12 @@ class RasterDomain:
         return out
 
 
+def _box_distance(grid, pts):
+    """Distance from points (n, dim) to the box boundary, positive inside the box."""
+    return np.minimum.reduce([np.minimum(pts[:, a], grid.extent[a] - pts[:, a])
+                              for a in range(grid.dim)])
+
+
 def signed_distance_transform(grid, inside):
     """Exact Euclidean distance transform, positive inside.
 
@@ -171,10 +171,7 @@ def signed_distance_transform(grid, inside):
     half = 0.5 * min(h)
     if inside.all():
         # no complement cells: distance to the raster's edge is unbounded; use box distance
-        pts = grid.cell_centers().reshape(-1, grid.dim)
-        d = np.minimum.reduce([np.minimum(pts[:, a], grid.extent[a] - pts[:, a])
-                               for a in range(grid.dim)])
-        return d.reshape(grid.shape)
+        return _box_distance(grid, grid.cell_centers().reshape(-1, grid.dim)).reshape(grid.shape)
     if not inside.any():
         return np.full(grid.shape, -float(max(grid.extent)))
     d_in = scipy.ndimage.distance_transform_edt(inside, sampling=h)

@@ -16,8 +16,9 @@ import scipy.linalg
 import scipy.ndimage
 import scipy.sparse.linalg
 
-from .grid import (RasterDomain, neumann_laplacian,
+from .grid import (RasterDomain, gradient, lp_norm, neumann_laplacian,
                    signed_distance_transform)
+from .synth import random_smooth_field
 
 TIME_SAMPLES_PER_UNIT = 64
 
@@ -503,35 +504,19 @@ def sobolev_embedding_exponent(p, dim):
 def measure_sobolev_constant(domain, p, n_fields=40, seed=11, modes=4):
     """Rayleigh-quotient estimate of the reference Sobolev constant
     sup ||v||_{p*} / ||v||_{W^{1,p}} over a seeded random smooth family."""
-    from .grid import gradient, lp_norm, ScalarField
-
     rng = np.random.default_rng(np.random.Philox(seed))
     g = domain.grid
     ps = sobolev_embedding_exponent(p, g.dim)
-    pts = g.cell_centers().reshape(-1, g.dim)
     best = 0.0
     vol = g.cell_volume
     for _ in range(n_fields):
-        vals = _random_trig(pts, g.extent, rng, modes).reshape(g.shape)
-        f = ScalarField(g, vals, mask=domain)
+        f = random_smooth_field(g, rng, modes, mask=domain)
         grad = gradient(f)
         gp = sum(np.sum(np.abs(c) ** p) for c in grad.components) * vol
         w1p = (lp_norm(f, p) ** p + gp) ** (1.0 / p)
         if w1p > 0:
             best = max(best, lp_norm(f, ps) / w1p)
     return best
-
-
-def _random_trig(pts, extent, rng, modes):
-    out = np.zeros(len(pts))
-    dim = pts.shape[1]
-    for _ in range(modes):
-        kvec = rng.integers(0, 4, size=dim)
-        phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.normal()
-        arg = sum(2 * np.pi * kvec[a] * pts[:, a] / extent[a] for a in range(dim))
-        out += amp * np.cos(arg + phase)
-    return out
 
 
 def sobolev_transport_constant(p, family, domain, s_ref=None, jb=None):

@@ -208,13 +208,6 @@ class TruncationBeta:
             out |= np.abs(z - zi) <= self.eps / 2
         return out
 
-    def in_full_zone(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape, dtype=bool)
-        for zi in self.source.critical_points:
-            out |= np.abs(z - zi) <= self.eps
-        return out
-
 
 def build_beta(phi, eps):
     """C^1 truncation of a Nonlinearity; precondition: the critical intervals

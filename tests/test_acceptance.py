@@ -149,8 +149,8 @@ def projection_suite():
     dom = RasterDomain.full(g)
     rng = generator(42)
     fields = [random_stream_velocity(g, rng) for _ in range(100)]
-    reports = [dual_norm_check(u, dom, c_poincare=None if i else None)
-               for i, u in enumerate(fields)]
+    c_poincare = poincare_constant(dom)
+    reports = [dual_norm_check(u, dom, c_poincare=c_poincare) for u in fields]
     return g, dom, fields, reports
 
 

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import compactness_lab
 from compactness_lab.cli import DEFAULTS, list_experiments, load_config, main, run
 
 
@@ -105,7 +108,11 @@ def test_main_entrypoint(tmp_path):
 
 
 def test_console_script_installed():
+    # the subprocess imports the same package as this test process
+    pkg_root = str(Path(compactness_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "compactness_lab.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "porous" in proc.stdout

@@ -9,8 +9,9 @@ from compactness_lab.divfree import (BoundaryData,
                                      read_sgrid_file, trace_norm_surrogate,
                                      write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, divergence, inner,
-                                  staggered_inner, staggered_l2)
+                                  StaggeredVectorField, divergence, face_masks,
+                                  inner, neumann_laplacian, staggered_inner,
+                                  staggered_l2)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, poincare_constant)
 from compactness_lab.parabolic import StepTimeSeries, series_l2
@@ -80,6 +81,35 @@ def test_neumann_harmonic_green_identity():
          + (np.sum(g.values[1][:, -1] * v.values[:, -1])
             + np.sum(g.values[1][:, 0] * v.values[:, 0])) * fm[1])
     assert energy == pytest.approx(s, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec", [None, "disk:0.35", "annulus:0.15:0.4"])
+def test_neumann_harmonic_solves_discrete_problem(spec):
+    dom = FULL if spec is None else make_domain(spec, GRID)
+    u = random_stream_velocity(GRID, generator(11)).restricted(dom)
+    v = neumann_harmonic(normal_trace(u, dom), dom)
+    # right-hand side: divergence of the boundary faces of u, the prescribed flux
+    flux = StaggeredVectorField(GRID, tuple(
+        np.where(boundary, c, 0.0)
+        for (_, boundary, _), c in zip(face_masks(dom.inside), u.components)))
+    b = divergence(flux).values[dom.inside]
+    b = b - b.mean()
+    L, _ = neumann_laplacian(dom)
+    sol = v.values[dom.inside]
+    assert np.linalg.norm(L @ sol - b) <= 1e-12 * np.linalg.norm(b)
+    assert abs(sol.mean()) <= 1e-14 * np.max(np.abs(sol))
+
+
+def test_neumann_harmonic_single_cell_is_zero():
+    g1 = Grid((1,), (1.0,))
+    one = RasterDomain.full(g1)
+    u = StaggeredVectorField.constant(g1, (1.0,))
+    assert np.all(neumann_harmonic(normal_trace(u, one), one).values == 0.0)
+    mem = np.zeros((4, 4), bool)
+    mem[2, 1] = True
+    cell = RasterDomain.from_membership(Grid((4, 4), (1.0, 1.0)), mem)
+    u = StaggeredVectorField.constant(cell.grid, (1.0, -2.0))
+    assert np.all(neumann_harmonic(normal_trace(u, cell), cell).values == 0.0)
 
 
 def test_neumann_harmonic_disconnected_rejected():
