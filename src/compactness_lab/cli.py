@@ -127,6 +127,27 @@ def load_config(path, experiment):
     return Config(parser, experiment)
 
 
+def _positive_ints(cfg, *keys):
+    values = [cfg.get(key, int) for key in keys]
+    for key, v in zip(keys, values):
+        if v <= 0:
+            raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {v} (must be positive)")
+    return values
+
+
+def _kernel_scales(cfg, grid):
+    """The k_list of a 1D mollifier experiment: non-empty, every kernel resolvable."""
+    k_list = cfg.get_list("k_list", int)
+    if not k_list:
+        raise ConfigError(f"bad value for [{cfg._experiment}] k_list: empty")
+    for k in k_list:
+        try:
+            make_mollifier(k, grid)
+        except ValueError as e:
+            raise ConfigError(f"bad value for [{cfg._experiment}] k_list: {k} ({e})")
+    return k_list
+
+
 # ---------------------------------------------------------------------------
 # experiments; each returns (csv_rows: list[str], failures: list[str])
 
@@ -177,11 +198,9 @@ def _exp_porous(cfg, seed, out_dir):
 
 
 def _exp_commutator(cfg, seed, out_dir):
-    cells = cfg.get("cells", int)
-    members = cfg.get("members", int)
-    n_slices = cfg.get("n_slices", int)
-    k_list = cfg.get_list("k_list", int)
+    cells, members, n_slices = _positive_ints(cfg, "cells", "members", "n_slices")
     grid = Grid((cells,), (1.0,))
+    k_list = _kernel_scales(cfg, grid)
     x = grid.axis_centers(0)
     a_space = ScalarField(grid, np.sin(2 * np.pi * x))
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
@@ -212,11 +231,9 @@ def _exp_commutator(cfg, seed, out_dir):
 
 
 def _exp_productlimit(cfg, seed, out_dir):
-    cells = cfg.get("cells", int)
-    n_slices = cfg.get("n_slices", int)
-    members = cfg.get("members", int)
-    k_list = cfg.get_list("k_list", int)
+    cells, n_slices, members = _positive_ints(cfg, "cells", "n_slices", "members")
     grid = Grid((cells,), (1.0,))
+    k_list = _kernel_scales(cfg, grid)
     x = grid.axis_centers(0)
     a_lim = ScalarField(grid, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
     b_space = ScalarField(grid, np.cos(2 * np.pi * x))

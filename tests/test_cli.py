@@ -72,6 +72,22 @@ def test_commutator_experiment(tmp_path):
     assert lines[0] == "k,sup_l1"
 
 
+@pytest.mark.parametrize("experiment,line", [
+    ("commutator", "k_list = 4096"),   # under-resolved kernel: 1/k < 2h
+    ("commutator", "k_list = ,"),      # empty list
+    ("commutator", "n_slices = 0"),
+    ("commutator", "cells = 0"),
+    ("productlimit", "k_list = 512"),
+    ("productlimit", "members = -1"),
+])
+def test_mollifier_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
+    cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")
+    out = tmp_path / "out"
+    assert run(experiment, cfg, str(out)) == 2
+    assert not (out / "manifest.txt").exists()
+    assert f"[{experiment}] {line.split()[0]}" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, "d.cfg", "[divfree]\nn_fields = 5\ngrid = 32\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
-from compactness_lab.grid import Grid, ScalarField, inner, lp_norm
-from compactness_lab.mollify import (commutator, commutator_integral_form,
-                                     convolve_space, convolve_staggered,
+from compactness_lab.grid import Grid, ScalarField, StaggeredVectorField, inner, lp_norm
+from compactness_lab.mollify import (commutator, convolve_space, convolve_staggered,
                                      make_mollifier, shift_space, shift_time)
 from compactness_lab.parabolic import StepTimeSeries, constant_series
 from compactness_lab.grid import divergence
 from compactness_lab.synth import generator, random_stream_velocity
+
+
+def commutator_integral_form(fa, fb, mol):
+    """Single-slice commutator assembled from the shifted-difference kernel
+    representation sum_y [a(x) - a(x-y)] b(x-y) phi(y) h^d; equals the direct
+    formula up to rounding (test oracle)."""
+    g = fa.grid
+    w = mol.weights
+    vol = g.cell_volume
+    out = np.zeros(g.shape)
+    it = np.ndindex(w.shape)
+    center = tuple(s // 2 for s in w.shape)
+    for off in it:
+        wt = w[off]
+        if wt == 0.0:
+            continue
+        cells = tuple(o - c for o, c in zip(off, center))
+        h_vec = [cells[a] * g.spacing[a] for a in range(g.dim)]
+        shifted_a = shift_space(fa, h_vec).values
+        shifted_b = shift_space(fb, h_vec).values
+        out += (fa.values - shifted_a) * shifted_b * wt * vol
+    return ScalarField(g, out)
 
 
 def test_kernel_normalization_and_symmetry():
@@ -228,3 +250,33 @@ def test_staggered_convolution_interior_divergence_general_field():
     dv = divergence(conv).values[r:-r, r:-r]
     scale = max(np.max(np.abs(c)) for c in u.components)
     assert np.max(np.abs(dv)) < 1e-12 * scale / g.spacing[0]
+
+
+def _compact_random(rng, size):
+    vals = np.zeros(size)
+    lo = int(rng.integers(0, size))
+    hi = int(rng.integers(lo + 1, size + 1))
+    vals[lo:hi] = rng.normal(size=hi - lo)
+    return vals
+
+
+@pytest.mark.parametrize("cells", [8, 9, 17, 64, 2048])
+def test_1d_convolution_matches_ndimage(cells):
+    # ndimage is the direct-summation oracle (it skips taps with |w| <=
+    # DBL_EPSILON); every resolvable k, including kernels longer than the
+    # raster (k=1 on 8 cells has 17 taps); same values to rounding and the
+    # same exact zeros
+    g = Grid((cells,), (1.0,))
+    rng = np.random.default_rng(cells)
+    for k in range(1, cells // 2 + 1):
+        mol = make_mollifier(k, g)
+        f = _compact_random(rng, cells)
+        faces = _compact_random(rng, cells + 1)
+        got = convolve_space(ScalarField(g, f), mol).values
+        got_faces = convolve_staggered(StaggeredVectorField(g, (faces,)), mol).components[0]
+        for out, vals in ((got, f), (got_faces, faces)):
+            want = scipy.ndimage.convolve(vals, mol.weights * g.cell_volume,
+                                          mode="constant", cval=0.0)
+            assert out.shape == want.shape
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(out == 0.0, want == 0.0)
