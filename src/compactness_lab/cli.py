@@ -135,11 +135,17 @@ def _positive_ints(cfg, *keys):
     return values
 
 
+def _positive_int_list(cfg, key):
+    values = cfg.get_list(key, int)
+    if not values or min(values) <= 0:
+        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {cfg.get(key)!r} "
+                          "(must be a non-empty list of positive integers)")
+    return values
+
+
 def _kernel_scales(cfg, grid):
     """The k_list of a 1D mollifier experiment: non-empty, every kernel resolvable."""
-    k_list = cfg.get_list("k_list", int)
-    if not k_list:
-        raise ConfigError(f"bad value for [{cfg._experiment}] k_list: empty")
+    k_list = _positive_int_list(cfg, "k_list")
     for k in k_list:
         try:
             make_mollifier(k, grid)
@@ -153,13 +159,15 @@ def _kernel_scales(cfg, grid):
 
 
 def _exp_porous(cfg, seed, out_dir):
-    cells = cfg.get("grid_cells", int)
+    cells, = _positive_ints(cfg, "grid_cells")
     half = cfg.get("halfwidth", float)
     m = cfg.get("m", float)
     t0, t1 = cfg.get("t0", float), cfg.get("t1", float)
     total_mass = cfg.get("mass", float)
-    n_list = cfg.get_list("n_list", int)
+    n_list = _positive_int_list(cfg, "n_list")
     m_dual = cfg.get("hminus_m", int)
+    if m_dual < 0:
+        raise ConfigError(f"bad value for [porous] hminus_m: {m_dual} (must be >= 0)")
     bc = cfg.get("bc")
     grid = Grid((cells,), (2 * half,))
     phi = nonlinearity_preset(f"porous:{m:g}")

@@ -16,6 +16,7 @@ matrix is built from the same operator.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -50,11 +51,11 @@ class Grid:
     def dim(self):
         return len(self.shape)
 
-    @property
+    @functools.cached_property
     def spacing(self):
         return tuple(L / n for L, n in zip(self.extent, self.shape))
 
-    @property
+    @functools.cached_property
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
@@ -394,7 +395,8 @@ def divergence(u):
 
 
 # ---------------------------------------------------------------------------
-# the face-stencil operator, Dirichlet eigenbasis and the discrete H^{-m} norm
+# the face-stencil operator and the exact discrete H^{-m} norm from sparse
+# solves of I+L (L the Dirichlet Laplacian); a dense eigenbasis as reference
 
 
 def face_laplacian(grid, inside, coef, boundary_coef):
@@ -446,85 +448,71 @@ def neumann_laplacian(domain):
     return face_laplacian(domain.grid, domain.inside, c, [0.0] * len(c))
 
 
-MAX_EIGENPAIRS = 512
-EIG_TOL = 1e-9
-
-
 class DirichletEigenbasis:
-    """Retained Dirichlet-Laplacian eigenpairs on a raster domain.
+    """All Dirichlet-Laplacian eigenpairs on a raster domain, by a dense
+    `eigh`: the reference the sparse H^{-m} norm is checked against.
+    Eigenvectors are orthonormal in the discrete L^2 inner product."""
 
-    Keeps min(n_cells, 512) smallest pairs; eigenvectors are orthonormal in the
-    discrete L^2 inner product.  `tail_mass` reports the L^2 mass a projection
-    misses when the basis is truncated.
-    """
-
-    def __init__(self, domain, n_pairs=None):
+    def __init__(self, domain):
         self.domain = domain
-        L, index = dirichlet_laplacian(domain)
-        n = L.shape[0]
-        k = min(n, MAX_EIGENPAIRS if n_pairs is None else n_pairs)
-        if k == n:
-            lam, vec = scipy.linalg.eigh(L.toarray())
-        else:
-            v0 = np.ones(n)
-            lam, vec = scipy.sparse.linalg.eigsh(L, k=k, sigma=0.0, which="LM",
-                                                 tol=EIG_TOL, v0=v0)
-            order = np.argsort(lam)
-            lam, vec = lam[order], vec[:, order]
-        vol = domain.grid.cell_volume
+        L, _ = dirichlet_laplacian(domain)
+        lam, vec = scipy.linalg.eigh(L.toarray())
         self.eigenvalues = lam
         # orthonormal wrt <f,g> = vol * sum f g
-        self.eigenvectors = vec / np.sqrt(vol)
-        self._index = index
-        self.truncated = k < n
+        self.eigenvectors = vec / np.sqrt(domain.grid.cell_volume)
 
     def coefficients(self, f):
         v = f.values[self.domain.inside]
         return self.eigenvectors.T @ v * self.domain.grid.cell_volume
 
-    def tail_mass(self, f):
-        """||f||_2^2 minus the retained spectral mass (zero for a complete basis)."""
-        c = self.coefficients(f)
-        v = f.values[self.domain.inside]
-        total = float(np.sum(v ** 2) * self.domain.grid.cell_volume)
-        return max(0.0, total - float(np.sum(c ** 2)))
+
+_factor_cache = weakref.WeakKeyDictionary()
 
 
-_eigenbasis_cache = weakref.WeakKeyDictionary()
+def _shifted_dirichlet(domain):
+    """(I+L, its sparse LU factor) for the Dirichlet Laplacian L of a raster,
+    built once per domain object."""
+    entry = _factor_cache.get(domain)
+    if entry is None:
+        L, _ = dirichlet_laplacian(domain)
+        A = (scipy.sparse.identity(L.shape[0], format="csr") + L).tocsc()
+        entry = (A, scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A"))
+        _factor_cache[domain] = entry
+    return entry
 
 
-def dirichlet_eigenbasis(domain):
-    basis = _eigenbasis_cache.get(domain)
-    if basis is None:
-        basis = DirichletEigenbasis(domain)
-        _eigenbasis_cache[domain] = basis
-    return basis
+def _check_order(m, domain):
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    if domain.n_inside == 0:
+        raise ValueError("empty domain")
 
 
 def h_minus_m_norm(f, m, domain):
-    """Discrete H^{-m} norm: (sum_k (1+lambda_k)^{-m} |<f,e_k>|^2)^{1/2}.
-
-    Truncated tails are accounted at the weight of the largest retained
-    eigenvalue, which keeps m=0 equal to the L^2 norm and the value
-    nonincreasing in m.
+    """Discrete H^{-m} norm for an integer m >= 0, exact (no truncation):
+    ||f||_{-m}^2 = vol f^T (I+L)^{-m} f = sum_k (1+lambda_k)^{-m} |<f,e_k>|^2
+    over all Dirichlet eigenpairs of the domain.  With w = (I+L)^{-ceil(m/2)} f
+    that is vol |w|^2 for even m and vol w^T (I+L) w for odd m.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if domain.n_inside == 0:
-        raise ValueError("empty domain")
-    basis = dirichlet_eigenbasis(domain)
-    c = basis.coefficients(f)
-    s = float(np.sum((1.0 + basis.eigenvalues) ** (-float(m)) * c ** 2))
-    if basis.truncated:
-        s += (1.0 + basis.eigenvalues[-1]) ** (-float(m)) * basis.tail_mass(f)
-    return float(np.sqrt(max(s, 0.0)))
+    _check_order(m, domain)
+    A, lu = _shifted_dirichlet(domain)
+    w = f.values[domain.inside]
+    for _ in range((m + 1) // 2):
+        w = lu.solve(w)
+    s = w @ (A @ w) if m % 2 else w @ w
+    return float(np.sqrt(s * domain.grid.cell_volume))
 
 
 def h_m_norm_dual_weight(phi, m, domain):
-    """(sum_k (1+lambda_k)^m |<phi,e_k>|^2)^{1/2}: the dual side of the H^{-m} pairing bound."""
-    basis = dirichlet_eigenbasis(domain)
-    c = basis.coefficients(phi)
-    return float(np.sqrt(np.sum((1.0 + basis.eigenvalues) ** float(m) * c ** 2)))
+    """(vol phi^T (I+L)^m phi)^{1/2} = (sum_k (1+lambda_k)^m |<phi,e_k>|^2)^{1/2}:
+    the dual side of the H^{-m} pairing bound, by matrix-vector products."""
+    _check_order(m, domain)
+    A, _ = _shifted_dirichlet(domain)
+    w = phi.values[domain.inside]
+    for _ in range(m // 2):
+        w = A @ w
+    s = w @ (A @ w) if m % 2 else w @ w
+    return float(np.sqrt(s * domain.grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------

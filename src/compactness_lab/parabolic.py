@@ -401,10 +401,6 @@ class MonitorReport:
         return ["N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev"] + [
             ",".join([str(row[0])] + [repr(float(x)) for x in row[1:]]) for row in self.rows]
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
-
     @property
     def verdict_text(self):
         return ("consistent with strong L2 compactness" if self.verdict

@@ -99,10 +99,6 @@ class KruzhkovReport:
             f"{n},{q},{ell},{t1!r},{t2!r},{t3!r},{tot!r}"
             for n, q, ell, t1, t2, t3, tot in self.rows]
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
-
 
 def kruzhkov_probe(f_seq, nc, m_interior, ell_list, p=2):
     """Three-term mollification budget f_n - f_q = (f_n - f_n*phi) +
@@ -481,10 +477,6 @@ class NsProbeReport:
         return ["n,delta,s,step1,step3,line1,line2,line3,total"] + [
             f"{r.n},{r.delta!r},{r.s!r},{r.step1!r},{r.step3!r},"
             f"{r.line1!r},{r.line2!r},{r.line3!r},{r.total!r}" for r in self.rows]
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
 
 
 def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None,

@@ -163,10 +163,6 @@ class PipelineReport:
             f"{r.n},{r.k},{r.step1!r},{r.step2!r},{r.step3!r},{r.step4!r},{r.total!r}"
             for r in self.rows]
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
-
     def max_accounting_defect(self):
         return max(r.accounting_defect for r in self.rows)
 

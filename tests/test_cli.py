@@ -79,8 +79,12 @@ def test_commutator_experiment(tmp_path):
     ("commutator", "cells = 0"),
     ("productlimit", "k_list = 512"),
     ("productlimit", "members = -1"),
+    ("porous", "grid_cells = 0"),
+    ("porous", "n_list = 16,0"),
+    ("porous", "n_list = ,"),
+    ("porous", "hminus_m = -1"),
 ])
-def test_mollifier_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
+def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")
     out = tmp_path / "out"
     assert run(experiment, cfg, str(out)) == 2

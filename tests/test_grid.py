@@ -187,14 +187,42 @@ def test_h_minus_m_duality_bound():
         assert rhs - lhs >= -1e-9 * (rhs + 1.0)
 
 
-def test_truncated_basis_reports_tail():
-    g = Grid((40, 40), (1.0, 1.0))
-    d = make_domain("disk:0.45", g)
-    basis = DirichletEigenbasis(d, n_pairs=64)
-    assert basis.truncated
-    rng = np.random.default_rng(5)
-    f = ScalarField(g, rng.normal(size=g.shape), mask=d)
-    assert basis.tail_mass(f) > 0.0
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_h_minus_m_norm_matches_dense_eigenbasis(data):
+    # oracle: the spectral sums over every pair of a dense eigensolve
+    dim = data.draw(st.integers(1, 2))
+    shape = ((data.draw(st.integers(1, 400)),) if dim == 1
+             else tuple(data.draw(st.integers(1, 20)) for _ in range(2)))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    inside = data.draw(hnp.arrays(bool, shape).filter(np.any))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    g = Grid(shape, extent)
+    d = RasterDomain.from_membership(g, inside)
+    rng = np.random.default_rng(seed)
+    f = ScalarField(g, rng.normal(size=shape), mask=d)
+    phi = ScalarField(g, rng.normal(size=shape), mask=d)
+    basis = DirichletEigenbasis(d)
+    shifted = 1.0 + basis.eigenvalues
+    cf, cphi = basis.coefficients(f), basis.coefficients(phi)
+    for m in range(4):
+        norm, weight = h_minus_m_norm(f, m, d), h_m_norm_dual_weight(phi, m, d)
+        assert norm == pytest.approx(np.sqrt(np.sum(shifted ** -m * cf ** 2)), rel=1e-10)
+        assert weight == pytest.approx(np.sqrt(np.sum(shifted ** m * cphi ** 2)), rel=1e-10)
+        assert abs(inner(f, phi)) <= norm * weight * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("norm", [h_minus_m_norm, h_m_norm_dual_weight])
+def test_h_minus_m_rejects_bad_order_and_empty_domain(norm):
+    g = Grid((8, 8), (1.0, 1.0))
+    d = RasterDomain.full(g)
+    f = ScalarField.constant(g, 1.0)
+    for m in (1.5, -1):
+        with pytest.raises(ValueError, match="integer"):
+            norm(f, m, d)
+    empty = RasterDomain.from_membership(g, np.zeros(g.shape, dtype=bool))
+    with pytest.raises(ValueError, match="empty"):
+        norm(f, 1, empty)
 
 
 def test_grid_file_roundtrip(tmp_path):
