@@ -34,9 +34,9 @@ from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F40
 from .productlimit import (build_cutoff, exp_orlicz_pair, localize,  # noqa: F401
                            luxemburg_gauge, orlicz_holder_check,
                            product_pipeline)
-from .divfree import (dual_norm_check, dual_seminorm, neumann_harmonic,  # noqa: F401
-                      normal_trace, per_slice_project, project_divfree0,
-                      trace_norm_surrogate)
+from .divfree import (dual_norm_check, dual_seminorm, neumann_factor,  # noqa: F401
+                      neumann_harmonic, normal_trace, per_slice_project,
+                      project_divfree0, trace_norm_surrogate)
 from .probe import (dual_time_estimate, kruzhkov_probe, local_to_global,  # noqa: F401
                     ns_probe, limsup_probe, time_shift_safety)
 from .truncate import build_beta, chain_gradient_check, nonlinearity_preset  # noqa: F401

@@ -18,8 +18,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .divfree import (dual_norm_check, normal_trace, project_divfree0,
-                      staggered_inner, staggered_l2)
+from .divfree import (dual_norm_check, neumann_factor, normal_trace,
+                      project_divfree0, staggered_inner, staggered_l2)
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
                    divergence)
 from .mollify import make_mollifier, commutator
@@ -135,17 +135,17 @@ def _positive_ints(cfg, *keys):
     return values
 
 
-def _positive_int_list(cfg, key):
-    values = cfg.get_list(key, int)
+def _positive_list(cfg, key, cast=int):
+    values = cfg.get_list(key, cast)
     if not values or min(values) <= 0:
         raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {cfg.get(key)!r} "
-                          "(must be a non-empty list of positive integers)")
+                          "(must be a non-empty list of positive numbers)")
     return values
 
 
 def _kernel_scales(cfg, grid):
     """The k_list of a 1D mollifier experiment: non-empty, every kernel resolvable."""
-    k_list = _positive_int_list(cfg, "k_list")
+    k_list = _positive_list(cfg, "k_list")
     for k in k_list:
         try:
             make_mollifier(k, grid)
@@ -164,7 +164,7 @@ def _exp_porous(cfg, seed, out_dir):
     m = cfg.get("m", float)
     t0, t1 = cfg.get("t0", float), cfg.get("t1", float)
     total_mass = cfg.get("mass", float)
-    n_list = _positive_int_list(cfg, "n_list")
+    n_list = _positive_list(cfg, "n_list")
     m_dual = cfg.get("hminus_m", int)
     if m_dual < 0:
         raise ConfigError(f"bad value for [porous] hminus_m: {m_dual} (must be >= 0)")
@@ -271,7 +271,7 @@ def _exp_productlimit(cfg, seed, out_dir):
 
 
 def _exp_movedom(cfg, seed, out_dir):
-    n = cfg.get("grid", int)
+    n, n_slices = _positive_ints(cfg, "grid", "n_slices")
     grid = Grid((n, n), (1.0, 1.0))
     disk_r = cfg.get("disk_radius", float)
     disk = make_domain(f"disk:{disk_r}", grid)
@@ -301,9 +301,9 @@ def _exp_movedom(cfg, seed, out_dir):
     for name, fam in (("translation", tra), ("dilation", dil)):
         jb = jacobian_bounds(fam, disk)
         record("jacobian", name, jb.raw_min, jb.raw_max, jb.raw_min <= jb.raw_max)
-        fr = framing_check(fam, disk, eps, n_slices=cfg.get("n_slices", int))
+        fr = framing_check(fam, disk, eps, n_slices=n_slices)
         record("framing", name, fr.inner_violations_banded, 0, fr.ok)
-        nc = NonCylindricalDomain(fam, disk, cfg.get("n_slices", int))
+        nc = NonCylindricalDomain(fam, disk, n_slices)
         peel = peel_measure(nc, eps, jb=jb)
         record("peel", name, peel.measured_sup, peel.bound * 1.02, peel.ok)
     # raster semigroup identity within a one-cell band
@@ -316,10 +316,9 @@ def _exp_movedom(cfg, seed, out_dir):
 
 
 def _exp_divfree(cfg, seed, out_dir):
-    n = cfg.get("grid", int)
+    n, n_fields = _positive_ints(cfg, "grid", "n_fields")
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
-    n_fields = cfg.get("n_fields", int)
     tol = cfg.get("residual_tol", float)
     rng = generator(seed)
     from .synth import random_stream_velocity
@@ -327,9 +326,11 @@ def _exp_divfree(cfg, seed, out_dir):
     failures = []
     fields = [random_stream_velocity(grid, rng) for _ in range(n_fields)]
     projected = []
+    # every projection runs on this one raster: one constant and one factor
     c_poincare = poincare_constant(domain)
+    factor = neumann_factor(domain)
     for i, u in enumerate(fields):
-        rep = dual_norm_check(u, domain, c_poincare)
+        rep = dual_norm_check(u, domain, c_poincare, factor)
         pu = rep.projected
         projected.append(pu)
         div_res = float(np.max(np.abs(divergence(pu).values)))
@@ -352,7 +353,7 @@ def _exp_divfree(cfg, seed, out_dir):
         if abs(lhs - rhs) / scale > 1e-8:
             failures.append(f"projection not self-adjoint at pair {j}")
     one = StaggeredVectorField.constant(grid, (1.0, 0.0))
-    witness = staggered_l2(project_divfree0(one, domain))
+    witness = staggered_l2(project_divfree0(one, domain, factor))
     if witness > 1e-8:
         failures.append(f"seminorm witness ||P(1,0)|| = {witness:.3e} above 1e-8")
     rows.append(f"witness,{staggered_l2(one)!r},{witness!r},,,,,")
@@ -360,26 +361,25 @@ def _exp_divfree(cfg, seed, out_dir):
 
 
 def _build_nsprobe(cfg, seed):
-    n = cfg.get("grid", int)
+    n, n_slices, n_members = _positive_ints(cfg, "grid", "n_slices", "members")
+    osc_list = _positive_list(cfg, "osc_list")
+    delta_list = _positive_list(cfg, "delta_list", float)
     grid = Grid((n, n), (1.0, 1.0))
-    n_slices = cfg.get("n_slices", int)
     interval = (0.0, 1.0)
     disk_r = cfg.get("disk_radius", float)
     family_kind = cfg.get("family")
-    delta_list = cfg.get_list("delta_list", float)
     if family_kind == "convergent":
         speed = cfg.get("speed", float)
         center = (0.5 - speed / 2, 0.5)
         fam = make_family("translation", interval, velocity=(speed, 0.0))
         members = translating_disk_ns_family(
-            grid, interval, n_slices, cfg.get("members", int), center, disk_r,
+            grid, interval, n_slices, n_members, center, disk_r,
             (speed, 0.0), stream_fraction=0.55)
         ref = make_domain(f"disk:{disk_r}", grid, center=center)
     elif family_kind == "oscillating":
         center = (0.5, 0.5)
         fam = make_family("identity", interval)
-        members = oscillating_ns_family(grid, interval, n_slices,
-                                        cfg.get_list("osc_list", int), center, disk_r,
+        members = oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_r,
                                         stream_fraction=0.55)
         ref = make_domain(f"disk:{disk_r}", grid, center=center)
     else:
@@ -407,9 +407,11 @@ def _exp_nsprobe(cfg, seed, out_dir):
 
 
 def _exp_kruzhkov(cfg, seed, out_dir):
-    n = cfg.get("grid", int)
+    n, n_slices, n_members, m_interior = _positive_ints(
+        cfg, "grid", "n_slices", "members", "m_interior")
+    osc_list = _positive_list(cfg, "osc_list")
+    ell_list = _positive_list(cfg, "ell_list")
     grid = Grid((n, n), (1.0, 1.0))
-    n_slices = cfg.get("n_slices", int)
     interval = (0.0, 1.0)
     disk_r = cfg.get("disk_radius", float)
     speed = cfg.get("speed", float)
@@ -423,15 +425,12 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     pert = random_smooth_field(grid, rng, modes=3)
     kind = cfg.get("family")
     if kind == "perturbation":
-        members = perturbation_scalar_family(base, pert, interval, n_slices,
-                                             cfg.get("members", int))
+        members = perturbation_scalar_family(base, pert, interval, n_slices, n_members)
     elif kind == "oscillating":
-        members = oscillating_scalar_family(base, interval, n_slices,
-                                            cfg.get_list("osc_list", int))
+        members = oscillating_scalar_family(base, interval, n_slices, osc_list)
     else:
         raise ConfigError(f"unknown kruzhkov family {kind!r}")
-    report = kruzhkov_probe(members, nc, cfg.get("m_interior", int),
-                            cfg.get_list("ell_list", int))
+    report = kruzhkov_probe(members, nc, m_interior, ell_list)
     failures = list(report.failures)
     if report.max_budget_defect > cfg.get("budget_tol", float):
         failures.append(f"three-term budget defect {report.max_budget_defect:.3e}")

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
-                   _axis_slices, divergence, face_masks, gradient,
-                   neumann_laplacian, staggered_inner, staggered_l2)
+from .grid import (RasterDomain, RasterFactor, ScalarField,
+                   StaggeredVectorField, _axis_slices, _read_header_and_values,
+                   divergence, face_masks, gradient, neumann_laplacian,
+                   staggered_inner, staggered_l2)
 from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
 
@@ -69,18 +69,30 @@ def normal_trace(u, domain):
     return BoundaryData(domain, tuple(vals))
 
 
-def neumann_harmonic(g_data, domain):
+def neumann_factor(domain):
+    """The factor of the pinned Neumann matrix L + e_0 e_0^T of a connected
+    raster, for `neumann_harmonic`.  Build it once per raster and pass it to
+    every solve on that raster; it refuses any other raster."""
+    if not domain.is_connected():
+        raise ValueError("harmonic extension needs a connected raster")
+    L, _ = neumann_laplacian(domain)
+    L[0, 0] += 1.0  # in place: every row of L stores its diagonal
+    return RasterFactor(domain, L)
+
+
+def neumann_harmonic(g_data, domain, factor=None):
     """Solve Delta v = 0 on the raster with prescribed outward normal flux and
     zero mean.
 
-    One sparse direct solve of (L + e_0 e_0^T) v = b - mean(b), nonsingular on a
+    One solve of (L + e_0 e_0^T) v = b - mean(b) with the raster's
+    `neumann_factor`, built here unless given; the matrix is nonsingular on a
     connected raster.  The columns of the Neumann Laplacian L sum to zero, so
     summing the rows gives v_0 = 0, and v also solves L v = b - mean(b)."""
-    if not domain.is_connected():
-        raise ValueError("harmonic extension needs a connected raster")
+    if factor is None:
+        factor = neumann_factor(domain)
+    factor.check(domain)
     g_data.check_compatibility()
     grid = domain.grid
-    L, _ = neumann_laplacian(domain)
     rhs = np.zeros(grid.shape)
     for a, (_, _, sign) in enumerate(face_masks(domain.inside)):
         below, above, _ = _axis_slices(grid.dim, a)
@@ -89,10 +101,8 @@ def neumann_harmonic(g_data, domain):
         # that cell's high face, -1 when it is its low face
         rhs += np.where(sign[above] > 0, flux[above], 0.0)
         rhs += np.where(sign[below] < 0, flux[below], 0.0)
-    L[0, 0] += 1.0  # in place: every row of L stores its diagonal
     b = rhs[domain.inside]
-    # minimum degree on L + L^T: the default COLAMD ordering was 1.3-1.5x slower on 64x64
-    sol = scipy.sparse.linalg.spsolve(L, b - b.mean(), permc_spec="MMD_AT_PLUS_A")
+    sol = factor.solve(b - b.mean())
     sol -= sol.mean()
     vals = np.zeros(grid.shape)
     vals[domain.inside] = sol
@@ -110,12 +120,6 @@ def harmonic_gradient(v, domain, g_data=None):
                                  in zip(masks, g_data.values, grad.components)])
 
 
-def interior_dirichlet_energy(v, domain):
-    """Interior-face Dirichlet energy <grad v, grad v> (the variational one)."""
-    g = harmonic_gradient(v, domain, g_data=None)
-    return staggered_inner(g, g)
-
-
 def trace_norm_surrogate(g_data, domain):
     """||grad v||_2 with v the Neumann-harmonic extension; equivalent to the
     H^{-1/2} boundary norm up to domain constants, not equal to it."""
@@ -126,12 +130,12 @@ def trace_norm_surrogate(g_data, domain):
 DIV_RESIDUAL_TOL = 1e-10
 
 
-def _helmholtz_split(u, domain):
+def _helmholtz_split(u, domain, factor=None):
     """(u on the raster, grad v, P u = u - grad v), v the harmonic extension of
-    the normal trace of u."""
+    the normal trace of u (with the raster's `neumann_factor` when given)."""
     u = u.restricted(domain)
     g = normal_trace(u, domain)
-    gv = harmonic_gradient(neumann_harmonic(g, domain), domain, g)
+    gv = harmonic_gradient(neumann_harmonic(g, domain, factor), domain, g)
     return u, gv, (u - gv).restricted(domain)
 
 
@@ -149,12 +153,13 @@ def _check_residuals(u, pu, domain):
         raise RuntimeError(f"projected field trace residual {tr_max:.3e} out of tolerance")
 
 
-def project_divfree0(u, domain):
+def project_divfree0(u, domain, factor=None):
     """Orthogonal projection of a div-free field onto the zero-normal-trace
     subspace: P u = u - grad v, v the harmonic extension of the trace.
 
-    Checks the divergence and trace residuals."""
-    u, _, pu = _helmholtz_split(u, domain)
+    Checks the divergence and trace residuals.  `factor` is the raster's
+    `neumann_factor`, built here unless given."""
+    u, _, pu = _helmholtz_split(u, domain, factor)
     _check_residuals(u, pu, domain)
     return pu
 
@@ -179,15 +184,16 @@ class DualNormReport:
         return self.slack >= -1e-8 * (self.l2 + 1e-300)
 
 
-def dual_norm_check(u, domain, c_poincare=None):
+def dual_norm_check(u, domain, c_poincare=None, factor=None):
     """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u).
 
     One Helmholtz split serves the check and the report's P u, which passes the
-    same residual checks as `project_divfree0`.  C_Omega is computed on the
-    domain unless given; pass it when checking many fields on one domain."""
+    same residual checks as `project_divfree0`.  C_Omega and the raster's
+    `neumann_factor` are computed on the domain unless given; pass both when
+    checking many fields on one domain."""
     if c_poincare is None:
         c_poincare = poincare_constant(domain)
-    u, gv, pu = _helmholtz_split(u, domain)
+    u, gv, pu = _helmholtz_split(u, domain, factor)
     _check_residuals(u, pu, domain)
     l2 = staggered_l2(u)
     seminorm = staggered_l2(pu)
@@ -245,17 +251,12 @@ def write_sgrid_file(path, u):
                 fh.write(f"{v:.17e}\n")
 
 
+def _face_counts(grid):
+    """Number of a-normal faces for each axis a: one more than cells along a."""
+    return [grid.n_cells // n * (n + 1) for n in grid.shape]
+
+
 def read_sgrid_file(path):
-    with open(path) as fh:
-        head = fh.readline().split()
-        dim = int(head[0])
-        shape = tuple(int(x) for x in head[1:1 + dim])
-        extent = tuple(float(x) for x in fh.readline().split())
-        grid = Grid(shape, extent)
-        comps = []
-        for a in range(dim):
-            cshape = list(shape)
-            cshape[a] += 1
-            n = int(np.prod(cshape))
-            comps.append(np.array([float(fh.readline()) for _ in range(n)]).reshape(cshape))
+    grid, vals = _read_header_and_values(path, lambda g: sum(_face_counts(g)))
+    comps = np.split(vals, np.cumsum(_face_counts(grid))[:-1])
     return StaggeredVectorField(grid, tuple(comps))

@@ -7,8 +7,9 @@ div(A grad phi(u_{k+1})).  Each step assembles L_A = -div(A grad .) once with
 `dirichlet0`, 0 under `noflux`) and solves
 u - u_k + delta L_A (phi(u) - phi(0)) = 0 by Newton.  The Newton matrix
 I + delta L_A diag(phi') is the exact derivative of that residual, with phi'
-clamped at 1e-12 to guard the degenerate cells where phi' = 0.  With no-flux
-faces the discrete mass telescopes exactly.
+clamped at 1e-12 to guard the degenerate cells where phi' = 0; each Newton
+iteration is one banded LU solve of it (`scipy.linalg.solve_banded`), in 1D
+and 2D alike.  With no-flux faces the discrete mass telescopes exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 import scipy.special
 
 from .grid import (ScalarField, StaggeredVectorField, _axis_slices,
@@ -229,7 +230,9 @@ def _face_coefficients(entries, grid, axis):
 def _backward_euler(u_k, delta, A, phi, bc, t):
     """Residual and Newton matrix of one backward-Euler step, as functions of
     the flat state u: F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
-    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP))."""
+    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
+    matrix is a `dia_matrix` with offsets band..-band (band = 1 in 1D, one
+    raster row in 2D), its data in LAPACK band layout."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if bc not in ("noflux", "dirichlet0"):
@@ -241,17 +244,24 @@ def _backward_euler(u_k, delta, A, phi, bc, t):
     L, _ = face_laplacian(grid, np.ones(grid.shape, dtype=bool), coef, edge)
     u0 = u_k.values.reshape(-1)
     phi0 = float(phi.phi(np.zeros(1))[0])
-    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-    on_diag = L.indices == rows
+    n = L.shape[0]
+    # cells are numbered row-major, so the farthest coupling is one raster row
+    band = int(np.prod(grid.shape[1:]))
+    offsets = np.arange(band, -band - 1, -1)
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    cols = L.indices
+    slots = (band + rows - cols) * n + cols  # flat place of each entry in band storage
 
     def residual(u):
         return u - u0 + delta * (L @ (phi.phi(u) - phi0))
 
     def newton_matrix(u):
-        # L_A is symmetric, so its CSR arrays scaled by row are L_A diag(.) in CSC
-        data = L.data * (delta * np.maximum(phi.dphi(u), JACOBIAN_CLAMP))[rows]
-        data[on_diag] += 1.0
-        return scipy.sparse.csc_matrix((data, L.indices, L.indptr), shape=L.shape)
+        # `data[band - k, j]` holds the entry (j - k, j): the DIA layout is the
+        # LAPACK band layout that `scipy.linalg.solve_banded` takes
+        data = np.zeros((2 * band + 1, n))
+        data.flat[slots] = L.data * (delta * np.maximum(phi.dphi(u), JACOBIAN_CLAMP))[cols]
+        data[band] += 1.0
+        return scipy.sparse.dia_matrix((data, offsets), shape=L.shape)
 
     return residual, newton_matrix
 
@@ -279,7 +289,9 @@ def _newton_step(u_k, delta, A, phi, bc, t):
         history.append(res)
         if res <= NEWTON_TOL:
             return ScalarField(u_k.grid, u, mask=u_k.mask), history
-        u = u - scipy.sparse.linalg.spsolve(newton_matrix(u), F)
+        J = newton_matrix(u)
+        band = int(J.offsets[0])
+        u = u - scipy.linalg.solve_banded((band, band), J.data, F)
     raise NewtonFailure(
         f"Newton did not reach residual {NEWTON_TOL:g} in {NEWTON_MAX_ITERS} iterations "
         f"(last {history[-1]:.3e}); degenerate Jacobian on the data range?")

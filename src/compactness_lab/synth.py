@@ -39,13 +39,6 @@ def random_smooth_field(grid, rng, modes=4, amplitude=1.0, mask=None):
     return ScalarField(grid, out.reshape(grid.shape), mask=mask)
 
 
-def mean_zero(f):
-    inside = f.mask.inside if f.mask is not None else np.ones(f.grid.shape, bool)
-    m = float(f.values[inside].mean()) if inside.any() else 0.0
-    vals = np.where(inside, f.values - m, 0.0)
-    return ScalarField(f.grid, vals, mask=f.mask)
-
-
 # ---------------------------------------------------------------------------
 # stream functions and exact-div-free velocities (2D)
 

@@ -83,6 +83,17 @@ def test_commutator_experiment(tmp_path):
     ("porous", "n_list = 16,0"),
     ("porous", "n_list = ,"),
     ("porous", "hminus_m = -1"),
+    ("divfree", "grid = -3"),
+    ("divfree", "n_fields = 0"),
+    ("movedom", "grid = 0"),
+    ("movedom", "n_slices = 0"),
+    ("nsprobe", "members = 0"),
+    ("nsprobe", "n_slices = 0"),
+    ("nsprobe", "delta_list = ,"),
+    ("kruzhkov", "grid = 0"),
+    ("kruzhkov", "members = 0"),
+    ("kruzhkov", "m_interior = 0"),
+    ("kruzhkov", "ell_list = ,"),
 ])
 def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from compactness_lab.divfree import (BoundaryData,
+from compactness_lab.divfree import (BoundaryData, _helmholtz_split,
                                      dual_norm_check, dual_seminorm,
-                                     face_measure, interior_dirichlet_energy,
-                                     neumann_harmonic, normal_trace,
-                                     per_slice_project, project_divfree0,
-                                     read_sgrid_file, trace_norm_surrogate,
-                                     write_sgrid_file)
+                                     face_measure, harmonic_gradient,
+                                     neumann_factor, neumann_harmonic,
+                                     normal_trace, per_slice_project,
+                                     project_divfree0, read_sgrid_file,
+                                     trace_norm_surrogate, write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence, face_masks,
                                   inner, neumann_laplacian, staggered_inner,
@@ -15,13 +19,19 @@ from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, poincare_constant)
 from compactness_lab.parabolic import StepTimeSeries, series_l2
-from compactness_lab.synth import (disk_bump_velocity, generator,
-                                   random_stream_velocity,
+from compactness_lab.synth import (curl_velocity, disk_bump_velocity,
+                                   generator, random_stream_velocity,
                                    translating_disk_ns_family)
 
 
 GRID = Grid((64, 64), (1.0, 1.0))
 FULL = RasterDomain.full(GRID)
+
+
+def interior_dirichlet_energy(v, domain):
+    """Interior-face Dirichlet energy <grad v, grad v> (the variational one)."""
+    g = harmonic_gradient(v, domain, g_data=None)
+    return staggered_inner(g, g)
 
 
 def test_normal_trace_constant_field():
@@ -120,6 +130,42 @@ def test_neumann_harmonic_disconnected_rejected():
     zero = BoundaryData(d, (np.zeros(9),))
     with pytest.raises(ValueError):
         neumann_harmonic(zero, d)
+    with pytest.raises(ValueError, match="connected"):
+        neumann_factor(d)
+
+
+@pytest.mark.parametrize("spec", [None, "annulus:0.15:0.4"])
+def test_passed_factor_gives_identical_results(spec):
+    dom = FULL if spec is None else make_domain(spec, GRID)
+    factor = neumann_factor(dom)
+    u = random_stream_velocity(GRID, generator(29)).restricted(dom)
+    g = normal_trace(u, dom)
+    assert np.array_equal(neumann_harmonic(g, dom).values,
+                          neumann_harmonic(g, dom, factor).values)
+    own = dual_norm_check(u, dom, 0.3)
+    shared = dual_norm_check(u, dom, 0.3, factor)
+    for name in ("l2", "seminorm", "surrogate", "slack"):
+        assert getattr(own, name) == getattr(shared, name), name
+    for a, b in zip(own.projected.components, shared.projected.components):
+        assert np.array_equal(a, b)
+
+
+def test_factor_refuses_another_raster():
+    disk = make_domain("disk:0.35", GRID)
+    u = random_stream_velocity(GRID, generator(31))
+    factor = neumann_factor(FULL)
+    with pytest.raises(ValueError, match="another raster"):
+        neumann_harmonic(normal_trace(u.restricted(disk), disk), disk, factor)
+    with pytest.raises(ValueError, match="another raster"):
+        project_divfree0(u.restricted(disk), disk, factor)
+    # same cells, other extents: another operator
+    wide = RasterDomain.full(Grid((64, 64), (2.0, 1.0)))
+    with pytest.raises(ValueError, match="another raster"):
+        dual_norm_check(random_stream_velocity(wide.grid, generator(31)), wide, 0.3, factor)
+    # an equal raster built separately is the same raster
+    again = RasterDomain.full(GRID)
+    assert np.array_equal(project_divfree0(u, again, factor).components[0],
+                          project_divfree0(u, FULL).components[0])
 
 
 def test_projection_fixes_zero_trace_fields():
@@ -163,6 +209,31 @@ def test_projection_idempotent_and_self_adjoint():
     # orthogonality of the removed part against the zero-trace space
     resid = u - pu
     assert abs(staggered_inner(resid, pw)) <= 1e-8 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projection_idempotent_and_self_adjoint_on_random_masks(data):
+    shape = tuple(data.draw(st.integers(2, 14)) for _ in range(2))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(2))
+    cells = data.draw(hnp.arrays(bool, shape).filter(np.any))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    # the largest connected component of a random raster
+    labels, _ = scipy.ndimage.label(cells)
+    largest = np.argmax(np.bincount(labels[cells]))
+    g = Grid(shape, extent)
+    dom = RasterDomain.from_membership(g, labels == largest)
+    factor = neumann_factor(dom)
+    rng = np.random.default_rng(seed)
+    u, w = (curl_velocity(g, rng.normal(size=(shape[0] + 1, shape[1] + 1))).restricted(dom)
+            for _ in range(2))
+    pu, pw = project_divfree0(u, dom, factor), project_divfree0(w, dom, factor)
+    scale = staggered_l2(u) * staggered_l2(w) + 1e-300
+    # P u is div-free only to round-off in ||u||, not in its own norm, which can
+    # be round-off itself: reapply the unchecked split
+    _, _, ppu = _helmholtz_split(pu, dom, factor)
+    assert staggered_l2(ppu - pu) <= 1e-12 * staggered_l2(u)
+    assert abs(staggered_inner(pu, w) - staggered_inner(u, pw)) <= 1e-10 * scale
 
 
 def test_dual_seminorm_witness():
@@ -251,6 +322,20 @@ def test_sgrid_roundtrip(tmp_path):
     assert back.grid == u.grid
     for a, b in zip(back.components, u.components):
         assert np.array_equal(a, b)
+
+
+def test_sgrid_reader_names_wrong_value_count(tmp_path):
+    u = random_stream_velocity(Grid((4, 3), (1.0, 1.0)), generator(19))
+    path = tmp_path / "field.sgrid"
+    write_sgrid_file(path, u)
+    lines = path.read_text().splitlines(keepends=True)
+    expected = 5 * 3 + 4 * 4
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=f"field.sgrid: expected {expected} values.*found {expected - 1}"):
+        read_sgrid_file(path)
+    path.write_text("".join(lines) + "0.5\n")
+    with pytest.raises(ValueError, match=f"field.sgrid: expected {expected} values.*found {expected + 1}"):
+        read_sgrid_file(path)
 
 
 def test_face_series_l2_masked():

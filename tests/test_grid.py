@@ -234,3 +234,16 @@ def test_grid_file_roundtrip(tmp_path):
     back = read_grid_file(path)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_grid_reader_names_wrong_value_count(tmp_path):
+    g = Grid((4, 3), (2.0, 1.0))
+    path = tmp_path / "field.grid"
+    write_grid_file(path, ScalarField.constant(g, 1.5))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]))
+    with pytest.raises(ValueError, match="field.grid: expected 12 values.*found 10"):
+        read_grid_file(path)
+    path.write_text("".join(lines) + "2.5\n")
+    with pytest.raises(ValueError, match="field.grid: expected 12 values.*found 13"):
+        read_grid_file(path)

@@ -83,20 +83,20 @@ def test_heat_step_matches_dense_solve_oracle():
 
 
 def test_newton_matrix_is_derivative_of_residual():
-    g = Grid((5, 4), (1.0, 0.8))
     phi = Nonlinearity(phi=lambda z: z ** 3 + z + 0.5, dphi=lambda z: 3 * z ** 2 + 1,
                        psi=lambda z: z ** 4 / 4 + z ** 2 / 2 + 0.5 * z,
                        critical_points=(), far_field_slope=1.0, name="cubic+affine")
     rng = np.random.default_rng(1)
-    u_k = ScalarField(g, rng.uniform(0.5, 1.5, size=g.shape))
-    u = rng.uniform(-1.0, 1.0, size=g.n_cells)
     eps = 1e-6
-    for bc in ("noflux", "dirichlet0"):
-        residual, newton_matrix = _backward_euler(u_k, 0.01, _variable_tensor(2), phi, bc, 0.3)
-        J = newton_matrix(u).toarray()
-        fd = np.column_stack([(residual(u + eps * e) - residual(u - eps * e)) / (2 * eps)
-                              for e in np.eye(g.n_cells)])
-        assert np.max(np.abs(fd - J)) < 1e-7 * np.max(np.abs(J)), bc
+    for g in (Grid((5, 4), (1.0, 0.8)), Grid((7,), (1.3,))):
+        u_k = ScalarField(g, rng.uniform(0.5, 1.5, size=g.shape))
+        u = rng.uniform(-1.0, 1.0, size=g.n_cells)
+        for bc in ("noflux", "dirichlet0"):
+            residual, newton_matrix = _backward_euler(u_k, 0.01, _variable_tensor(g.dim), phi, bc, 0.3)
+            J = newton_matrix(u).toarray()
+            fd = np.column_stack([(residual(u + eps * e) - residual(u - eps * e)) / (2 * eps)
+                                  for e in np.eye(g.n_cells)])
+            assert np.max(np.abs(fd - J)) < 1e-7 * np.max(np.abs(J)), bc
 
 
 def test_heat_eigenfunction_decay():
