@@ -38,10 +38,10 @@ info = bilipschitz(fam, small)
 print(f"  Jacobian range [{jb.raw_min:.4f}, {jb.raw_max:.4f}]"
       f"  (analytic [{0.75 ** 2}, {1.25 ** 2}])")
 print(f"  bilipschitz K = {info.K:.4f}, eta = {info.eta:.4f}")
-rep = framing_check(fam, small, 0.05, n_slices=16)
+nc = NonCylindricalDomain(fam, small, 16)
+rep = framing_check(nc, 0.05, info=info)
 print(f"  framing (Omega^t)_(eps/eta) in A_t(Omega_eps) in (Omega^t)_(eta eps):"
       f" banded violations {rep.inner_violations_banded}/{rep.outer_violations_banded}")
-nc = NonCylindricalDomain(fam, small, 16)
 peel = peel_measure(nc, 0.05, jb=jb)
 print(f"  peel sup_t mu(Omega^t \\ A_t(Omega_eps)) = {peel.measured_sup:.5f}"
       f" <= beta * mu(Omega \\ Omega_eps) = {peel.bound:.5f}")

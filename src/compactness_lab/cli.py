@@ -25,11 +25,10 @@ from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
 from .mollify import make_mollifier, commutator
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
-                      poincare_constant, symmetric_difference_band,
-                      uniform_poincare_sweep)
+                      poincare_constant, symmetric_difference_band)
 from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
                         energy_report, mass, run_scheme, hypothesis_monitor)
-from .probe import kruzhkov_probe, ns_probe
+from .probe import check_ell_list, kruzhkov_probe, ns_probe
 from .productlimit import product_pipeline, transposition_defect
 from .synth import (generator, oscillating_ns_family, oscillating_scalar_family,
                     perturbation_scalar_family, translating_disk_ns_family)
@@ -289,8 +288,10 @@ def _exp_movedom(cfg, seed, out_dir):
     tol = cfg.get("poincare_tol", float)
     ok = abs(c_sq - 1.0 / np.pi) <= tol / np.pi
     record("poincare", "unit_square", c_sq, 1.0 / np.pi, ok)
-    sweep = uniform_poincare_sweep(square, cfg.get_list("eps_list", float))
-    spread = (max(sweep.constants) - min(sweep.constants)) / max(sweep.constants)
+    # the eps = 0 interior is the square itself, whose constant is c_sq
+    sweep = [c_sq if e == 0.0 else poincare_constant(eps_interior(square, e))
+             for e in cfg.get_list("eps_list", float)]
+    spread = (max(sweep) - min(sweep)) / max(sweep)
     record("poincare_sweep", "square_spread", spread, cfg.get("spread_tol", float),
            spread <= cfg.get("spread_tol", float))
     interval = (0.0, 1.0)
@@ -301,9 +302,10 @@ def _exp_movedom(cfg, seed, out_dir):
     for name, fam in (("translation", tra), ("dilation", dil)):
         jb = jacobian_bounds(fam, disk)
         record("jacobian", name, jb.raw_min, jb.raw_max, jb.raw_min <= jb.raw_max)
-        fr = framing_check(fam, disk, eps, n_slices=n_slices)
-        record("framing", name, fr.inner_violations_banded, 0, fr.ok)
+        # one moving domain: the framing check's slices serve the peel measure
         nc = NonCylindricalDomain(fam, disk, n_slices)
+        fr = framing_check(nc, eps)
+        record("framing", name, fr.inner_violations_banded, 0, fr.ok)
         peel = peel_measure(nc, eps, jb=jb)
         record("peel", name, peel.measured_sup, peel.bound * 1.02, peel.ok)
     # raster semigroup identity within a one-cell band
@@ -317,6 +319,9 @@ def _exp_movedom(cfg, seed, out_dir):
 
 def _exp_divfree(cfg, seed, out_dir):
     n, n_fields = _positive_ints(cfg, "grid", "n_fields")
+    n_pairs = cfg.get("pair_checks", int)
+    if n_pairs < 0:
+        raise ConfigError(f"bad value for [divfree] pair_checks: {n_pairs} (must be >= 0)")
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
     tol = cfg.get("residual_tol", float)
@@ -344,7 +349,6 @@ def _exp_divfree(cfg, seed, out_dir):
                     f"{div_res!r},{tr_res!r},{pyth!r},{rep.slack!r}")
         if not ok:
             failures.append(f"projection residuals out of tolerance at field {i}")
-    n_pairs = cfg.get("pair_checks", int)
     for j in range(min(n_pairs, n_fields - 1)):
         u, w = fields[j], fields[j + 1]
         lhs = staggered_inner(projected[j], w)
@@ -419,6 +423,10 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     fam = make_family("translation", interval, velocity=(speed, 0.0))
     ref = make_domain(f"disk:{disk_r}", grid, center=center)
     nc = NonCylindricalDomain(fam, ref, n_slices)
+    try:
+        check_ell_list(nc, m_interior, ell_list)
+    except ValueError as e:
+        raise ConfigError(f"bad value for [kruzhkov] ell_list: {cfg.get('ell_list')!r} ({e})") from None
     rng = generator(seed)
     from .synth import random_smooth_field
     base = random_smooth_field(grid, rng, modes=3)

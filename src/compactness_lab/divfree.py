@@ -214,26 +214,34 @@ class PerSliceProjection:
     pythagoras_defect: float
 
 
-def per_slice_project(series, nc, eps):
+def per_slice_project(series_list, nc, eps):
     """Apply the zero-trace projection slice by slice on the A_t(Omega_eps)
-    rasters; also returns the space-time surrogate trace norm
-    (time integral of squared slice surrogates, square root)."""
-    if series.n_steps != nc.n_slices:
+    rasters to every series of `series_list`; returns one `PerSliceProjection`
+    per series, with the space-time surrogate trace norm (time integral of
+    squared slice surrogates, square root).
+
+    Slices are the outer loop: each slice's `neumann_factor` is built once,
+    projects that slice of every series, and is dropped before the next
+    slice's, so one factor is alive at a time."""
+    if any(s.n_steps != nc.n_slices for s in series_list):
         raise ValueError("series and domain slice counts differ")
-    out = []
-    surrs = []
-    pyth = 0.0
-    for k, u in enumerate(series.fields):
-        u_r, gv, pu = _helmholtz_split(u, nc.transported(k, eps))
-        out.append(pu)
-        surr = staggered_l2(gv)
-        surrs.append(surr)
-        lhs = staggered_l2(u_r) ** 2
-        rhs = staggered_l2(pu) ** 2 + surr ** 2
-        pyth = max(pyth, abs(lhs - rhs) / (lhs + 1e-300))
-    projected = StepTimeSeries(series.interval, tuple(out))
-    st_norm = float(np.sqrt(series.delta * sum(s ** 2 for s in surrs)))
-    return PerSliceProjection(projected, surrs, st_norm, pyth)
+    projected = [[] for _ in series_list]
+    surrs = [[] for _ in series_list]
+    pyth = [0.0] * len(series_list)
+    for k in range(nc.n_slices):
+        domain = nc.transported(k, eps)
+        factor = neumann_factor(domain)
+        for i, s in enumerate(series_list):
+            u_r, gv, pu = _helmholtz_split(s.fields[k], domain, factor)
+            projected[i].append(pu)
+            surr = staggered_l2(gv)
+            surrs[i].append(surr)
+            lhs = staggered_l2(u_r) ** 2
+            rhs = staggered_l2(pu) ** 2 + surr ** 2
+            pyth[i] = max(pyth[i], abs(lhs - rhs) / (lhs + 1e-300))
+    return [PerSliceProjection(StepTimeSeries(s.interval, tuple(out)), surr,
+                               float(np.sqrt(s.delta * sum(x ** 2 for x in surr))), defect)
+            for s, out, surr, defect in zip(series_list, projected, surrs, pyth)]
 
 
 # ---------------------------------------------------------------------------

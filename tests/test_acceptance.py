@@ -204,8 +204,7 @@ def test_criterion_07_dual_inequalities(projection_suite):
     c_a = transported_poincare(fam, disk, 0.1, eps_list=(0.0, 0.04))
     ok_slices = True
     worst_slice_slack = np.inf
-    for s in members:
-        out = per_slice_project(s, nc, 0.04)
+    for s, out in zip(members, per_slice_project(members, nc, 0.04)):
         for k, u in enumerate(s.fields):
             d = nc.transported(k, 0.04)
             u_r = u.restricted(d)
@@ -236,9 +235,9 @@ def test_criterion_08_geometry():
     g128 = Grid((128, 128), (1.0, 1.0))
     disk128 = make_domain("disk:0.4", g128)
     tra = make_family("translation", (0.0, 1.0), velocity=(0.05, 0.02))
-    rep_t = framing_check(tra, disk128, 0.1, n_slices=64)
+    rep_t = framing_check(NonCylindricalDomain(tra, disk128, 64), 0.1)
     dil = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
-    rep_d = framing_check(dil, make_domain("disk:0.25", g128), 0.05, n_slices=64)
+    rep_d = framing_check(NonCylindricalDomain(dil, make_domain("disk:0.25", g128), 64), 0.05)
     ok = hausdorff <= 2.0 / 256 and off_band == 0 and rep_t.ok and rep_d.ok
     report(8, ok, f"disk erosion Hausdorff {hausdorff * 256:.2f} cells (<= 2), "
            f"semigroup off-band {off_band}, framing (64 samples) translation eta="

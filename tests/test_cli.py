@@ -94,6 +94,8 @@ def test_commutator_experiment(tmp_path):
     ("kruzhkov", "members = 0"),
     ("kruzhkov", "m_interior = 0"),
     ("kruzhkov", "ell_list = ,"),
+    ("kruzhkov", "ell_list = 4"),
+    ("divfree", "pair_checks = -1"),
 ])
 def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compactness_lab import divfree
 from compactness_lab.divfree import (BoundaryData, _helmholtz_split,
                                      dual_norm_check, dual_seminorm,
                                      face_measure, harmonic_gradient,
@@ -280,7 +281,7 @@ def test_per_slice_static_matches_single_slice():
     rng = generator(17)
     u = random_stream_velocity(GRID, rng)
     series = StepTimeSeries((0.0, 1.0), (u,) * 4)
-    out = per_slice_project(series, nc, 0.05)
+    [out] = per_slice_project([series], nc, 0.05)
     d = nc.transported(0, 0.05)
     single = project_divfree0(u.restricted(d), d)
     for f in out.projected.fields:
@@ -293,7 +294,7 @@ def test_per_slice_zero_trace_is_identity():
     nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 3)
     u = disk_bump_velocity(GRID, (0.5, 0.5), 0.2)
     series = StepTimeSeries((0.0, 1.0), (u,) * 3)
-    out = per_slice_project(series, nc, 0.02)
+    [out] = per_slice_project([series], nc, 0.02)
     for f, orig in zip(out.projected.fields, series.fields):
         d = nc.transported(0, 0.02)
         assert staggered_l2(f - orig.restricted(d)) <= 1e-9 * staggered_l2(u)
@@ -307,10 +308,34 @@ def test_per_slice_moving_disk_pythagoras():
     nc = NonCylindricalDomain(fam, disk, 6)
     members = translating_disk_ns_family(GRID, (0.0, 1.0), 6, 1, (0.45, 0.5), 0.3,
                                          (speed, 0.0), stream_fraction=0.8)
-    out = per_slice_project(members[0], nc, 0.04)
+    [out] = per_slice_project(members[:1], nc, 0.04)
     assert out.pythagoras_defect <= 1e-8
     st = np.sqrt(members[0].delta * sum(s ** 2 for s in out.slice_surrogates))
     assert out.spacetime_trace_norm == pytest.approx(st, rel=1e-12)
+
+
+def test_per_slice_grouped_equals_single_series(monkeypatch):
+    fam = make_family("translation", (0.0, 1.0), velocity=(0.1, 0.0))
+    disk = make_domain("disk:0.3", GRID, center=(0.45, 0.5))
+    nc = NonCylindricalDomain(fam, disk, 4)
+    members = translating_disk_ns_family(GRID, (0.0, 1.0), 4, 3, (0.45, 0.5), 0.3,
+                                         (0.1, 0.0), stream_fraction=0.8)
+    singles = [per_slice_project([s], nc, 0.04)[0] for s in members]
+    builds = []
+    monkeypatch.setattr(divfree, "neumann_factor",
+                        lambda d, build=divfree.neumann_factor: builds.append(d) or build(d))
+    grouped = per_slice_project(members, nc, 0.04)
+    assert len(builds) == nc.n_slices
+    assert len(grouped) == len(members)
+    for out, single in zip(grouped, singles):
+        for f, h in zip(out.projected.fields, single.projected.fields):
+            assert all(np.array_equal(a, b) for a, b in zip(f.components, h.components))
+        assert out.slice_surrogates == single.slice_surrogates
+        assert out.spacetime_trace_norm == single.spacetime_trace_norm
+        assert out.pythagoras_defect == single.pythagoras_defect
+    short = StepTimeSeries((0.0, 1.0), members[0].fields[:2])
+    with pytest.raises(ValueError, match="slice counts differ"):
+        per_slice_project([members[0], short], nc, 0.04)
 
 
 def test_sgrid_roundtrip(tmp_path):

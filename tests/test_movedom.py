@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField, gradient,
-                                  lp_norm, neumann_laplacian, staggered_l2)
-from compactness_lab.movedom import (NonCylindricalDomain, bilipschitz,
+                                  lp_norm, neumann_laplacian,
+                                  signed_distance_transform, staggered_l2)
+from compactness_lab.movedom import (BilipschitzInfo, NonCylindricalDomain,
+                                     bilipschitz,
                                      eps_exterior, eps_interior, framing_check,
                                      grad_sup_norm, jacobian_bounds,
                                      make_domain, make_family,
@@ -118,7 +123,7 @@ def test_family_inverse_and_continuity():
 def test_framing_identity_is_equality():
     g = Grid((128, 128), (1.0, 1.0))
     disk = make_domain("disk:0.4", g)
-    rep = framing_check(make_family("identity", (0.0, 1.0)), disk, 0.1, n_slices=4)
+    rep = framing_check(NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 4), 0.1)
     assert rep.inner_violations == 0 and rep.outer_violations == 0
 
 
@@ -126,11 +131,41 @@ def test_framing_translation_and_dilation():
     g = Grid((128, 128), (1.0, 1.0))
     disk = make_domain("disk:0.4", g)
     tra = make_family("translation", (0.0, 1.0), velocity=(0.05, 0.02))
-    rep = framing_check(tra, disk, 0.1, n_slices=8)
+    rep = framing_check(NonCylindricalDomain(tra, disk, 8), 0.1)
     assert rep.ok
     dil = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
-    rep2 = framing_check(dil, make_domain("disk:0.25", g), 0.05, n_slices=8)
+    rep2 = framing_check(NonCylindricalDomain(dil, make_domain("disk:0.25", g), 8), 0.05)
     assert rep2.ok
+
+
+def test_framing_shared_nc_matches_explicit_transforms():
+    # oracle: the distance transforms recomputed from the memberships; eta = 1
+    # for a dilation breaks the inclusions, and half a cell of band keeps
+    # banded violations to count
+    g = Grid((64, 64), (1.0, 1.0))
+    disk = make_domain("disk:0.3", g)
+    fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
+    eps, info, band = 0.08, BilipschitzInfo(K=1.0, eta=1.0), 0.5 * max(g.spacing)
+    nc = NonCylindricalDomain(fam, disk, 6)
+    rep = framing_check(nc, eps, info=info, band_cells=0.5)
+    counts = np.zeros(4, int)
+    oracle = NonCylindricalDomain(fam, disk, 6)
+    for k in range(6):
+        slice_r, mid = oracle.slice_raster(k), oracle.transported(k, eps)
+        inner = eps_interior(slice_r, eps / info.eta)
+        outer = eps_interior(slice_r, info.eta * eps)
+        sd_mid = signed_distance_transform(g, mid.inside)
+        sd_out = signed_distance_transform(g, outer.inside)
+        viol1, viol2 = inner.inside & ~mid.inside, mid.inside & ~outer.inside
+        counts += [np.count_nonzero(viol1), np.count_nonzero(viol2),
+                   np.count_nonzero(viol1 & (sd_mid < -band)),
+                   np.count_nonzero(viol2 & (sd_out < -band))]
+    assert counts[2] > 0 and counts[3] > 0
+    assert (rep.inner_violations, rep.outer_violations, rep.inner_violations_banded,
+            rep.outer_violations_banded) == tuple(counts)
+    cached = set(nc._transported)
+    peel_measure(nc, eps)
+    assert set(nc._transported) == cached
 
 
 def test_peel_measure_zero_eps():
@@ -173,6 +208,53 @@ def test_poincare_dense_cross_check_32():
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
     lam1 = lam[1]
     assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam1), rel=1e-9)
+
+
+def _grown_mask(shape, size, rng):
+    """A face-connected mask of `size` cells grown from a random seed cell."""
+    inside = np.zeros(shape, bool)
+    start = tuple(int(rng.integers(n)) for n in shape)
+    inside[start] = True
+    frontier = [start]
+    while inside.sum() < size:
+        cell = frontier[int(rng.integers(len(frontier)))]
+        axis = int(rng.integers(len(shape)))
+        step = list(cell)
+        step[axis] += 1 if rng.random() < 0.5 else -1
+        step = tuple(step)
+        if 0 <= step[axis] < shape[axis] and not inside[step]:
+            inside[step] = True
+            frontier.append(step)
+    return inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poincare_matches_dense_eigh_on_random_masks(data):
+    # oracle: the first nonzero eigenvalue of a dense eigensolve of the same
+    # Neumann matrix, on random connected masks (2-4 cells take the dense
+    # fallback) with non-square cells
+    dim = data.draw(st.integers(1, 2))
+    shape = ((data.draw(st.integers(2, 400)),) if dim == 1
+             else tuple(data.draw(st.integers(2, 20)) for _ in range(2)))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    n_cells = int(np.prod(shape))
+    size = data.draw(st.one_of(st.integers(2, min(5, n_cells)), st.integers(2, n_cells)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = Grid(shape, extent)
+    inside = _grown_mask(shape, size, rng)
+    d = RasterDomain.from_membership(g, inside)
+    L, _ = neumann_laplacian(d)
+    lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
+    assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam[1]), rel=1e-9)
+    # one more cell with no face neighbour in the mask disconnects it
+    padded = np.pad(inside, 1)
+    touched = scipy.ndimage.binary_dilation(padded)[(slice(1, -1),) * dim]
+    free = np.argwhere(~touched)
+    if len(free):
+        inside[tuple(free[int(rng.integers(len(free)))])] = True
+        with pytest.raises(ValueError, match="disconnected"):
+            poincare_constant(RasterDomain.from_membership(g, inside))
 
 
 def test_poincare_unit_interval():
