@@ -2,11 +2,8 @@
 moving domain and the divergence-free equicontinuity probe, each fed one
 convergent and one adversarial family."""
 
-import numpy as np
-
-from compactness_lab import (Grid, RasterDomain, NonCylindricalDomain,
-                             eps_interior, kruzhkov_probe, make_domain,
-                             make_family, ns_probe)
+from compactness_lab import (Grid, NonCylindricalDomain, kruzhkov_probe,
+                             make_domain, make_family, ns_probe)
 from compactness_lab.synth import (generator, oscillating_ns_family,
                                    oscillating_scalar_family,
                                    perturbation_scalar_family,
@@ -44,12 +41,9 @@ nc2 = NonCylindricalDomain(fam2, ref2, 16)
 members = translating_disk_ns_family(grid, interval, 16, 4, center, 0.3,
                                      (speed, 0.0), stream_fraction=0.55)
 delta_list = [0.0625, 0.03125]
-inter = np.ones(grid.shape, bool)
-for k in range(16):
-    inter &= nc2.transported(k, 2 * max(delta_list)).inside
-compact = eps_interior(RasterDomain.from_membership(grid, inter), 2 * max(grid.spacing))
 dt = 1.0 / 16
-rep = ns_probe(members, nc2, delta_list, [dt, 2 * dt, 4 * dt], compact)
+rep = ns_probe(members, nc2, delta_list, [dt, 2 * dt, 4 * dt],
+               nc2.compact_core(2 * max(delta_list)))
 print(f"  translating-disk family: verdict {'POSITIVE' if rep.verdict else 'NEGATIVE'}")
 print(f"  step-1 defect by delta : "
       + ", ".join(f"{d:g}: {v:.2e}" for d, v in rep.step1_sup.items()))
@@ -61,11 +55,8 @@ ref3 = make_domain("disk:0.3", grid)
 nc3 = NonCylindricalDomain(fam3, ref3, 16)
 adv = oscillating_ns_family(grid, interval, 16, [2, 4, 8], (0.5, 0.5), 0.3,
                             stream_fraction=0.55)
-inter = np.ones(grid.shape, bool)
-for k in range(16):
-    inter &= nc3.transported(k, 2 * max(delta_list)).inside
-compact3 = eps_interior(RasterDomain.from_membership(grid, inter), 2 * max(grid.spacing))
-rep2 = ns_probe(adv, nc3, delta_list, [dt, 2 * dt, 4 * dt], compact3)
+rep2 = ns_probe(adv, nc3, delta_list, [dt, 2 * dt, 4 * dt],
+                nc3.compact_core(2 * max(delta_list)))
 print(f"\n  oscillating family: verdict {'POSITIVE' if rep2.verdict else 'NEGATIVE'}")
 for f in rep2.failures:
     print(f"    - {f}")

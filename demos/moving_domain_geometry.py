@@ -27,8 +27,8 @@ g128 = Grid((128, 128), (1.0, 1.0))
 square = make_domain("square:1.0", g128)
 print(f"  unit square: {poincare_constant(square):.6f}  (1/pi = {1 / np.pi:.6f})")
 sweep = uniform_poincare_sweep(square, (0.0, 0.05, 0.1))
-print(f"  erosion sweep constants: {[round(c, 5) for c in sweep.constants]}"
-      f"  (common constant {sweep.c_max:.5f})")
+print(f"  erosion sweep constants: {[round(c, 5) for c in sweep]}"
+      f"  (common constant {max(sweep):.5f})")
 
 print("\ndilation family 1 + 0.25 sin t over a full period:")
 fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))

@@ -90,15 +90,12 @@ class Config:
         else:
             raise ConfigError(f"missing config key [{section}] {key}")
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes")
             return cast(raw)
         except ValueError as e:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({e})")
 
     def get_list(self, key, cast=float):
-        raw = self.get(key)
-        return [cast(tok) for tok in str(raw).split(",") if tok.strip()]
+        return self.get(key, lambda raw: [cast(tok) for tok in raw.split(",") if tok.strip()])
 
     def echo(self):
         lines = []
@@ -126,20 +123,28 @@ def load_config(path, experiment):
     return Config(parser, experiment)
 
 
+def _checked(cfg, key, cast, ok, rule):
+    """cfg.get(key, cast), or a ConfigError stating `rule` when `ok` rejects it."""
+    value = cfg.get(key, cast)
+    if not ok(value):
+        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {value!r} (must {rule})")
+    return value
+
+
 def _positive_ints(cfg, *keys):
-    values = [cfg.get(key, int) for key in keys]
-    for key, v in zip(keys, values):
-        if v <= 0:
-            raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {v} (must be positive)")
+    return [_checked(cfg, key, int, lambda v: v > 0, "be positive") for key in keys]
+
+
+def _checked_list(cfg, key, cast, ok, rule):
+    values = cfg.get_list(key, cast)
+    if not values or not all(ok(v) for v in values):
+        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {cfg.get(key)!r} "
+                          f"(must be a non-empty list of {rule})")
     return values
 
 
 def _positive_list(cfg, key, cast=int):
-    values = cfg.get_list(key, cast)
-    if not values or min(values) <= 0:
-        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {cfg.get(key)!r} "
-                          "(must be a non-empty list of positive numbers)")
-    return values
+    return _checked_list(cfg, key, cast, lambda v: v > 0, "positive numbers")
 
 
 def _kernel_scales(cfg, grid):
@@ -159,15 +164,15 @@ def _kernel_scales(cfg, grid):
 
 def _exp_porous(cfg, seed, out_dir):
     cells, = _positive_ints(cfg, "grid_cells")
-    half = cfg.get("halfwidth", float)
-    m = cfg.get("m", float)
-    t0, t1 = cfg.get("t0", float), cfg.get("t1", float)
+    half = _checked(cfg, "halfwidth", float, lambda v: v > 0, "be positive")
+    m = _checked(cfg, "m", float, lambda v: v > 1, "be > 1")
+    t0 = _checked(cfg, "t0", float, lambda v: v > 0, "be positive")
+    t1 = _checked(cfg, "t1", float, lambda v: v > t0, f"exceed t0 = {t0!r}")
     total_mass = cfg.get("mass", float)
     n_list = _positive_list(cfg, "n_list")
-    m_dual = cfg.get("hminus_m", int)
-    if m_dual < 0:
-        raise ConfigError(f"bad value for [porous] hminus_m: {m_dual} (must be >= 0)")
-    bc = cfg.get("bc")
+    m_dual = _checked(cfg, "hminus_m", int, lambda v: v >= 0, "be >= 0")
+    bc = _checked(cfg, "bc", str, lambda v: v in ("noflux", "dirichlet0"),
+                  "be noflux or dirichlet0")
     grid = Grid((cells,), (2 * half,))
     phi = nonlinearity_preset(f"porous:{m:g}")
     profile = barenblatt_profile(m, total_mass)
@@ -274,8 +279,12 @@ def _exp_movedom(cfg, seed, out_dir):
     grid = Grid((n, n), (1.0, 1.0))
     disk_r = cfg.get("disk_radius", float)
     disk = make_domain(f"disk:{disk_r}", grid)
+    if disk.n_inside == 0:
+        raise ConfigError(f"bad value for [movedom] disk_radius: {disk_r!r} "
+                          "(must give a disk holding at least one cell)")
     square = make_domain("square:1.0", grid)
-    eps = cfg.get("eps", float)
+    eps = _checked(cfg, "eps", float, lambda v: v >= 0, "be >= 0")
+    eps_list = _checked_list(cfg, "eps_list", float, lambda v: v >= 0, "numbers >= 0")
     rows = ["check,name,value,bound,ok"]
     failures = []
 
@@ -290,7 +299,7 @@ def _exp_movedom(cfg, seed, out_dir):
     record("poincare", "unit_square", c_sq, 1.0 / np.pi, ok)
     # the eps = 0 interior is the square itself, whose constant is c_sq
     sweep = [c_sq if e == 0.0 else poincare_constant(eps_interior(square, e))
-             for e in cfg.get_list("eps_list", float)]
+             for e in eps_list]
     spread = (max(sweep) - min(sweep)) / max(sweep)
     record("poincare_sweep", "square_spread", spread, cfg.get("spread_tol", float),
            spread <= cfg.get("spread_tol", float))
@@ -319,9 +328,7 @@ def _exp_movedom(cfg, seed, out_dir):
 
 def _exp_divfree(cfg, seed, out_dir):
     n, n_fields = _positive_ints(cfg, "grid", "n_fields")
-    n_pairs = cfg.get("pair_checks", int)
-    if n_pairs < 0:
-        raise ConfigError(f"bad value for [divfree] pair_checks: {n_pairs} (must be >= 0)")
+    n_pairs = _checked(cfg, "pair_checks", int, lambda v: v >= 0, "be >= 0")
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
     tol = cfg.get("residual_tol", float)
@@ -364,7 +371,7 @@ def _exp_divfree(cfg, seed, out_dir):
     return rows, failures
 
 
-def _build_nsprobe(cfg, seed):
+def _exp_nsprobe(cfg, seed, out_dir):
     n, n_slices, n_members = _positive_ints(cfg, "grid", "n_slices", "members")
     osc_list = _positive_list(cfg, "osc_list")
     delta_list = _positive_list(cfg, "delta_list", float)
@@ -379,31 +386,20 @@ def _build_nsprobe(cfg, seed):
         members = translating_disk_ns_family(
             grid, interval, n_slices, n_members, center, disk_r,
             (speed, 0.0), stream_fraction=0.55)
-        ref = make_domain(f"disk:{disk_r}", grid, center=center)
     elif family_kind == "oscillating":
         center = (0.5, 0.5)
         fam = make_family("identity", interval)
         members = oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_r,
                                         stream_fraction=0.55)
-        ref = make_domain(f"disk:{disk_r}", grid, center=center)
     else:
         raise ConfigError(f"unknown nsprobe family {family_kind!r}")
-    nc = NonCylindricalDomain(fam, ref, n_slices)
-    inter = np.ones(grid.shape, dtype=bool)
-    for k in range(n_slices):
-        inter &= nc.transported(k, 2.0 * max(delta_list)).inside
-    compact = RasterDomain.from_membership(grid, inter)
-    compact = eps_interior(compact, 2 * max(grid.spacing))
+    nc = NonCylindricalDomain(fam, make_domain(f"disk:{disk_r}", grid, center=center), n_slices)
+    compact = nc.compact_core(2.0 * max(delta_list))
     if compact.n_inside == 0:
         raise ConfigError("compact raster is empty; shrink delta_list or the motion")
     dt = (interval[1] - interval[0]) / n_slices
-    s_list = [dt, 2 * dt, 4 * dt]
-    return members, nc, delta_list, s_list, compact
-
-
-def _exp_nsprobe(cfg, seed, out_dir):
-    members, nc, delta_list, s_list, compact = _build_nsprobe(cfg, seed)
-    report = ns_probe(members, nc, delta_list, s_list, compact, battery_seed=seed)
+    report = ns_probe(members, nc, delta_list, [dt, 2 * dt, 4 * dt], compact,
+                      battery_seed=seed)
     failures = list(report.failures)
     if report.budget_defect > 1e-10:
         failures.append(f"budget additivity defect {report.budget_defect:.3e}")
@@ -464,18 +460,14 @@ def run(experiment, config_path, out_dir, seed=None):
         return 2
     try:
         cfg = load_config(config_path, experiment)
-    except ConfigError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    if seed is None:
-        try:
-            seed = cfg.get("seed", int) if cfg._parser.has_option(experiment, "seed") else 0
-        except ConfigError:
-            seed = 0
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    try:
+        if seed is None:
+            has_key = cfg._parser.has_option(experiment, "seed")
+            seed = _checked(cfg, "seed", int, lambda v: v >= 0, "be >= 0") if has_key else 0
+        elif seed < 0:
+            raise ConfigError(f"bad value for --seed: {seed} (must be >= 0)")
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        t_start = time.perf_counter()
         rows, failures = EXPERIMENTS[experiment](cfg, seed, out)
     except ConfigError as e:
         print(str(e), file=sys.stderr)

@@ -2,9 +2,9 @@
 and the uniform constants (Jacobian bounds, bilipschitz frame, Poincare and
 Sobolev transport) that the moving-domain compactness argument consumes.
 
-All set identities are raster statements: erosion/dilation recompute an exact
-Euclidean distance transform on the membership raster and are asserted up to a
-one-cell band.
+All set identities are raster statements: erosion/dilation threshold the exact
+Euclidean distance transform of the membership raster (the one a membership
+raster already holds) and are asserted up to a one-cell band.
 """
 
 from __future__ import annotations
@@ -27,24 +27,25 @@ TIME_SAMPLES_PER_UNIT = 64
 # raster geometry
 
 
-def eps_interior(d, eps):
-    """Cells of d at raster distance > eps from the complement (exact EDT)."""
+def _eps_offset(d, eps, keep):
+    """Cells of d whose exact EDT passes `keep(sd, eps)`: a membership raster
+    (no `sdf`) holds that EDT already, an analytic one's is computed here."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return d
-    sd = signed_distance_transform(d.grid, d.inside)
-    return RasterDomain.from_membership(d.grid, sd > eps)
+    sd = d.signed_distance if d.sdf is None else signed_distance_transform(d.grid, d.inside)
+    return RasterDomain.from_membership(d.grid, keep(sd, eps))
+
+
+def eps_interior(d, eps):
+    """Cells of d at raster distance > eps from the complement (exact EDT)."""
+    return _eps_offset(d, eps, lambda sd, e: sd > e)
 
 
 def eps_exterior(d, eps):
     """d dilated by a (closed) ball of radius eps on the raster."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps == 0.0:
-        return d
-    sd = signed_distance_transform(d.grid, d.inside)
-    return RasterDomain.from_membership(d.grid, sd >= -eps)
+    return _eps_offset(d, eps, lambda sd, e: sd >= -e)
 
 
 def symmetric_difference_band(d1, d2, reference_sd, level, band_cells=2.0):
@@ -295,12 +296,19 @@ def _sample_points(domain, max_points):
 # the moving domain
 
 
+def _pull_back(family, base, t):
+    """Membership of A_t(base): the cells whose centres A_t^{-1} maps into base."""
+    centers = base.grid.cell_centers().reshape(-1, base.grid.dim)
+    return (base.sd_at(family.inverse(t, centers)) > 0).reshape(base.grid.shape)
+
+
 class NonCylindricalDomain:
     """Time-sliced rasters of Omega^t = A_t(Omega) on a shared grid.
 
     Slice k represents the interval (t_k, t_{k+1}) and is rasterized at the
-    interval midpoint.  Transported erosions A_t(Omega_eps) and slice
-    inflations (Omega^t)_{-eps} are cached per (slice, eps).
+    interval midpoint.  Erosions Omega_eps, transported erosions
+    A_t(Omega_eps) (eps = 0 gives the slice) and slice inflations
+    (Omega^t)_{-eps} share one cache keyed by (kind, slice, eps).
     """
 
     def __init__(self, family, reference, n_slices):
@@ -309,10 +317,7 @@ class NonCylindricalDomain:
         self.grid = reference.grid
         self.n_slices = int(n_slices)
         self.interval = family.interval
-        self._eroded = {}
-        self._slices = {}
-        self._transported = {}
-        self._exterior = {}
+        self._rasters = {}
 
     @property
     def delta(self):
@@ -323,36 +328,36 @@ class NonCylindricalDomain:
         a, _ = self.interval
         return a + (np.arange(self.n_slices) + 0.5) * self.delta
 
+    def _cached(self, kind, k, eps, build):
+        key = (kind, k, round(float(eps), 12))
+        if key not in self._rasters:
+            self._rasters[key] = build()
+        return self._rasters[key]
+
     def eroded_reference(self, eps):
-        key = round(float(eps), 12)
-        if key not in self._eroded:
-            self._eroded[key] = eps_interior(self.reference, eps)
-        return self._eroded[key]
+        return self._cached("eroded", None, eps, lambda: eps_interior(self.reference, eps))
 
     def slice_raster(self, k):
-        if k not in self._slices:
-            self._slices[k] = self.transported(k, 0.0)
-        return self._slices[k]
+        return self.transported(k, 0.0)
 
     def transported(self, k, eps):
         """Raster of A_{t_k}(Omega_eps)."""
-        key = (k, round(float(eps), 12))
-        if key not in self._transported:
-            t = self.slice_times()[k]
+        def build():
             base = self.eroded_reference(eps) if eps > 0 else self.reference
-            centers = self.grid.cell_centers().reshape(-1, self.grid.dim)
-            pulled = self.family.inverse(t, centers)
-            member = base.sd_at(pulled) > 0
-            self._transported[key] = RasterDomain.from_membership(
-                self.grid, member.reshape(self.grid.shape))
-        return self._transported[key]
+            return RasterDomain.from_membership(
+                self.grid, _pull_back(self.family, base, self.slice_times()[k]))
+        return self._cached("transported", k, eps, build)
 
     def slice_exterior(self, k, eps):
         """Raster of (Omega^t_k) dilated by eps."""
-        key = (k, round(float(eps), 12))
-        if key not in self._exterior:
-            self._exterior[key] = eps_exterior(self.slice_raster(k), eps)
-        return self._exterior[key]
+        return self._cached("exterior", k, eps, lambda: eps_exterior(self.slice_raster(k), eps))
+
+    def compact_core(self, eps):
+        """The cells inside A_t(Omega_eps) on every slice, eroded by two cells."""
+        inside = np.logical_and.reduce(
+            [self.transported(k, eps).inside for k in range(self.n_slices)])
+        return eps_interior(RasterDomain.from_membership(self.grid, inside),
+                            2 * max(self.grid.spacing))
 
 
 @dataclass
@@ -382,11 +387,9 @@ def framing_check(nc, eps, info=None, band_cells=1.5):
     band = band_cells * max(nc.grid.spacing)
     raw_in = raw_out = band_in = band_out = 0
     for k in range(nc.n_slices):
-        slice_r = nc.slice_raster(k)
-        mid = nc.transported(k, eps)
-        inner = eps_interior(slice_r, eps / eta)
+        slice_r, mid = nc.slice_raster(k), nc.transported(k, eps)
+        viol1 = eps_interior(slice_r, eps / eta).inside & ~mid.inside
         outer = eps_interior(slice_r, eta * eps)
-        viol1 = inner.inside & ~mid.inside
         viol2 = mid.inside & ~outer.inside
         raw_in += int(np.count_nonzero(viol1))
         raw_out += int(np.count_nonzero(viol2))
@@ -414,9 +417,7 @@ def peel_measure(nc, eps, jb=None):
     jb = jacobian_bounds(nc.family, nc.reference) if jb is None else jb
     worst = 0.0
     for k in range(nc.n_slices):
-        full = nc.slice_raster(k)
-        inner = nc.transported(k, eps)
-        peel = full.inside & ~inner.inside
+        peel = nc.slice_raster(k).inside & ~nc.transported(k, eps).inside
         worst = max(worst, float(np.count_nonzero(peel)) * nc.grid.cell_volume)
     ref_peel = (nc.reference.measure - nc.eroded_reference(eps).measure)
     return PeelReport(worst, jb.beta * ref_peel)
@@ -463,25 +464,10 @@ def poincare_constant(domain, zero_rel_tol=1e-8):
     return 1.0 / float(np.sqrt(positive[0]))
 
 
-@dataclass
-class PoincareSweep:
-    eps_list: tuple
-    constants: tuple
-
-    @property
-    def c_max(self):
-        return max(self.constants)
-
-    @property
-    def spread(self):
-        return max(self.constants) / min(self.constants)
-
-
 def uniform_poincare_sweep(domain, eps_list):
-    """Poincare constants of the eps-interiors; the max is the empirical common
-    constant over the sweep."""
-    consts = tuple(poincare_constant(eps_interior(domain, e)) for e in eps_list)
-    return PoincareSweep(tuple(eps_list), consts)
+    """Poincare constants of the eps-interiors, one per eps; their max is the
+    empirical common constant over the sweep."""
+    return tuple(poincare_constant(eps_interior(domain, e)) for e in eps_list)
 
 
 def transported_poincare(family, domain, gamma, eps_list=None, jb=None):
@@ -495,7 +481,7 @@ def transported_poincare(family, domain, gamma, eps_list=None, jb=None):
     alpha = jb.raw_min if jb.raw_min is not None else jb.alpha
     beta = jb.raw_max if jb.raw_max is not None else jb.beta
     sup_grad = grad_sup_norm(family, domain)
-    return float(np.sqrt(beta / alpha) * sweep.c_max * sup_grad)
+    return float(np.sqrt(beta / alpha) * max(sweep) * sup_grad)
 
 
 # ---------------------------------------------------------------------------

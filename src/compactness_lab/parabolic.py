@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.special
 
 from .grid import (ScalarField, StaggeredVectorField, _axis_slices,
@@ -231,8 +230,9 @@ def _backward_euler(u_k, delta, A, phi, bc, t):
     """Residual and Newton matrix of one backward-Euler step, as functions of
     the flat state u: F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
     dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
-    matrix is a `dia_matrix` with offsets band..-band (band = 1 in 1D, one
-    raster row in 2D), its data in LAPACK band layout."""
+    matrix comes as the (2 band + 1, n) array `ab` in the LAPACK band layout
+    that `scipy.linalg.solve_banded` takes, ab[band + i - j, j] = J[i, j]
+    (band = 1 in 1D, one raster row in 2D)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if bc not in ("noflux", "dirichlet0"):
@@ -247,7 +247,6 @@ def _backward_euler(u_k, delta, A, phi, bc, t):
     n = L.shape[0]
     # cells are numbered row-major, so the farthest coupling is one raster row
     band = int(np.prod(grid.shape[1:]))
-    offsets = np.arange(band, -band - 1, -1)
     rows = np.repeat(np.arange(n), np.diff(L.indptr))
     cols = L.indices
     slots = (band + rows - cols) * n + cols  # flat place of each entry in band storage
@@ -256,12 +255,10 @@ def _backward_euler(u_k, delta, A, phi, bc, t):
         return u - u0 + delta * (L @ (phi.phi(u) - phi0))
 
     def newton_matrix(u):
-        # `data[band - k, j]` holds the entry (j - k, j): the DIA layout is the
-        # LAPACK band layout that `scipy.linalg.solve_banded` takes
-        data = np.zeros((2 * band + 1, n))
-        data.flat[slots] = L.data * (delta * np.maximum(phi.dphi(u), JACOBIAN_CLAMP))[cols]
-        data[band] += 1.0
-        return scipy.sparse.dia_matrix((data, offsets), shape=L.shape)
+        ab = np.zeros((2 * band + 1, n))
+        ab.flat[slots] = L.data * (delta * np.maximum(phi.dphi(u), JACOBIAN_CLAMP))[cols]
+        ab[band] += 1.0
+        return ab
 
     return residual, newton_matrix
 
@@ -289,9 +286,9 @@ def _newton_step(u_k, delta, A, phi, bc, t):
         history.append(res)
         if res <= NEWTON_TOL:
             return ScalarField(u_k.grid, u, mask=u_k.mask), history
-        J = newton_matrix(u)
-        band = int(J.offsets[0])
-        u = u - scipy.linalg.solve_banded((band, band), J.data, F)
+        ab = newton_matrix(u)
+        band = len(ab) // 2
+        u = u - scipy.linalg.solve_banded((band, band), ab, F)
     raise NewtonFailure(
         f"Newton did not reach residual {NEWTON_TOL:g} in {NEWTON_MAX_ITERS} iterations "
         f"(last {history[-1]:.3e}); degenerate Jacobian on the data range?")

@@ -9,6 +9,7 @@ families).  Budget decompositions are algebraic identities and are asserted to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .divfree import per_slice_project, staggered_inner, staggered_l2
 from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
                    signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
-from .movedom import (bilipschitz, eps_interior,
+from .movedom import (_pull_back, bilipschitz, eps_interior,
                       sobolev_embedding_exponent, transported_poincare)
 from .parabolic import limit_series, series_l2, time_derivative_tv
 from .productlimit import product_pipeline
@@ -288,17 +289,17 @@ def time_shift_safety(family, reference, delta, n_times=16, band_cells=1.5,
     grid = reference.grid
     d1 = eps_interior(reference, delta)
     d2 = eps_interior(reference, 2.0 * delta)
-    centers = grid.cell_centers().reshape(-1, grid.dim)
     band = band_cells * max(grid.spacing)
 
+    # one level down, the dyadic search asks again about xi/2 and xi/4
+    @functools.cache
     def inclusion_holds(sigma):
         tt = np.linspace(a, max(a, b - sigma), n_times)
         for t in tt:
-            m1 = d1.sd_at(family.inverse(t, centers)) > 0
-            m2 = d2.sd_at(family.inverse(t + sigma, centers)) > 0
-            viol = m2 & ~m1
+            m1 = _pull_back(family, d1, t)
+            viol = _pull_back(family, d2, t + sigma) & ~m1
             if np.any(viol):
-                sd1 = signed_distance_transform(grid, m1.reshape(grid.shape)).reshape(-1)
+                sd1 = signed_distance_transform(grid, m1)
                 if np.any(viol & (sd1 < -band)):
                     return False
         return True
@@ -522,14 +523,10 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
             raise ValueError(f"delta = {delta:g} must be a reciprocal integer")
         mol = make_mollifier(k_mol, grid)
         inner_domains = [nc.transported(k, 2.0 * delta) for k in range(nc.n_slices)]
-        for k in range(nc.n_slices):
-            if np.any(compact.inside & ~inner_domains[k].inside):
-                raise ValueError(f"compact raster escapes the 2*delta interior at delta={delta:g}")
-        strips = []
-        for k in range(nc.n_slices):
-            outer = nc.slice_exterior(k, 2.0 * delta)
-            inner_d = nc.transported(k, 3.0 * delta)
-            strips.append(outer.inside & ~inner_d.inside)
+        if any(np.any(compact.inside & ~d.inside) for d in inner_domains):
+            raise ValueError(f"compact raster escapes the 2*delta interior at delta={delta:g}")
+        strips = [nc.slice_exterior(k, 2.0 * delta).inside & ~nc.transported(k, 3.0 * delta).inside
+                  for k in range(nc.n_slices)]
         mu_strip = nc.delta * sum(float(np.count_nonzero(m)) * grid.cell_volume
                                   for m in strips)
         defects, kappas, c3s, molls = [], [], [], []

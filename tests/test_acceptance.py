@@ -256,10 +256,7 @@ def test_criterion_09_ns_probe():
     members = translating_disk_ns_family(g, interval, n_slices, 4, center, 0.3,
                                          (speed, 0.0), stream_fraction=0.55)
     delta_list = [0.0625, 0.03125]
-    inter = np.ones(g.shape, bool)
-    for k in range(n_slices):
-        inter &= nc.transported(k, 2 * max(delta_list)).inside
-    compact = eps_interior(RasterDomain.from_membership(g, inter), 2 * max(g.spacing))
+    compact = nc.compact_core(2 * max(delta_list))
     dt = 1.0 / n_slices
     s_list = [dt, 2 * dt, 4 * dt]
     pos = ns_probe(members, nc, delta_list, s_list, compact, battery_seed=0)
@@ -268,10 +265,7 @@ def test_criterion_09_ns_probe():
     nc2 = NonCylindricalDomain(fam2, ref2, n_slices)
     adv = oscillating_ns_family(g, interval, n_slices, [2, 4, 8], (0.5, 0.5), 0.3,
                                 stream_fraction=0.55)
-    inter2 = np.ones(g.shape, bool)
-    for k in range(n_slices):
-        inter2 &= nc2.transported(k, 2 * max(delta_list)).inside
-    compact2 = eps_interior(RasterDomain.from_membership(g, inter2), 2 * max(g.spacing))
+    compact2 = nc2.compact_core(2 * max(delta_list))
     neg = ns_probe(adv, nc2, delta_list, s_list, compact2, battery_seed=0)
     growth_ok = all(
         all(b / a >= 1.8 for a, b in zip(c3[:-1], c3[1:]))

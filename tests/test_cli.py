@@ -82,11 +82,24 @@ def test_commutator_experiment(tmp_path):
     ("porous", "grid_cells = 0"),
     ("porous", "n_list = 16,0"),
     ("porous", "n_list = ,"),
+    ("porous", "n_list = 16,abc"),
     ("porous", "hminus_m = -1"),
+    ("porous", "bc = foo"),
+    ("porous", "m = 1.0"),
+    ("porous", "t1 = 0.1"),            # t1 = t0
+    ("porous", "t0 = 0"),
+    ("porous", "halfwidth = 0"),
+    ("porous", "seed = abc"),
+    ("porous", "seed = -3"),
     ("divfree", "grid = -3"),
     ("divfree", "n_fields = 0"),
     ("movedom", "grid = 0"),
     ("movedom", "n_slices = 0"),
+    ("movedom", "eps = -0.1"),
+    ("movedom", "eps_list = 0.0,-0.05"),
+    ("movedom", "eps_list = ,"),
+    ("movedom", "eps_list = 0.0,x"),
+    ("movedom", "disk_radius = 0"),
     ("nsprobe", "members = 0"),
     ("nsprobe", "n_slices = 0"),
     ("nsprobe", "delta_list = ,"),
@@ -103,6 +116,12 @@ def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     assert run(experiment, cfg, str(out)) == 2
     assert not (out / "manifest.txt").exists()
     assert f"[{experiment}] {line.split()[0]}" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "s.cfg", "[divfree]\n")
+    assert main(["run", "divfree", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert not (tmp_path / "o").exists() and "--seed" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from compactness_lab.divfree import staggered_l2
-from compactness_lab.grid import Grid, RasterDomain, ScalarField, h_minus_m_norm, lp_norm
-from compactness_lab.movedom import (NonCylindricalDomain, eps_interior,
-                                     make_domain, make_family)
+from compactness_lab.grid import Grid, RasterDomain, ScalarField, h_minus_m_norm
+from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        constant_series, oscillating_series,
                                        run_scheme)
 from compactness_lab.probe import (dual_time_estimate, interpolation_check,
                                    kruzhkov_probe, local_to_global,
                                    make_battery, ns_probe, step3_dual_constant,
-                                   limsup_probe, series_lp,
-                                   time_shift_safety)
+                                   limsup_probe, time_shift_safety)
 from compactness_lab.productlimit import smoothstep
 from compactness_lab.synth import (boundary_bump_family, disk_bump_velocity,
                                    generator, oscillating_ns_family,
@@ -214,12 +211,8 @@ def ns_setup():
     members = translating_disk_ns_family(GRID, INTERVAL, n_slices, 4, center, 0.3,
                                          (speed, 0.0), stream_fraction=0.55)
     delta_list = [0.0625, 0.03125]
-    inter = np.ones(GRID.shape, bool)
-    for k in range(n_slices):
-        inter &= nc.transported(k, 2 * max(delta_list)).inside
-    compact = eps_interior(RasterDomain.from_membership(GRID, inter), 2 * max(GRID.spacing))
     dt = 1.0 / n_slices
-    return nc, members, delta_list, [dt, 2 * dt, 4 * dt], compact
+    return nc, members, delta_list, [dt, 2 * dt, 4 * dt], nc.compact_core(2 * max(delta_list))
 
 
 def test_ns_probe_convergent_positive(ns_setup):
@@ -243,11 +236,8 @@ def test_ns_probe_oscillating_negative(ns_setup):
     nc = NonCylindricalDomain(fam, ref, n_slices)
     members = oscillating_ns_family(GRID, INTERVAL, n_slices, [2, 4, 8], (0.5, 0.5),
                                     0.3, stream_fraction=0.55)
-    inter = np.ones(GRID.shape, bool)
-    for k in range(n_slices):
-        inter &= nc.transported(k, 2 * max(delta_list)).inside
-    compact = eps_interior(RasterDomain.from_membership(GRID, inter), 2 * max(GRID.spacing))
-    rep = ns_probe(members, nc, delta_list, s_list, compact, battery_seed=0)
+    rep = ns_probe(members, nc, delta_list, s_list, nc.compact_core(2 * max(delta_list)),
+                   battery_seed=0)
     assert not rep.verdict
     assert any("dual bound violated" in f for f in rep.failures)
     for delta in delta_list:
@@ -274,9 +264,7 @@ def test_interpolation_inequality(ns_setup):
     nc, members, _, _, _ = ns_setup
     domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
     for s in members[:2]:
-        restricted = StepTimeSeries(s.interval, tuple(
-            u.restricted(domains[k]) for k, u in enumerate(s.fields)))
-        lr, bound, slack = interpolation_check(restricted, 2.5, 3.0)
+        lr, bound, slack = interpolation_check(s.restricted(domains), 2.5, 3.0)
         assert slack >= -1e-8 * (bound + 1.0)
 
 
