@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -21,8 +24,8 @@ from . import __version__
 from .divfree import (dual_norm_check, neumann_factor, normal_trace,
                       project_divfree0, staggered_inner, staggered_l2)
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
-                   divergence)
-from .mollify import make_mollifier, commutator
+                   divergence, write_grid_file)
+from .mollify import commutator, make_mollifier, shift_space
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
                       poincare_constant, symmetric_difference_band)
@@ -31,86 +34,124 @@ from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
 from .probe import check_ell_list, kruzhkov_probe, ns_probe
 from .productlimit import product_pipeline, transposition_defect
 from .synth import (generator, oscillating_ns_family, oscillating_scalar_family,
-                    perturbation_scalar_family, translating_disk_ns_family)
+                    perturbation_scalar_family, random_smooth_field,
+                    random_stream_velocity, translating_disk_ns_family)
 from .truncate import nonlinearity_preset
-
-
-DEFAULTS = {
-    "porous": {
-        "grid_cells": "512", "halfwidth": "3.0", "m": "2.0", "t0": "0.1",
-        "t1": "1.0", "mass": "1.0", "n_list": "16,32,64,128,256",
-        "hminus_m": "1", "bc": "noflux", "l1_tol": "0.02",
-        "mass_drift_tol": "1e-12", "energy_rel_tol": "1e-8",
-    },
-    "commutator": {
-        "cells": "2048", "members": "16", "n_slices": "32",
-        "k_list": "4,8,16,32,64", "decay_factor": "8.0",
-    },
-    "productlimit": {
-        "cells": "256", "n_slices": "8", "members": "8", "k_list": "4,8,16,32",
-        "accounting_tol": "1e-10",
-    },
-    "movedom": {
-        "grid": "128", "eps": "0.1", "eps_list": "0.0,0.05,0.1",
-        "disk_radius": "0.4", "poincare_tol": "0.01", "spread_tol": "0.25",
-        "n_slices": "16", "dilation_amplitude": "0.25",
-    },
-    "divfree": {
-        "grid": "64", "n_fields": "100", "residual_tol": "1e-8",
-        "pair_checks": "20",
-    },
-    "nsprobe": {
-        "family": "convergent", "grid": "64", "n_slices": "16", "members": "4",
-        "osc_list": "2,4,8", "delta_list": "0.0625,0.03125",
-        "disk_radius": "0.3", "speed": "0.15",
-    },
-    "kruzhkov": {
-        "family": "perturbation", "grid": "64", "n_slices": "8", "members": "6",
-        "osc_list": "1,2,4", "m_interior": "8", "ell_list": "16,24,32",
-        "speed": "0.1", "disk_radius": "0.35", "budget_tol": "1e-10",
-    },
-}
 
 
 class ConfigError(Exception):
     pass
 
 
-class Config:
-    def __init__(self, parser, experiment):
-        self._parser = parser
-        self._experiment = experiment
+def _bad(experiment, key, value, why):
+    return ConfigError(f"bad value for [{experiment}] {key}: {value!r} ({why})")
 
-    def get(self, key, cast=str):
-        section = self._experiment
-        if self._parser.has_option(section, key):
-            raw = self._parser.get(section, key)
-        elif key in DEFAULTS[self._experiment]:
-            raw = DEFAULTS[self._experiment][key]
-        else:
-            raise ConfigError(f"missing config key [{section}] {key}")
+
+@dataclass(frozen=True)
+class Rule:
+    """How a key's text becomes a value: `cast` each entry (the whole text, or
+    each comma-separated entry of a list) and accept it only when `ok` holds."""
+    text: str
+    cast: type
+    ok: Callable
+    is_list: bool = False
+
+    def parse(self, experiment, key, raw):
+        entries = [tok for tok in (raw.split(",") if self.is_list else [raw]) if tok.strip()]
         try:
-            return cast(raw)
-        except ValueError as e:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({e})")
+            values = [self.cast(tok) for tok in entries]
+        except ValueError:
+            values = []
+        if not values or not all(map(self.ok, values)):
+            finite = ", finite" if self.cast is float else ""
+            raise _bad(experiment, key, raw, f"must be {self.text}{finite}")
+        return values if self.is_list else values[0]
 
-    def get_list(self, key, cast=float):
-        return self.get(key, lambda raw: [cast(tok) for tok in raw.split(",") if tok.strip()])
+
+def _one_of(*choices):
+    return Rule("one of " + ", ".join(choices), str, lambda v: v in choices)
+
+
+POS_INT = Rule("int > 0", int, lambda v: v > 0)
+INT_GE0 = Rule("int >= 0", int, lambda v: v >= 0)
+FLOAT = Rule("float", float, math.isfinite)
+POS_FLOAT = Rule("float > 0", float, lambda v: math.isfinite(v) and v > 0)
+FLOAT_GE0 = Rule("float >= 0", float, lambda v: math.isfinite(v) and v >= 0)
+FLOAT_GT1 = Rule("float > 1", float, lambda v: math.isfinite(v) and v > 1)
+POS_INTS = Rule("list of int > 0", int, POS_INT.ok, is_list=True)
+POS_FLOATS = Rule("list of float > 0", float, POS_FLOAT.ok, is_list=True)
+FLOATS_GE0 = Rule("list of float >= 0", float, FLOAT_GE0.ok, is_list=True)
+
+# every key of every experiment: its default, as text, and its rule
+KEYS = {
+    "porous": {
+        "grid_cells": ("512", POS_INT), "halfwidth": ("3.0", POS_FLOAT),
+        "m": ("2.0", FLOAT_GT1), "t0": ("0.1", POS_FLOAT), "t1": ("1.0", POS_FLOAT),
+        "mass": ("1.0", POS_FLOAT), "n_list": ("16,32,64,128,256", POS_INTS),
+        "hminus_m": ("1", INT_GE0), "bc": ("noflux", _one_of("noflux", "dirichlet0")),
+        "l1_tol": ("0.02", FLOAT_GE0), "mass_drift_tol": ("1e-12", FLOAT_GE0),
+        "energy_rel_tol": ("1e-8", FLOAT_GE0)},
+    "commutator": {
+        "cells": ("2048", POS_INT), "members": ("16", POS_INT), "n_slices": ("32", POS_INT),
+        "k_list": ("4,8,16,32,64", POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
+    "productlimit": {
+        "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", POS_INT),
+        "k_list": ("4,8,16,32", POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
+    "movedom": {
+        "grid": ("128", POS_INT), "eps": ("0.1", FLOAT_GE0),
+        "eps_list": ("0.0,0.05,0.1", FLOATS_GE0), "disk_radius": ("0.4", POS_FLOAT),
+        "poincare_tol": ("0.01", FLOAT_GE0), "spread_tol": ("0.25", FLOAT_GE0),
+        "n_slices": ("16", POS_INT), "dilation_amplitude": ("0.25", FLOAT)},
+    "divfree": {
+        "grid": ("64", POS_INT), "n_fields": ("100", POS_INT),
+        "residual_tol": ("1e-8", FLOAT_GE0), "pair_checks": ("20", INT_GE0)},
+    "nsprobe": {
+        "family": ("convergent", _one_of("convergent", "oscillating")),
+        "grid": ("64", POS_INT), "n_slices": ("16", POS_INT), "members": ("4", POS_INT),
+        "osc_list": ("2,4,8", POS_INTS), "delta_list": ("0.0625,0.03125", POS_FLOATS),
+        "disk_radius": ("0.3", POS_FLOAT), "speed": ("0.15", FLOAT)},
+    "kruzhkov": {
+        "family": ("perturbation", _one_of("perturbation", "oscillating")),
+        "grid": ("64", POS_INT), "n_slices": ("8", POS_INT), "members": ("6", POS_INT),
+        "osc_list": ("1,2,4", POS_INTS), "m_interior": ("8", POS_INT),
+        "ell_list": ("16,24,32", POS_INTS), "speed": ("0.1", FLOAT),
+        "disk_radius": ("0.35", POS_FLOAT), "budget_tol": ("1e-10", FLOAT_GE0)},
+}
+
+
+class Config(dict):
+    """The typed value of every key of one experiment, from its section of the
+    parsed file or from its default; `seed` is the section's seed key or 0."""
+
+    def __init__(self, parser, experiment):
+        self.parser = parser
+        self.experiment = experiment
+        section = parser[experiment] if parser.has_section(experiment) else {}
+        table = KEYS[experiment]
+        for key in section:
+            if key != "seed" and key not in table:
+                raise _bad(experiment, key, section[key],
+                           "unknown key; the keys are " + ", ".join(table))
+        self.seed = INT_GE0.parse(experiment, "seed", section.get("seed", "0"))
+        super().__init__((key, rule.parse(experiment, key, section.get(key, default)))
+                         for key, (default, rule) in table.items())
 
     def echo(self):
         lines = []
-        for section in self._parser.sections():
+        for section in self.parser.sections():
             lines.append(f"[{section}]")
-            for k, v in self._parser.items(section):
+            for k, v in self.parser.items(section):
                 lines.append(f"{k} = {v}")
-        lines.append(f"[{self._experiment}] effective defaults:")
-        for k, v in DEFAULTS[self._experiment].items():
-            if not self._parser.has_option(self._experiment, k):
-                lines.append(f"{k} = {v}  (default)")
+        lines.append(f"[{self.experiment}] effective defaults:")
+        for k, (default, _) in KEYS[self.experiment].items():
+            if not self.parser.has_option(self.experiment, k):
+                lines.append(f"{k} = {default}  (default)")
         return "\n".join(lines)
 
 
 def load_config(path, experiment):
+    """Read `path` and check every key of its [experiment] section against
+    KEYS before any work; a ConfigError names the first bad key."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     p = Path(path)
@@ -123,39 +164,24 @@ def load_config(path, experiment):
     return Config(parser, experiment)
 
 
-def _checked(cfg, key, cast, ok, rule):
-    """cfg.get(key, cast), or a ConfigError stating `rule` when `ok` rejects it."""
-    value = cfg.get(key, cast)
-    if not ok(value):
-        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {value!r} (must {rule})")
-    return value
-
-
-def _positive_ints(cfg, *keys):
-    return [_checked(cfg, key, int, lambda v: v > 0, "be positive") for key in keys]
-
-
-def _checked_list(cfg, key, cast, ok, rule):
-    values = cfg.get_list(key, cast)
-    if not values or not all(ok(v) for v in values):
-        raise ConfigError(f"bad value for [{cfg._experiment}] {key}: {cfg.get(key)!r} "
-                          f"(must be a non-empty list of {rule})")
-    return values
-
-
-def _positive_list(cfg, key, cast=int):
-    return _checked_list(cfg, key, cast, lambda v: v > 0, "positive numbers")
-
-
-def _kernel_scales(cfg, grid):
-    """The k_list of a 1D mollifier experiment: non-empty, every kernel resolvable."""
-    k_list = _positive_list(cfg, "k_list")
-    for k in k_list:
+def _check_kernels(cfg, grid):
+    """Every k_list mollifier of a 1D experiment resolvable on `grid`."""
+    for k in cfg["k_list"]:
         try:
             make_mollifier(k, grid)
         except ValueError as e:
-            raise ConfigError(f"bad value for [{cfg._experiment}] k_list: {k} ({e})")
-    return k_list
+            raise _bad(cfg.experiment, "k_list", k, e) from None
+
+
+def _reference_disk(cfg, grid, center=None, moved_by=()):
+    """The `disk_radius` disk at `center` (the box centre by default); a
+    ConfigError naming the keys that place it when it holds no cell."""
+    disk = make_domain(f"disk:{cfg['disk_radius']}", grid, center=center)
+    if disk.n_inside == 0:
+        keys = " or ".join(f"[{cfg.experiment}] {k}: {cfg[k]!r}"
+                           for k in (*moved_by, "disk_radius"))
+        raise ConfigError(f"bad value for {keys} (the reference disk holds no cell)")
+    return disk
 
 
 # ---------------------------------------------------------------------------
@@ -163,63 +189,55 @@ def _kernel_scales(cfg, grid):
 
 
 def _exp_porous(cfg, seed, out_dir):
-    cells, = _positive_ints(cfg, "grid_cells")
-    half = _checked(cfg, "halfwidth", float, lambda v: v > 0, "be positive")
-    m = _checked(cfg, "m", float, lambda v: v > 1, "be > 1")
-    t0 = _checked(cfg, "t0", float, lambda v: v > 0, "be positive")
-    t1 = _checked(cfg, "t1", float, lambda v: v > t0, f"exceed t0 = {t0!r}")
-    total_mass = cfg.get("mass", float)
-    n_list = _positive_list(cfg, "n_list")
-    m_dual = _checked(cfg, "hminus_m", int, lambda v: v >= 0, "be >= 0")
-    bc = _checked(cfg, "bc", str, lambda v: v in ("noflux", "dirichlet0"),
-                  "be noflux or dirichlet0")
-    grid = Grid((cells,), (2 * half,))
+    if cfg["t1"] <= cfg["t0"]:
+        raise _bad("porous", "t1", cfg["t1"], f"must exceed t0 = {cfg['t0']!r}")
+    m, t0, t1, half = cfg["m"], cfg["t0"], cfg["t1"], cfg["halfwidth"]
+    grid = Grid((cfg["grid_cells"],), (2 * half,))
     phi = nonlinearity_preset(f"porous:{m:g}")
-    profile = barenblatt_profile(m, total_mass)
+    profile = barenblatt_profile(m, cfg["mass"])
     x = grid.axis_centers(0) - half
     u0 = ScalarField(grid, profile(x, t0))
     A = DiffusionTensor.identity()
     domain = RasterDomain.full(grid)
     failures = []
     series_list = []
-    drift_tol = cfg.get("mass_drift_tol", float)
-    for n in n_list:
-        run = run_scheme(u0, n, (t0, t1), A, phi, bc=bc)
+    drift_tol = cfg["mass_drift_tol"]
+    for n in cfg["n_list"]:
+        run = run_scheme(u0, n, (t0, t1), A, phi, bc=cfg["bc"])
         series_list.append(run.series)
         masses = [mass(f) for f in run.states]
         drift = max(abs(b - a) for a, b in zip(masses[:-1], masses[1:]))
         if drift / (abs(masses[0]) + 1e-300) > drift_tol:
             failures.append(f"mass drift {drift:.3e} at N={n} exceeds {drift_tol:g}")
-        erep = energy_report(run.series, A, phi, rel_tol=cfg.get("energy_rel_tol", float))
+        erep = energy_report(run.series, A, phi, rel_tol=cfg["energy_rel_tol"])
         if not erep.ok:
             failures.append(f"energy inequality violated at N={n} steps {erep.violations[:3]}")
         if any(float(np.min(f.values)) < -1e-10 for f in run.states):
             failures.append(f"positivity violated at N={n}")
-    from .grid import write_grid_file
     write_grid_file(out_dir / "final_state.grid", run.states[-1])
     exact = profile(x, t1)
     final = run.states[-1].values
     l1_err = float(np.sum(np.abs(final - exact)) * grid.cell_volume)
     l1_rel = l1_err / (float(np.sum(np.abs(exact)) * grid.cell_volume) + 1e-300)
-    if l1_rel > cfg.get("l1_tol", float):
+    if l1_rel > cfg["l1_tol"]:
         failures.append(f"L1 error vs closed form {l1_rel:.4f} exceeds tolerance")
-    monitor = hypothesis_monitor(series_list, phi, m_dual, domain)
+    monitor = hypothesis_monitor(series_list, phi, cfg["hminus_m"], domain)
     if not monitor.verdict:
         failures.extend(monitor.failures)
     return monitor.csv_lines(), failures
 
 
 def _exp_commutator(cfg, seed, out_dir):
-    cells, members, n_slices = _positive_ints(cfg, "cells", "members", "n_slices")
-    grid = Grid((cells,), (1.0,))
-    k_list = _kernel_scales(cfg, grid)
+    members, n_slices = cfg["members"], cfg["n_slices"]
+    grid = Grid((cfg["cells"],), (1.0,))
+    _check_kernels(cfg, grid)
     x = grid.axis_centers(0)
     a_space = ScalarField(grid, np.sin(2 * np.pi * x))
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
     interval = (0.0, 1.0)
     mids = (np.arange(n_slices) + 0.5) / n_slices
     sup_l1 = {}
-    for k in k_list:
+    for k in cfg["k_list"]:
         mol = make_mollifier(k, grid)
         worst = 0.0
         for n in range(1, members + 1):
@@ -230,11 +248,11 @@ def _exp_commutator(cfg, seed, out_dir):
             worst = max(worst, l1)
         sup_l1[k] = worst
     failures = []
-    ks = sorted(k_list)
+    ks = sorted(cfg["k_list"])
     vals = [sup_l1[k] for k in ks]
     if any(b > a * (1 + 1e-12) for a, b in zip(vals[:-1], vals[1:])):
         failures.append("sup_n commutator L1 not nonincreasing in k")
-    factor = cfg.get("decay_factor", float)
+    factor = cfg["decay_factor"]
     if vals[-1] > vals[0] / factor:
         failures.append(f"commutator L1 at k={ks[-1]} above value(k={ks[0]})/{factor:g}")
     rows = ["k,sup_l1"]
@@ -243,16 +261,15 @@ def _exp_commutator(cfg, seed, out_dir):
 
 
 def _exp_productlimit(cfg, seed, out_dir):
-    cells, n_slices, members = _positive_ints(cfg, "cells", "n_slices", "members")
+    cells, n_slices, k_list = cfg["cells"], cfg["n_slices"], cfg["k_list"]
     grid = Grid((cells,), (1.0,))
-    k_list = _kernel_scales(cfg, grid)
+    _check_kernels(cfg, grid)
     x = grid.axis_centers(0)
     a_lim = ScalarField(grid, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
     b_space = ScalarField(grid, np.cos(2 * np.pi * x))
     interval = (0.0, 1.0)
     a_seq, b_seq = [], []
-    from .mollify import shift_space
-    for n in range(1, members + 1):
+    for n in range(1, cfg["members"] + 1):
         j = max(1, round(cells / (8 * n)))
         shifted = shift_space(a_lim, [j * grid.spacing[0]])
         a_seq.append(StepTimeSeries(interval, (shifted,) * n_slices))
@@ -260,8 +277,7 @@ def _exp_productlimit(cfg, seed, out_dir):
     theta = ScalarField(grid, np.sin(np.pi * x) ** 2)
     report = product_pipeline(a_seq, b_seq, theta, k_list, a_lim, b_space)
     failures = []
-    tol = cfg.get("accounting_tol", float)
-    if report.max_accounting_defect() > tol:
+    if report.max_accounting_defect() > cfg["accounting_tol"]:
         failures.append(f"pipeline accounting defect {report.max_accounting_defect():.3e}")
     mol = make_mollifier(max(k_list), grid)
     tdef = transposition_defect(a_seq[0] * b_seq[0], theta, mol)
@@ -275,16 +291,10 @@ def _exp_productlimit(cfg, seed, out_dir):
 
 
 def _exp_movedom(cfg, seed, out_dir):
-    n, n_slices = _positive_ints(cfg, "grid", "n_slices")
+    n, eps = cfg["grid"], cfg["eps"]
     grid = Grid((n, n), (1.0, 1.0))
-    disk_r = cfg.get("disk_radius", float)
-    disk = make_domain(f"disk:{disk_r}", grid)
-    if disk.n_inside == 0:
-        raise ConfigError(f"bad value for [movedom] disk_radius: {disk_r!r} "
-                          "(must give a disk holding at least one cell)")
+    disk = _reference_disk(cfg, grid)
     square = make_domain("square:1.0", grid)
-    eps = _checked(cfg, "eps", float, lambda v: v >= 0, "be >= 0")
-    eps_list = _checked_list(cfg, "eps_list", float, lambda v: v >= 0, "numbers >= 0")
     rows = ["check,name,value,bound,ok"]
     failures = []
 
@@ -294,25 +304,24 @@ def _exp_movedom(cfg, seed, out_dir):
             failures.append(f"{check}:{name}")
 
     c_sq = poincare_constant(square)
-    tol = cfg.get("poincare_tol", float)
-    ok = abs(c_sq - 1.0 / np.pi) <= tol / np.pi
+    ok = abs(c_sq - 1.0 / np.pi) <= cfg["poincare_tol"] / np.pi
     record("poincare", "unit_square", c_sq, 1.0 / np.pi, ok)
     # the eps = 0 interior is the square itself, whose constant is c_sq
     sweep = [c_sq if e == 0.0 else poincare_constant(eps_interior(square, e))
-             for e in eps_list]
+             for e in cfg["eps_list"]]
     spread = (max(sweep) - min(sweep)) / max(sweep)
-    record("poincare_sweep", "square_spread", spread, cfg.get("spread_tol", float),
-           spread <= cfg.get("spread_tol", float))
+    record("poincare_sweep", "square_spread", spread, cfg["spread_tol"],
+           spread <= cfg["spread_tol"])
     interval = (0.0, 1.0)
     center = (0.5, 0.5)
-    dil = make_family("dilation", interval, amplitude=cfg.get("dilation_amplitude", float),
+    dil = make_family("dilation", interval, amplitude=cfg["dilation_amplitude"],
                       center=center)
     tra = make_family("translation", interval, velocity=(0.05, 0.0))
     for name, fam in (("translation", tra), ("dilation", dil)):
         jb = jacobian_bounds(fam, disk)
         record("jacobian", name, jb.raw_min, jb.raw_max, jb.raw_min <= jb.raw_max)
         # one moving domain: the framing check's slices serve the peel measure
-        nc = NonCylindricalDomain(fam, disk, n_slices)
+        nc = NonCylindricalDomain(fam, disk, cfg["n_slices"])
         fr = framing_check(nc, eps)
         record("framing", name, fr.inner_violations_banded, 0, fr.ok)
         peel = peel_measure(nc, eps, jb=jb)
@@ -327,13 +336,10 @@ def _exp_movedom(cfg, seed, out_dir):
 
 
 def _exp_divfree(cfg, seed, out_dir):
-    n, n_fields = _positive_ints(cfg, "grid", "n_fields")
-    n_pairs = _checked(cfg, "pair_checks", int, lambda v: v >= 0, "be >= 0")
+    n, n_fields, tol = cfg["grid"], cfg["n_fields"], cfg["residual_tol"]
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
-    tol = cfg.get("residual_tol", float)
     rng = generator(seed)
-    from .synth import random_stream_velocity
     rows = ["field,l2,seminorm,surrogate,div_residual,trace_residual,pythagoras,slack"]
     failures = []
     fields = [random_stream_velocity(grid, rng) for _ in range(n_fields)]
@@ -356,7 +362,7 @@ def _exp_divfree(cfg, seed, out_dir):
                     f"{div_res!r},{tr_res!r},{pyth!r},{rep.slack!r}")
         if not ok:
             failures.append(f"projection residuals out of tolerance at field {i}")
-    for j in range(min(n_pairs, n_fields - 1)):
+    for j in range(min(cfg["pair_checks"], n_fields - 1)):
         u, w = fields[j], fields[j + 1]
         lhs = staggered_inner(projected[j], w)
         rhs = staggered_inner(u, projected[j + 1])
@@ -372,31 +378,31 @@ def _exp_divfree(cfg, seed, out_dir):
 
 
 def _exp_nsprobe(cfg, seed, out_dir):
-    n, n_slices, n_members = _positive_ints(cfg, "grid", "n_slices", "members")
-    osc_list = _positive_list(cfg, "osc_list")
-    delta_list = _positive_list(cfg, "delta_list", float)
+    n, n_slices, delta_list = cfg["grid"], cfg["n_slices"], cfg["delta_list"]
     grid = Grid((n, n), (1.0, 1.0))
     interval = (0.0, 1.0)
-    disk_r = cfg.get("disk_radius", float)
-    family_kind = cfg.get("family")
-    if family_kind == "convergent":
-        speed = cfg.get("speed", float)
+    disk_r, speed = cfg["disk_radius"], cfg["speed"]
+    convergent = cfg["family"] == "convergent"
+    if convergent:
         center = (0.5 - speed / 2, 0.5)
+        reference = _reference_disk(cfg, grid, center, moved_by=("speed",))
         fam = make_family("translation", interval, velocity=(speed, 0.0))
-        members = translating_disk_ns_family(
-            grid, interval, n_slices, n_members, center, disk_r,
-            (speed, 0.0), stream_fraction=0.55)
-    elif family_kind == "oscillating":
-        center = (0.5, 0.5)
-        fam = make_family("identity", interval)
-        members = oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_r,
-                                        stream_fraction=0.55)
     else:
-        raise ConfigError(f"unknown nsprobe family {family_kind!r}")
-    nc = NonCylindricalDomain(fam, make_domain(f"disk:{disk_r}", grid, center=center), n_slices)
+        center = (0.5, 0.5)
+        reference = _reference_disk(cfg, grid, center)
+        fam = make_family("identity", interval)
+    nc = NonCylindricalDomain(fam, reference, n_slices)
     compact = nc.compact_core(2.0 * max(delta_list))
     if compact.n_inside == 0:
-        raise ConfigError("compact raster is empty; shrink delta_list or the motion")
+        raise _bad("nsprobe", "delta_list", delta_list,
+                   "the compact core is empty; shrink delta_list or speed")
+    if convergent:
+        members = translating_disk_ns_family(
+            grid, interval, n_slices, cfg["members"], center, disk_r,
+            (speed, 0.0), stream_fraction=0.55)
+    else:
+        members = oscillating_ns_family(grid, interval, n_slices, cfg["osc_list"], center,
+                                        disk_r, stream_fraction=0.55)
     dt = (interval[1] - interval[0]) / n_slices
     report = ns_probe(members, nc, delta_list, [dt, 2 * dt, 4 * dt], compact,
                       battery_seed=seed)
@@ -407,36 +413,27 @@ def _exp_nsprobe(cfg, seed, out_dir):
 
 
 def _exp_kruzhkov(cfg, seed, out_dir):
-    n, n_slices, n_members, m_interior = _positive_ints(
-        cfg, "grid", "n_slices", "members", "m_interior")
-    osc_list = _positive_list(cfg, "osc_list")
-    ell_list = _positive_list(cfg, "ell_list")
+    n, n_slices, m_interior = cfg["grid"], cfg["n_slices"], cfg["m_interior"]
+    ell_list, speed = cfg["ell_list"], cfg["speed"]
     grid = Grid((n, n), (1.0, 1.0))
     interval = (0.0, 1.0)
-    disk_r = cfg.get("disk_radius", float)
-    speed = cfg.get("speed", float)
-    center = (0.5 - speed / 2, 0.5)
+    ref = _reference_disk(cfg, grid, (0.5 - speed / 2, 0.5), moved_by=("speed",))
     fam = make_family("translation", interval, velocity=(speed, 0.0))
-    ref = make_domain(f"disk:{disk_r}", grid, center=center)
     nc = NonCylindricalDomain(fam, ref, n_slices)
     try:
         check_ell_list(nc, m_interior, ell_list)
     except ValueError as e:
-        raise ConfigError(f"bad value for [kruzhkov] ell_list: {cfg.get('ell_list')!r} ({e})") from None
+        raise _bad("kruzhkov", "ell_list", ell_list, e) from None
     rng = generator(seed)
-    from .synth import random_smooth_field
     base = random_smooth_field(grid, rng, modes=3)
     pert = random_smooth_field(grid, rng, modes=3)
-    kind = cfg.get("family")
-    if kind == "perturbation":
-        members = perturbation_scalar_family(base, pert, interval, n_slices, n_members)
-    elif kind == "oscillating":
-        members = oscillating_scalar_family(base, interval, n_slices, osc_list)
+    if cfg["family"] == "perturbation":
+        members = perturbation_scalar_family(base, pert, interval, n_slices, cfg["members"])
     else:
-        raise ConfigError(f"unknown kruzhkov family {kind!r}")
+        members = oscillating_scalar_family(base, interval, n_slices, cfg["osc_list"])
     report = kruzhkov_probe(members, nc, m_interior, ell_list)
     failures = list(report.failures)
-    if report.max_budget_defect > cfg.get("budget_tol", float):
+    if report.max_budget_defect > cfg["budget_tol"]:
         failures.append(f"three-term budget defect {report.max_budget_defect:.3e}")
     return report.csv_lines(), failures
 
@@ -461,8 +458,7 @@ def run(experiment, config_path, out_dir, seed=None):
     try:
         cfg = load_config(config_path, experiment)
         if seed is None:
-            has_key = cfg._parser.has_option(experiment, "seed")
-            seed = _checked(cfg, "seed", int, lambda v: v >= 0, "be >= 0") if has_key else 0
+            seed = cfg.seed
         elif seed < 0:
             raise ConfigError(f"bad value for --seed: {seed} (must be >= 0)")
         out = Path(out_dir)
@@ -493,11 +489,11 @@ def run(experiment, config_path, out_dir, seed=None):
 
 def list_experiments(file=None):
     file = file or sys.stdout
-    print("experiments and config keys (defaults):", file=file)
-    for name, defaults in DEFAULTS.items():
+    print("experiments and config keys (default; rule):", file=file)
+    for name, table in KEYS.items():
         print(f"  {name}", file=file)
-        for k, v in defaults.items():
-            print(f"    {k} = {v}", file=file)
+        for k, (default, rule) in table.items():
+            print(f"    {k} = {default}  ({rule.text})", file=file)
 
 
 def main(argv=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage
 
-from .grid import ScalarField
+from .grid import ScalarField, StaggeredVectorField
 from .parabolic import StepTimeSeries
 
 
@@ -97,8 +97,6 @@ def convolve_staggered(u, mol):
     """Componentwise space convolution of a MAC field; each face family lives on
     its own uniform lattice with the grid spacing, so divergence commutes with
     the convolution exactly."""
-    from .grid import StaggeredVectorField
-
     comps = tuple(_convolve_values(c, mol) for c in u.components)
     return StaggeredVectorField(u.grid, comps)
 

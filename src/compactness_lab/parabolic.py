@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.special
 
 from .grid import (ScalarField, StaggeredVectorField, _axis_slices,
-                   face_laplacian, gradient, h_minus_m_norm, lp_norm,
+                   face_laplacian, gradient, h_minus_m_norm, inner, lp_norm,
                    staggered_l2)
 
 NEWTON_MAX_ITERS = 50
@@ -141,8 +141,6 @@ def series_l2(s, domains=None):
 
 def series_inner(s, theta):
     """Pairing of a series against a static spatial test function."""
-    from .grid import inner
-
     return float(s.delta * sum(inner(f, theta) for f in s.fields))
 
 

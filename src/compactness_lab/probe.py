@@ -18,8 +18,8 @@ from .divfree import per_slice_project, staggered_inner, staggered_l2
 from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
                    signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
-from .movedom import (_pull_back, bilipschitz, eps_interior,
-                      sobolev_embedding_exponent, transported_poincare)
+from .movedom import (_pull_back, bilipschitz, sobolev_embedding_exponent,
+                      transported_poincare)
 from .parabolic import limit_series, series_l2, time_derivative_tv
 from .productlimit import product_pipeline
 from .synth import bump, generator, random_stream_velocity
@@ -280,15 +280,14 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
 # time-shift safety radius
 
 
-def time_shift_safety(family, reference, delta, n_times=16, band_cells=1.5,
-                      xi_min=1e-4):
+def time_shift_safety(nc, delta, n_times=16, band_cells=1.5, xi_min=1e-4):
     """Largest xi on a dyadic search with A_{t+sigma}(Omega_{2 delta}) inside
     A_t(Omega_delta) for all sampled t and sigma in {xi/4, xi/2, xi}
-    (rasterized, one-cell band)."""
+    (rasterized, one-cell band); the erosions come from `nc`'s memo."""
+    family, grid = nc.family, nc.grid
     a, b = family.interval
-    grid = reference.grid
-    d1 = eps_interior(reference, delta)
-    d2 = eps_interior(reference, 2.0 * delta)
+    d1 = nc.eroded_reference(delta)
+    d2 = nc.eroded_reference(2.0 * delta)
     band = band_cells * max(grid.spacing)
 
     # one level down, the dyadic search asks again about xi/2 and xi/4
@@ -561,7 +560,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
         moll_ratio[delta] = max(
             series_l2(u_series - v, inner_domains) / (delta * grad_norms[i] + 1e-300)
             for i, (u_series, (v, _)) in enumerate(zip(members, projected)))
-        xi = time_shift_safety(nc.family, nc.reference, delta)
+        xi = time_shift_safety(nc, delta)
         xi_map[delta] = xi
         # the compact subset of space-time: `compact` on the slices from the
         # largest shift on, nothing before it

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, StaggeredVectorField
+from .grid import ScalarField, StaggeredVectorField, lp_norm
 from .parabolic import StepTimeSeries
 
 
@@ -114,8 +114,6 @@ def boundary_bump_family(domain, interval, n_slices, n_members, scale=0.25):
     """Members of unit L^2 mass concentrating at distance scale/n from the
     boundary (width scale/2n): the peel norms of this family do not decay
     uniformly, the adversarial case for the local-to-global step."""
-    from .grid import lp_norm
-
     g = domain.grid
     sd = domain.signed_distance
     out = []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import compactness_lab
-from compactness_lab.cli import DEFAULTS, list_experiments, load_config, main, run
+from compactness_lab.cli import KEYS, list_experiments, load_config, main, run
 
 
 def write_cfg(tmp_path, name, body):
@@ -109,6 +109,16 @@ def test_commutator_experiment(tmp_path):
     ("kruzhkov", "ell_list = ,"),
     ("kruzhkov", "ell_list = 4"),
     ("divfree", "pair_checks = -1"),
+    ("porous", "grid_cell = 64"),        # unknown key: a typo for grid_cells
+    ("kruzhkov", "budget_tol = nan"),
+    ("porous", "mass = -1"),
+    ("commutator", "decay_factor = 0"),
+    ("divfree", "residual_tol = nan"),
+    ("kruzhkov", "speed = 5"),           # the reference disk leaves the box
+    ("kruzhkov", "disk_radius = 0"),
+    ("nsprobe", "disk_radius = 0"),
+    ("nsprobe", "speed = nan"),
+    ("nsprobe", "family = foo"),
 ])
 def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")
@@ -132,13 +142,39 @@ def test_determinism_byte_identical(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def test_unknown_key_exits_2_but_seed_and_other_sections_pass(tmp_path, capsys):
+    ok = write_cfg(tmp_path, "ok.cfg", "[other]\nfoo = 1\n[divfree]\nseed = 3\nn_fields = 2\n")
+    assert run("divfree", ok, str(tmp_path / "ok")) == 0
+    assert "seed = 3" in (tmp_path / "ok" / "manifest.txt").read_text()
+    bad = write_cfg(tmp_path, "bad.cfg",
+                    "[other]\nfoo = 1\n[divfree]\nseed = 3\nn_field = 2\n")
+    assert run("divfree", bad, str(tmp_path / "bad")) == 2
+    assert not (tmp_path / "bad" / "manifest.txt").exists()
+    assert "bad value for [divfree] n_field: '2' (unknown key" in capsys.readouterr().err
+
+
 def test_config_defaults_and_echo(tmp_path):
     cfg_path = write_cfg(tmp_path, "e.cfg", "[movedom]\ngrid = 48\n")
     cfg = load_config(cfg_path, "movedom")
-    assert cfg.get("grid", int) == 48
-    assert cfg.get("eps", float) == float(DEFAULTS["movedom"]["eps"])
+    assert cfg["grid"] == 48
+    assert cfg["eps"] == float(KEYS["movedom"]["eps"][0])
     echo = cfg.echo()
     assert "grid = 48" in echo and "(default)" in echo
+
+
+def test_config_table_matches_docs_and_defaults_obey_rules(tmp_path):
+    docs = (Path(__file__).resolve().parent.parent / "docs" / "config.md").read_text()
+    sections = {part.split("\n", 1)[0].strip(): part for part in docs.split("\n## ")}
+    empty = write_cfg(tmp_path, "empty.cfg", "# no section\n")
+    for experiment, table in KEYS.items():
+        rows = {tuple(c.strip() for c in line.strip("|").split("|")[:3])
+                for line in sections[experiment].splitlines() if line.startswith("|")}
+        for key, (default, rule) in table.items():
+            assert (key, default, rule.text) in rows, (experiment, key)
+        cfg = load_config(empty, experiment)
+        assert set(cfg) == set(table) and cfg.seed == 0
+        for key, (default, rule) in table.items():
+            assert cfg[key] == rule.parse(experiment, key, default)
 
 
 def test_list_command(capsys):

@@ -155,14 +155,14 @@ def test_limsup_oscillating_family_negative(scalar_fields):
 def test_time_shift_safety_identity():
     ref = make_domain("disk:0.3", GRID)
     fam = make_family("identity", INTERVAL)
-    assert time_shift_safety(fam, ref, 0.05) == pytest.approx(1.0)
+    assert time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05) == pytest.approx(1.0)
 
 
 def test_time_shift_safety_translation_scale():
     ref = make_domain("disk:0.3", GRID, center=(0.4, 0.5))
     speed = 0.15
     fam = make_family("translation", INTERVAL, velocity=(speed, 0.0))
-    xi = time_shift_safety(fam, ref, 0.05)
+    xi = time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05)
     predicted = 0.05 / speed
     assert predicted / 2 <= xi <= predicted * 2
 
@@ -170,7 +170,7 @@ def test_time_shift_safety_translation_scale():
 def test_time_shift_safety_dilation_found():
     ref = make_domain("disk:0.3", GRID)
     fam = make_family("dilation", INTERVAL, amplitude=0.25, center=(0.5, 0.5))
-    xi = time_shift_safety(fam, ref, 0.05, n_times=64)
+    xi = time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05, n_times=64)
     assert xi > 0
 
 
