@@ -164,13 +164,16 @@ def load_config(path, experiment):
     return Config(parser, experiment)
 
 
-def _check_kernels(cfg, grid):
-    """Every k_list mollifier of a 1D experiment resolvable on `grid`."""
-    for k in cfg["k_list"]:
+def _check_kernels(cfg, grid, key, scales):
+    """Each entry of `key` names a mollifier by its scale k (`scales`, one per
+    entry): every k must be an integer whose kernel `grid` resolves."""
+    for entry, k in zip(cfg[key], scales, strict=True):
         try:
-            make_mollifier(k, grid)
+            if abs(k - round(k)) > 1e-9:
+                raise ValueError(f"mollifier scale {k:g} is not an integer")
+            make_mollifier(round(k), grid)
         except ValueError as e:
-            raise _bad(cfg.experiment, "k_list", k, e) from None
+            raise _bad(cfg.experiment, key, entry, e) from None
 
 
 def _reference_disk(cfg, grid, center=None, moved_by=()):
@@ -230,7 +233,7 @@ def _exp_porous(cfg, seed, out_dir):
 def _exp_commutator(cfg, seed, out_dir):
     members, n_slices = cfg["members"], cfg["n_slices"]
     grid = Grid((cfg["cells"],), (1.0,))
-    _check_kernels(cfg, grid)
+    _check_kernels(cfg, grid, "k_list", cfg["k_list"])
     x = grid.axis_centers(0)
     a_space = ScalarField(grid, np.sin(2 * np.pi * x))
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
@@ -263,7 +266,7 @@ def _exp_commutator(cfg, seed, out_dir):
 def _exp_productlimit(cfg, seed, out_dir):
     cells, n_slices, k_list = cfg["cells"], cfg["n_slices"], cfg["k_list"]
     grid = Grid((cells,), (1.0,))
-    _check_kernels(cfg, grid)
+    _check_kernels(cfg, grid, "k_list", cfg["k_list"])
     x = grid.axis_centers(0)
     a_lim = ScalarField(grid, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
     b_space = ScalarField(grid, np.cos(2 * np.pi * x))
@@ -380,6 +383,7 @@ def _exp_divfree(cfg, seed, out_dir):
 def _exp_nsprobe(cfg, seed, out_dir):
     n, n_slices, delta_list = cfg["grid"], cfg["n_slices"], cfg["delta_list"]
     grid = Grid((n, n), (1.0, 1.0))
+    _check_kernels(cfg, grid, "delta_list", [1.0 / d for d in delta_list])
     interval = (0.0, 1.0)
     disk_r, speed = cfg["disk_radius"], cfg["speed"]
     convergent = cfg["family"] == "convergent"

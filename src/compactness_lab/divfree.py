@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import (RasterDomain, RasterFactor, ScalarField,
                    StaggeredVectorField, _axis_slices, _read_header_and_values,
-                   divergence, face_masks, gradient, neumann_laplacian,
+                   divergence, gradient, neumann_laplacian,
                    staggered_inner, staggered_l2)
 from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
@@ -61,12 +61,8 @@ class BoundaryData:
 
 def normal_trace(u, domain):
     """Outward-normal face components on the raster boundary."""
-    masks = face_masks(domain.inside)
-    vals = []
-    for a in range(u.grid.dim):
-        _, boundary, sign = masks[a]
-        vals.append(np.where(boundary, sign * u.components[a], 0.0))
-    return BoundaryData(domain, tuple(vals))
+    return BoundaryData(domain, tuple(np.where(boundary, sign * c, 0.0) for (_, boundary, sign), c
+                                      in zip(domain.face_masks, u.components)))
 
 
 def neumann_factor(domain):
@@ -94,7 +90,7 @@ def neumann_harmonic(g_data, domain, factor=None):
     g_data.check_compatibility()
     grid = domain.grid
     rhs = np.zeros(grid.shape)
-    for a, (_, _, sign) in enumerate(face_masks(domain.inside)):
+    for a, (_, _, sign) in enumerate(domain.face_masks):
         below, above, _ = _axis_slices(grid.dim, a)
         flux = g_data.values[a] / grid.spacing[a]
         # a boundary face feeds its one inside cell: outward sign +1 when it is
@@ -115,9 +111,8 @@ def harmonic_gradient(v, domain, g_data=None):
     grad = gradient(v.restricted(domain))
     if g_data is None:
         return grad
-    masks = face_masks(domain.inside)
     return grad.with_components([np.where(boundary, sign * gd, c) for (_, boundary, sign), gd, c
-                                 in zip(masks, g_data.values, grad.components)])
+                                 in zip(domain.face_masks, g_data.values, grad.components)])
 
 
 def trace_norm_surrogate(g_data, domain):

@@ -7,11 +7,14 @@ quadrature with weight h^d per cell (and per face), so they are mutually
 consistent.
 
 Every face stencil goes through one slice helper (cells below / above each
-interior face, and the interior faces) and `face_masks`.  The one operator
-assembler, `face_laplacian`, builds -div(c grad .) on a raster's inside cells
-from per-face coefficients plus a boundary-face closure: the Dirichlet and
-Neumann Laplacians are two calls to it, and the parabolic scheme's Newton
-matrix is built from the same operator.
+interior face, and the interior faces) and `face_masks`.  A raster's face
+masks are derived once: `RasterDomain.face_masks` (and `Grid.face_masks` for
+the whole box) caches them read-only on the frozen object that owns the
+cells, and every stencil, weight and trace reads them from there.  The one
+operator assembler, `face_laplacian`, builds -div(c grad .) on a raster's
+inside cells from per-face coefficients plus a boundary-face closure: the
+Dirichlet and Neumann Laplacians are two calls to it, and the parabolic
+scheme's Newton matrix is built from the same operator.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ class Grid:
     @property
     def n_cells(self):
         return int(np.prod(self.shape))
+
+    @functools.cached_property
+    def face_masks(self):
+        """`face_masks` of the whole box, built once per grid."""
+        return face_masks(np.ones(self.shape, dtype=bool))
 
     def axis_centers(self, axis):
         h = self.spacing[axis]
@@ -126,6 +134,11 @@ class RasterDomain:
     def full(cls, grid):
         """The whole box (signed distance to the box boundary)."""
         return cls.from_sdf(grid, lambda pts: _box_distance(grid, pts))
+
+    @functools.cached_property
+    def face_masks(self):
+        """`face_masks` of the raster, built once: `inside` is read-only."""
+        return face_masks(self.inside)
 
     @property
     def measure(self):
@@ -270,7 +283,7 @@ class StaggeredVectorField:
     def restricted(self, domain):
         """Zero all faces not adjacent to an inside cell; attaches the raster."""
         comps = [np.where(interior | boundary, c, 0.0)
-                 for (interior, boundary, _), c in zip(face_masks(domain.inside), self.components)]
+                 for (interior, boundary, _), c in zip(domain.face_masks, self.components)]
         return StaggeredVectorField(self.grid, tuple(comps), mask=domain)
 
     def __add__(self, other):
@@ -322,7 +335,9 @@ def _axis_slices(dim, axis):
 def face_masks(inside):
     """(interior, boundary, outward_sign) per axis for a boolean cell raster: a
     face is interior when both adjacent cells are inside, boundary when exactly
-    one is (grid edges count as outside)."""
+    one is (grid edges count as outside).  The sign is int8 (+1, -1 or 0, so
+    products with it are exact) and every array is read-only; read them through
+    `RasterDomain.face_masks` or `Grid.face_masks`, which build them once."""
     out = []
     for a in range(inside.ndim):
         below, above, _ = _axis_slices(inside.ndim, a)
@@ -331,8 +346,11 @@ def face_masks(inside):
         low, high = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         low[above] = inside  # the cell below each face
         high[below] = inside  # the cell above it
-        out.append((low & high, low ^ high, low.astype(float) - high))
-    return out
+        masks = (low & high, low ^ high, low.astype(np.int8) - high)
+        for m in masks:
+            m.setflags(write=False)
+        out.append(masks)
+    return tuple(out)
 
 
 def _face_weights(grid, mask):
@@ -341,8 +359,7 @@ def _face_weights(grid, mask):
     the whole box."""
     vol = grid.cell_volume
     return [np.where(interior, vol, boundary * (vol / 2))
-            for interior, boundary, _ in face_masks(
-                mask.inside if mask is not None else np.ones(grid.shape, dtype=bool))]
+            for interior, boundary, _ in (grid if mask is None else mask).face_masks]
 
 
 def staggered_l2(u):
@@ -373,13 +390,14 @@ def gradient(f):
     g = f.grid
     comps = []
     for a in range(g.dim):
-        below, above, inner = _axis_slices(g.dim, a)
+        _, _, inner = _axis_slices(g.dim, a)
         shape = list(g.shape)
         shape[a] += 1
         out = np.zeros(shape)
         diff = np.diff(f.values, axis=a) / g.spacing[a]
         if f.mask is not None:
-            diff = np.where(f.mask.inside[below] & f.mask.inside[above], diff, 0.0)
+            interior, _, _ = f.mask.face_masks[a]
+            diff = np.where(interior[inner], diff, 0.0)
         out[inner] = diff
         comps.append(out)
     return StaggeredVectorField(g, tuple(comps), mask=f.mask)
@@ -400,7 +418,7 @@ def divergence(u):
 # a dense eigenbasis as reference
 
 
-def face_laplacian(grid, inside, coef, boundary_coef):
+def face_laplacian(domain, coef, boundary_coef):
     """-div(c grad .) on the inside cells of a raster: CSR matrix and cell index
     (row number per cell, -1 outside).
 
@@ -409,14 +427,15 @@ def face_laplacian(grid, inside, coef, boundary_coef):
     exactly one inside neighbour adds boundary_coef to that cell's diagonal
     (grid edges count as outside).  Every row stores its diagonal entry.
     """
-    n = int(np.count_nonzero(inside))
+    grid, inside = domain.grid, domain.inside
+    n = domain.n_inside
     if n == 0:
         raise ValueError("empty domain")
     index = -np.ones(grid.shape, dtype=int)
     index[inside] = np.arange(n)
     rows, cols, vals = [], [], []
     diag = np.zeros(grid.shape)
-    for a, (interior, boundary, _) in enumerate(face_masks(inside)):
+    for a, (interior, boundary, _) in enumerate(domain.face_masks):
         below, above, inner = _axis_slices(grid.dim, a)
         c = np.broadcast_to(coef[a], interior.shape)
         w = np.where(interior, c, boundary * boundary_coef[a])
@@ -439,14 +458,14 @@ def face_laplacian(grid, inside, coef, boundary_coef):
 def dirichlet_laplacian(domain):
     """5-point (3-point in 1D) Dirichlet Laplacian on a raster's inside cells, CSR."""
     c = [1.0 / h ** 2 for h in domain.grid.spacing]
-    return face_laplacian(domain.grid, domain.inside, c, c)
+    return face_laplacian(domain, c, c)
 
 
 def neumann_laplacian(domain):
     """5-point Neumann (no-flux) Laplacian on a raster's inside cells, CSR; the
     diagonal counts interior faces only, so constants are in the kernel exactly."""
     c = [1.0 / h ** 2 for h in domain.grid.spacing]
-    return face_laplacian(domain.grid, domain.inside, c, [0.0] * len(c))
+    return face_laplacian(domain, c, [0.0] * len(c))
 
 
 class DirichletEigenbasis:

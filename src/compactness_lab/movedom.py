@@ -307,8 +307,9 @@ class NonCylindricalDomain:
 
     Slice k represents the interval (t_k, t_{k+1}) and is rasterized at the
     interval midpoint.  Erosions Omega_eps, transported erosions
-    A_t(Omega_eps) (eps = 0 gives the slice) and slice inflations
-    (Omega^t)_{-eps} share one cache keyed by (kind, slice, eps).
+    A_t(Omega_eps) (eps = 0 gives the slice), slice erosions (Omega^t)_eps and
+    slice inflations (Omega^t)_{-eps} share one cache keyed by (kind, slice,
+    eps), with eps rounded to 12 decimals.
     """
 
     def __init__(self, family, reference, n_slices):
@@ -348,6 +349,10 @@ class NonCylindricalDomain:
                 self.grid, _pull_back(self.family, base, self.slice_times()[k]))
         return self._cached("transported", k, eps, build)
 
+    def slice_eroded(self, k, eps):
+        """Raster of (Omega^t_k) eroded by eps."""
+        return self._cached("slice_eroded", k, eps, lambda: eps_interior(self.slice_raster(k), eps))
+
     def slice_exterior(self, k, eps):
         """Raster of (Omega^t_k) dilated by eps."""
         return self._cached("exterior", k, eps, lambda: eps_exterior(self.slice_raster(k), eps))
@@ -381,15 +386,17 @@ def framing_check(nc, eps, info=None, band_cells=1.5):
 
     The transported and eroded slices are `from_membership` rasters, so their
     signed distances are the exact distance transforms the band is measured
-    with; the rasters stay cached in `nc` for `peel_measure`."""
+    with; all of them stay cached in `nc`, the transported ones for
+    `peel_measure`.  The cache rounds eps, so where eta is 1 up to round-off
+    (the translation family) both erosions of a slice are one raster."""
     info = bilipschitz(nc.family, nc.reference) if info is None else info
     eta = info.eta
     band = band_cells * max(nc.grid.spacing)
     raw_in = raw_out = band_in = band_out = 0
     for k in range(nc.n_slices):
-        slice_r, mid = nc.slice_raster(k), nc.transported(k, eps)
-        viol1 = eps_interior(slice_r, eps / eta).inside & ~mid.inside
-        outer = eps_interior(slice_r, eta * eps)
+        mid = nc.transported(k, eps)
+        viol1 = nc.slice_eroded(k, eps / eta).inside & ~mid.inside
+        outer = nc.slice_eroded(k, eta * eps)
         viol2 = mid.inside & ~outer.inside
         raw_in += int(np.count_nonzero(viol1))
         raw_out += int(np.count_nonzero(viol2))

@@ -2,9 +2,13 @@
 the hypothesis monitor for the degenerate-parabolic compactness diagnostics.
 
 The scheme is backward Euler in the flux: (u_{k+1} - u_k)/delta =
-div(A grad phi(u_{k+1})).  Each step assembles L_A = -div(A grad .) once with
+div(A grad phi(u_{k+1})).  L_A = -div(A grad .) is assembled with
 `grid.face_laplacian` (face coefficients 2 A/h^2 on the box edges under
-`dirichlet0`, 0 under `noflux`) and solves
+`dirichlet0`, 0 under `noflux`), together with the place of each of its
+entries in the Newton matrix's band storage.  `run_scheme` assembles it once
+per run and again only at a step whose `A.entries(t, grid)` differ from the
+entries it was built from, so a t-independent A costs one assembly and a
+t-dependent one a fresh L_A per step.  Each step solves
 u - u_k + delta L_A (phi(u) - phi(0)) = 0 by Newton.  The Newton matrix
 I + delta L_A diag(phi') is the exact derivative of that residual, with phi'
 clamped at 1e-12 to guard the degenerate cells where phi' = 0; each Newton
@@ -21,9 +25,9 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .grid import (ScalarField, StaggeredVectorField, _axis_slices,
-                   face_laplacian, gradient, h_minus_m_norm, inner, lp_norm,
-                   staggered_l2)
+from .grid import (RasterDomain, ScalarField, StaggeredVectorField,
+                   _axis_slices, face_laplacian, gradient, h_minus_m_norm,
+                   inner, lp_norm, staggered_l2)
 
 NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-10
@@ -224,30 +228,37 @@ def _face_coefficients(entries, grid, axis):
     return 0.5 * (a[below] + a[above])
 
 
-def _backward_euler(u_k, delta, A, phi, bc, t):
-    """Residual and Newton matrix of one backward-Euler step, as functions of
-    the flat state u: F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
-    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
-    matrix comes as the (2 band + 1, n) array `ab` in the LAPACK band layout
-    that `scipy.linalg.solve_banded` takes, ab[band + i - j, j] = J[i, j]
-    (band = 1 in 1D, one raster row in 2D)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+def _flux_operator(entries, grid, bc):
+    """L_A on the whole box from A's cell `entries`, as (L_A, band, slots):
+    band is the half-width of the Newton matrix (1 in 1D, one raster row in
+    2D, as cells are numbered row-major) and slots the flat place of each
+    stored entry of L_A in its LAPACK band layout, ab[band + i - j, j] = J[i, j]."""
     if bc not in ("noflux", "dirichlet0"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    grid = u_k.grid
-    entries = A.entries(t, grid)
     coef = [_face_coefficients(entries, grid, a) / h ** 2 for a, h in enumerate(grid.spacing)]
     edge = [2.0 * c if bc == "dirichlet0" else 0.0 for c in coef]
-    L, _ = face_laplacian(grid, np.ones(grid.shape, dtype=bool), coef, edge)
+    L, _ = face_laplacian(RasterDomain.full(grid), coef, edge)
+    n = L.shape[0]
+    band = int(np.prod(grid.shape[1:]))
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    slots = (band + rows - L.indices) * n + L.indices
+    return L, band, slots
+
+
+def _backward_euler(u_k, delta, flux_operator, phi):
+    """Residual and Newton matrix of one backward-Euler step with the
+    `_flux_operator` (L_A, band, slots), as functions of the flat state u:
+    F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
+    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
+    matrix comes as the (2 band + 1, n) array `ab` in the band layout that
+    `scipy.linalg.solve_banded` takes."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    L, band, slots = flux_operator
     u0 = u_k.values.reshape(-1)
     phi0 = float(phi.phi(np.zeros(1))[0])
     n = L.shape[0]
-    # cells are numbered row-major, so the farthest coupling is one raster row
-    band = int(np.prod(grid.shape[1:]))
-    rows = np.repeat(np.arange(n), np.diff(L.indptr))
     cols = L.indices
-    slots = (band + rows - cols) * n + cols  # flat place of each entry in band storage
 
     def residual(u):
         return u - u0 + delta * (L @ (phi.phi(u) - phi0))
@@ -269,12 +280,13 @@ def semi_implicit_step(u_k, delta, A, phi, bc="noflux", t=0.0):
     """One backward-Euler step; returns u_{k+1} with residual <= 1e-10 in the
     max norm relative to ||u_k||_inf + 1.  Newton records are dropped; use
     run_scheme to keep them."""
-    out, _ = _newton_step(u_k, delta, A, phi, bc, t)
+    grid = u_k.grid
+    out, _ = _newton_step(u_k, delta, _flux_operator(A.entries(t, grid), grid, bc), phi)
     return out
 
 
-def _newton_step(u_k, delta, A, phi, bc, t):
-    residual, newton_matrix = _backward_euler(u_k, delta, A, phi, bc, t)
+def _newton_step(u_k, delta, flux_operator, phi):
+    residual, newton_matrix = _backward_euler(u_k, delta, flux_operator, phi)
     u = u_k.values.reshape(-1).copy()
     scale = float(np.max(np.abs(u))) + 1.0
     history = []
@@ -311,14 +323,20 @@ def run_scheme(u0, n_steps, interval, A, phi, bc="noflux"):
     """Iterate the semi-implicit step over a uniform partition of `interval`.
 
     The returned series places state u_k on (t_k, t_{k+1}); the state at the
-    final time is exposed via `states[-1]`.
+    final time is exposed via `states[-1]`.  L_A is assembled at the first
+    step and again only where A's entries change.
     """
     a, b = interval
     delta = (b - a) / n_steps
+    grid = u0.grid
     states = [u0]
     iters, residuals = [], []
+    entries = operator = None
     for k in range(n_steps):
-        nxt, history = _newton_step(states[-1], delta, A, phi, bc, t=a + (k + 1) * delta)
+        step_entries = A.entries(a + (k + 1) * delta, grid)
+        if operator is None or not all(map(np.array_equal, step_entries, entries)):
+            entries, operator = step_entries, _flux_operator(step_entries, grid, bc)
+        nxt, history = _newton_step(states[-1], delta, operator, phi)
         states.append(nxt)
         iters.append(len(history))
         residuals.append(history[-1])

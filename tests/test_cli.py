@@ -119,6 +119,8 @@ def test_commutator_experiment(tmp_path):
     ("nsprobe", "disk_radius = 0"),
     ("nsprobe", "speed = nan"),
     ("nsprobe", "family = foo"),
+    ("nsprobe", "delta_list = 0.07"),    # 1/delta is not an integer
+    ("nsprobe", "delta_list = 0.001"),   # under-resolved kernel: delta < 2h
 ])
 def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")

@@ -14,7 +14,7 @@ from compactness_lab.divfree import (BoundaryData, _helmholtz_split,
                                      project_divfree0, read_sgrid_file,
                                      trace_norm_surrogate, write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, divergence, face_masks,
+                                  StaggeredVectorField, divergence,
                                   inner, neumann_laplacian, staggered_inner,
                                   staggered_l2)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
@@ -102,7 +102,7 @@ def test_neumann_harmonic_solves_discrete_problem(spec):
     # right-hand side: divergence of the boundary faces of u, the prescribed flux
     flux = StaggeredVectorField(GRID, tuple(
         np.where(boundary, c, 0.0)
-        for (_, boundary, _), c in zip(face_masks(dom.inside), u.components)))
+        for (_, boundary, _), c in zip(dom.face_masks, u.components)))
     b = divergence(flux).values[dom.inside]
     b = b - b.mean()
     L, _ = neumann_laplacian(dom)

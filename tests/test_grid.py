@@ -7,10 +7,12 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab.grid import (DirichletEigenbasis, Grid, RasterDomain,
                                   ScalarField, StaggeredVectorField,
-                                  dirichlet_laplacian, divergence, gradient,
-                                  h_m_norm_dual_weight, h_minus_m_norm, inner,
-                                  lp_norm, neumann_laplacian, read_grid_file,
-                                  staggered_inner, write_grid_file)
+                                  dirichlet_laplacian, divergence, face_masks,
+                                  gradient, h_m_norm_dual_weight,
+                                  h_minus_m_norm, inner, lp_norm,
+                                  neumann_laplacian, read_grid_file,
+                                  staggered_inner, staggered_l2,
+                                  write_grid_file)
 from compactness_lab.movedom import make_domain
 
 
@@ -115,6 +117,46 @@ def test_neumann_laplacian_is_minus_div_grad(data):
     rhs = divergence(gradient(v)).values[inside]
     scale = float(np.max(abs(L) @ np.abs(v.values[inside])))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+def _float_face_masks(inside):
+    # oracle: (interior, boundary) as floats from the cells on either side of
+    # each face, the grid edges padded as outside
+    out = []
+    for a in range(inside.ndim):
+        pad = np.pad(inside.astype(float), [(int(b == a),) * 2 for b in range(inside.ndim)])
+        low, high = np.delete(pad, -1, axis=a), np.delete(pad, 0, axis=a)
+        out.append((low * high, np.abs(low - high)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_face_masks_are_built_once_read_only_and_exact(data):
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    inside = data.draw(hnp.arrays(bool, shape))
+    g = Grid(shape, extent)
+    d = RasterDomain.from_membership(g, inside)
+    for owner, cells in ((d, inside), (g, np.ones(shape, dtype=bool))):
+        cached = owner.face_masks
+        assert owner.face_masks is cached
+        for got, fresh in zip(cached, face_masks(cells), strict=True):
+            for a, b in zip(got, fresh, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+    faces = [shape[:a] + (shape[a] + 1,) + shape[a + 1:] for a in range(dim)]
+    draw = [tuple(data.draw(hnp.arrays(float, fs, elements=st.floats(-1e3, 1e3))) for fs in faces)
+            for _ in range(2)]
+    vol = g.cell_volume
+    for mask, cells in ((d, inside), (None, np.ones(shape, dtype=bool))):
+        u, v = (StaggeredVectorField(g, comps, mask=mask) for comps in draw)
+        w = [interior * vol + boundary * (vol / 2) for interior, boundary in _float_face_masks(cells)]
+        l2 = float(np.sqrt(sum(np.sum(wa * c ** 2) for wa, c in zip(w, u.components))))
+        pair = float(sum(np.sum(wa * a * b) for wa, a, b in zip(w, u.components, v.components)))
+        assert staggered_l2(u) == l2
+        assert staggered_inner(u, v) == pair
 
 
 def test_gradient_never_crosses_mask():

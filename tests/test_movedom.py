@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField, gradient,
                                   lp_norm, neumann_laplacian,
                                   signed_distance_transform, staggered_l2)
-from compactness_lab.movedom import (BilipschitzInfo, NonCylindricalDomain,
-                                     bilipschitz,
+from compactness_lab.movedom import (BilipschitzInfo, FramingReport,
+                                     NonCylindricalDomain, bilipschitz,
                                      eps_exterior, eps_interior, framing_check,
                                      grad_sup_norm, jacobian_bounds,
                                      make_domain, make_family,
@@ -185,6 +185,51 @@ def test_framing_shared_nc_matches_explicit_transforms():
     cached = set(nc._rasters)
     peel_measure(nc, eps)
     assert set(nc._rasters) == cached
+
+
+def test_framing_erosions_come_from_the_memo():
+    # oracle: the translation family's framing recomputed from fresh erosions
+    # of fresh slices; eta is 1 up to round-off, so both erosions of a slice
+    # are one cached raster
+    g = Grid((64, 64), (1.0, 1.0))
+    disk = make_domain("disk:0.3", g)
+    fam = make_family("translation", (0.0, 1.0), velocity=(0.05, 0.0))
+    eps, band = 0.1, 1.5 * max(g.spacing)
+    nc = NonCylindricalDomain(fam, disk, 8)
+    info = bilipschitz(fam, disk)
+    assert info.eta != 1.0 and abs(info.eta - 1.0) < 1e-12
+    rep = framing_check(nc, eps, info=info)
+    fresh = NonCylindricalDomain(fam, disk, 8)
+    counts = []
+    for k in range(8):
+        slice_r, mid = fresh.slice_raster(k), fresh.transported(k, eps)
+        inner, outer = eps_interior(slice_r, eps / info.eta), eps_interior(slice_r, info.eta * eps)
+        assert nc.slice_eroded(k, eps / info.eta) is nc.slice_eroded(k, info.eta * eps)
+        assert np.array_equal(nc.slice_eroded(k, eps / info.eta).inside, inner.inside)
+        viol1, viol2 = inner.inside & ~mid.inside, mid.inside & ~outer.inside
+        counts.append([np.count_nonzero(viol1), np.count_nonzero(viol2),
+                       np.count_nonzero(viol1 & (mid.signed_distance < -band)),
+                       np.count_nonzero(viol2 & (outer.signed_distance < -band))])
+    assert rep == FramingReport(info.eta, eps, *(int(c) for c in np.sum(counts, axis=0)))
+
+
+def test_run_movedom_distance_transform_count(tmp_path, monkeypatch):
+    # the framing check's two erosions of a translated slice are one memo
+    # entry, so a default run makes 125 distance transforms
+    from compactness_lab import cli, grid, movedom
+    calls = []
+    real = grid.signed_distance_transform
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (grid, movedom):
+        monkeypatch.setattr(module, "signed_distance_transform", counted)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    assert cli.run("movedom", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert len(calls) == 125
 
 
 def test_peel_measure_zero_eps():

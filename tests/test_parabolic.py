@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compactness_lab import parabolic
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, h_minus_m_norm,
                                   lp_norm, staggered_l2)
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
-                                       _backward_euler,
+                                       _backward_euler, _flux_operator,
                                        StepTimeSeries, barenblatt_profile,
                                        constant_series, energy_report, mass,
                                        oscillating_series, run_scheme,
@@ -90,7 +91,8 @@ def test_newton_matrix_is_derivative_of_residual():
         u_k = ScalarField(g, rng.uniform(0.5, 1.5, size=g.shape))
         u = rng.uniform(-1.0, 1.0, size=g.n_cells)
         for bc in ("noflux", "dirichlet0"):
-            residual, newton_matrix = _backward_euler(u_k, 0.01, _variable_tensor(g.dim), phi, bc, 0.3)
+            operator = _flux_operator(_variable_tensor(g.dim).entries(0.3, g), g, bc)
+            residual, newton_matrix = _backward_euler(u_k, 0.01, operator, phi)
             ab = newton_matrix(u)
             band = len(ab) // 2
             i, j = np.indices((g.n_cells, g.n_cells))  # LAPACK: ab[band + i - j, j] = J[i, j]
@@ -156,6 +158,53 @@ def test_run_scheme_single_step_reduces_to_step():
     direct = semi_implicit_step(u0, 0.1, A, phi)
     assert np.array_equal(run.states[1].values, direct.values)
     assert run.series.n_steps == 1 and run.series.fields[0] is u0
+
+
+def _counted_assemblies(monkeypatch):
+    calls = []
+    real = parabolic.face_laplacian
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(parabolic, "face_laplacian", counted)
+    return calls
+
+
+def _porous_start(g):
+    x = g.cell_centers()[..., 0]
+    return ScalarField(g, 0.2 + np.exp(-20 * (x - 0.4) ** 2))
+
+
+@pytest.mark.parametrize("g", [Grid((64,), (1.0,)), Grid((6, 5), (1.0, 0.8))])
+def test_run_scheme_assembles_t_independent_tensor_once(monkeypatch, g):
+    calls = _counted_assemblies(monkeypatch)
+    run_scheme(_porous_start(g), 12, (0.1, 0.4), DiffusionTensor.identity(),
+               nonlinearity_preset("porous:2"))
+    assert len(calls) == 1
+
+
+def test_run_scheme_reassembles_t_dependent_tensor_every_step(monkeypatch):
+    calls = _counted_assemblies(monkeypatch)
+    g = Grid((6, 5), (1.0, 0.8))
+    run_scheme(_porous_start(g), 7, (0.1, 0.4), _variable_tensor(2), nonlinearity_preset("porous:2"))
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("bc", ["noflux", "dirichlet0"])
+@pytest.mark.parametrize("tensor", ["identity", "variable"])
+@pytest.mark.parametrize("g", [Grid((48,), (1.3,)), Grid((6, 5), (1.0, 0.8))])
+def test_run_scheme_states_equal_chained_steps(bc, tensor, g):
+    A = DiffusionTensor.identity(0.7) if tensor == "identity" else _variable_tensor(g.dim)
+    phi = nonlinearity_preset("porous:2")
+    a, b, n = 0.1, 0.4, 9
+    run = run_scheme(_porous_start(g), n, (a, b), A, phi, bc=bc)
+    delta = (b - a) / n
+    u = run.states[0]
+    for k in range(n):
+        u = semi_implicit_step(u, delta, A, phi, bc=bc, t=a + (k + 1) * delta)
+        assert np.array_equal(u.values, run.states[k + 1].values), (bc, k)
 
 
 def test_constant_data_constant_series():
