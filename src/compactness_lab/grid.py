@@ -7,11 +7,17 @@ quadrature with weight h^d per cell (and per face), so they are mutually
 consistent.
 
 Every face stencil goes through one slice helper (cells below / above each
-interior face, and the interior faces) and `face_masks`.  A raster's face
-masks are derived once: `RasterDomain.face_masks` (and `Grid.face_masks` for
-the whole box) caches them read-only on the frozen object that owns the
-cells, and every stencil, weight and trace reads them from there.  The one
-operator assembler, `face_laplacian`, builds -div(c grad .) on a raster's
+interior face, and the interior faces) and `face_masks`.  A raster's
+derived data is derived on first read, per side, and cached read-only on the
+frozen object that owns the cells: `RasterDomain.face_masks` (and
+`Grid.face_masks` for the whole box), which every stencil, weight and trace
+reads, and the inside and outside sides of the exact distance transform
+(`RasterDomain.edt_inside`, `edt_outside`), one EDT each, run by
+`signed_distance_transform`.  A membership raster assembles its signed
+distance from the two sides only where all of it is read.  Norms take the
+raster they measure over (`lp_norm`, `staggered_l2`), so a field is measured
+on another raster without a restricted copy.  The one operator assembler,
+`face_laplacian`, builds -div(c grad .) on a raster's
 inside cells from per-face coefficients plus a boundary-face closure: the
 Dirichlet and Neumann Laplacians are two calls to it, and the parabolic
 scheme's Newton matrix is built from the same operator.
@@ -100,40 +106,59 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class RasterDomain:
-    """Rasterized open set: boolean membership per cell plus signed distance (positive inside).
+    """Rasterized open set: boolean membership per cell, with a signed
+    distance (positive inside) derived on first read.
 
     `sdf` optionally keeps the analytic signed-distance callable the raster was
-    built from; geometric ops use it for sub-cell accuracy when present.
+    built from; its samples at the cell centres are the raster's signed
+    distance, and geometric ops use it for sub-cell accuracy.  Whatever built
+    the raster, `edt_inside` and `edt_outside` are the two sides of the exact
+    distance transform of `inside`, each computed on its first read.
     """
 
     grid: Grid
     inside: np.ndarray
-    signed_distance: np.ndarray
     sdf: object = field(default=None, repr=False)
 
     def __post_init__(self):
         inside = np.asarray(self.inside, dtype=bool).reshape(self.grid.shape)
         inside.setflags(write=False)
         object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "signed_distance", _readonly(np.reshape(self.signed_distance, self.grid.shape)))
-        if not np.array_equal(self.inside, self.signed_distance > 0):
-            raise ValueError("membership must coincide with {signed distance > 0}")
 
     @classmethod
     def from_membership(cls, grid, inside):
-        inside = np.asarray(inside, dtype=bool).reshape(grid.shape)
-        return cls(grid, inside, signed_distance_transform(grid, inside))
+        return cls(grid, inside)
 
     @classmethod
     def from_sdf(cls, grid, sdf):
-        pts = grid.cell_centers()
-        d = np.asarray(sdf(pts.reshape(-1, grid.dim))).reshape(grid.shape)
-        return cls(grid, d > 0, d, sdf=sdf)
+        return cls(grid, _sample(grid, sdf) > 0, sdf=sdf)
 
     @classmethod
     def full(cls, grid):
         """The whole box (signed distance to the box boundary)."""
         return cls.from_sdf(grid, lambda pts: _box_distance(grid, pts))
+
+    @functools.cached_property
+    def edt_inside(self):
+        """`signed_distance_transform(..., side="inside")` of the cells, once."""
+        return _readonly(signed_distance_transform(self.grid, self.inside, side="inside"))
+
+    @functools.cached_property
+    def edt_outside(self):
+        """`signed_distance_transform(..., side="outside")` of the cells, once."""
+        return _readonly(signed_distance_transform(self.grid, self.inside, side="outside"))
+
+    @functools.cached_property
+    def _sdf_samples(self):
+        return _readonly(_sample(self.grid, self.sdf))
+
+    @property
+    def signed_distance(self):
+        """Signed distance per cell: the `sdf` samples, or else the exact EDT
+        assembled from its two cached sides (the assembly itself is not kept)."""
+        if self.sdf is not None:
+            return self._sdf_samples
+        return _readonly(np.where(self.inside, self.edt_inside, self.edt_outside))
 
     @functools.cached_property
     def face_masks(self):
@@ -173,24 +198,48 @@ def _box_distance(grid, pts):
                               for a in range(grid.dim)])
 
 
-def signed_distance_transform(grid, inside):
+def _sample(grid, sdf):
+    """An analytic signed distance at the cell centres."""
+    pts = grid.cell_centers().reshape(-1, grid.dim)
+    return np.asarray(sdf(pts)).reshape(grid.shape)
+
+
+def signed_distance_transform(grid, inside, side=None):
     """Exact Euclidean distance transform, positive inside.
 
     EDT distances are center-to-center; half a cell is subtracted on both sides
     as the center-to-boundary estimate (inside cells stay >= h/2 > 0, outside
-    <= -h/2 < 0, so the sign still encodes membership).
+    <= -h/2 < 0, so the sign still encodes membership).  `side="inside"` runs
+    only the EDT of the inside cells: the result is the signed distance on
+    them and -h/2 on the others.  `side="outside"` runs only the EDT of the
+    complement: the signed distance on the outside cells and +h/2 on the
+    others.  Either side thresholds like the whole transform at any level on
+    its own side of 0; `side=None` returns the two sides assembled.
     """
     inside = np.asarray(inside, dtype=bool)
+    if side is None:
+        return np.where(inside, _edt_side(grid, inside, "inside"),
+                        _edt_side(grid, inside, "outside"))
+    return _edt_side(grid, inside, side)
+
+
+def _edt_side(grid, inside, side):
     h = grid.spacing
     half = 0.5 * min(h)
-    if inside.all():
-        # no complement cells: distance to the raster's edge is unbounded; use box distance
-        return _box_distance(grid, grid.cell_centers().reshape(-1, grid.dim)).reshape(grid.shape)
-    if not inside.any():
-        return np.full(grid.shape, -float(max(grid.extent)))
-    d_in = scipy.ndimage.distance_transform_edt(inside, sampling=h)
-    d_out = scipy.ndimage.distance_transform_edt(~inside, sampling=h)
-    return np.where(inside, d_in - half, -(d_out - half))
+    if side == "inside":
+        if inside.all():
+            # no complement cells: distance to the raster's edge is unbounded; use box distance
+            return _box_distance(grid, grid.cell_centers().reshape(-1, grid.dim)).reshape(grid.shape)
+        if not inside.any():
+            return np.full(grid.shape, -half)
+        return scipy.ndimage.distance_transform_edt(inside, sampling=h) - half
+    if side == "outside":
+        if not inside.any():
+            return np.full(grid.shape, -float(max(grid.extent)))
+        if inside.all():
+            return np.full(grid.shape, half)
+        return -(scipy.ndimage.distance_transform_edt(~inside, sampling=h) - half)
+    raise ValueError(f"side must be 'inside', 'outside' or None, got {side!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,9 +331,8 @@ class StaggeredVectorField:
 
     def restricted(self, domain):
         """Zero all faces not adjacent to an inside cell; attaches the raster."""
-        comps = [np.where(interior | boundary, c, 0.0)
-                 for (interior, boundary, _), c in zip(domain.face_masks, self.components)]
-        return StaggeredVectorField(self.grid, tuple(comps), mask=domain)
+        return StaggeredVectorField(self.grid, tuple(_restricted_components(self, domain)),
+                                    mask=domain)
 
     def __add__(self, other):
         return self.with_components([a + b for a, b in zip(self.components, other.components)])
@@ -298,17 +346,26 @@ class StaggeredVectorField:
     __rmul__ = __mul__
 
 
+def _restricted_components(u, domain):
+    """`u`'s components with every face not adjacent to an inside cell of
+    `domain` zeroed."""
+    return [np.where(interior | boundary, c, 0.0)
+            for (interior, boundary, _), c in zip(domain.face_masks, u.components)]
+
+
 # ---------------------------------------------------------------------------
 # norms and inner products
 
 
-def lp_norm(f, p):
-    """Midpoint-rule L^p norm over the field's masked cells; p = inf gives the max."""
+def lp_norm(f, p, domain=None):
+    """Midpoint-rule L^p norm over the inside cells of `domain` (default: the
+    field's mask, or the whole box without one); p = inf gives the max."""
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    domain = f.mask if domain is None else domain
     v = f.values
-    if f.mask is not None:
-        v = v[f.mask.inside]
+    if domain is not None:
+        v = v[domain.inside]
     if p == np.inf:
         return float(np.max(np.abs(v))) if v.size else 0.0
     vol = f.grid.cell_volume
@@ -362,10 +419,12 @@ def _face_weights(grid, mask):
             for interior, boundary, _ in (grid if mask is None else mask).face_masks]
 
 
-def staggered_l2(u):
-    """L^2 norm of a face field over its domain (boundary faces half-weighted,
-    so constants have their exact continuum norm)."""
-    w = _face_weights(u.grid, u.mask)
+def staggered_l2(u, domain=None):
+    """L^2 norm of a face field over `domain` (default: its mask, or the whole
+    box without one), boundary faces half-weighted so constants have their
+    exact continuum norm.  Faces of no inside cell weigh 0, so the norm equals
+    that of `u.restricted(domain)` bitwise."""
+    w = _face_weights(u.grid, u.mask if domain is None else domain)
     return float(np.sqrt(sum(np.sum(wa * c ** 2) for wa, c in zip(w, u.components))))
 
 

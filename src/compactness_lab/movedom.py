@@ -2,9 +2,11 @@
 and the uniform constants (Jacobian bounds, bilipschitz frame, Poincare and
 Sobolev transport) that the moving-domain compactness argument consumes.
 
-All set identities are raster statements: erosion/dilation threshold the exact
-Euclidean distance transform of the membership raster (the one a membership
-raster already holds) and are asserted up to a one-cell band.
+All set identities are raster statements: erosion thresholds the inside
+side of the membership's exact Euclidean distance transform and dilation its
+outside side, each computed on first read and kept by the raster
+(`RasterDomain.edt_inside` / `edt_outside`); they are asserted up to a
+one-cell band.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .grid import (RasterDomain, RasterFactor, gradient, lp_norm,
-                   neumann_laplacian, signed_distance_transform)
+                   neumann_laplacian)
 from .synth import random_smooth_field
 
 TIME_SAMPLES_PER_UNIT = 64
@@ -27,25 +29,24 @@ TIME_SAMPLES_PER_UNIT = 64
 # raster geometry
 
 
-def _eps_offset(d, eps, keep):
-    """Cells of d whose exact EDT passes `keep(sd, eps)`: a membership raster
-    (no `sdf`) holds that EDT already, an analytic one's is computed here."""
+def _eps_offset(d, eps, side, keep):
+    """Cells of d whose exact EDT passes `keep(sd, eps)`, read from the one
+    side of d's transform (`edt_inside` or `edt_outside`) that decides it."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return d
-    sd = d.signed_distance if d.sdf is None else signed_distance_transform(d.grid, d.inside)
-    return RasterDomain.from_membership(d.grid, keep(sd, eps))
+    return RasterDomain.from_membership(d.grid, keep(getattr(d, side), eps))
 
 
 def eps_interior(d, eps):
     """Cells of d at raster distance > eps from the complement (exact EDT)."""
-    return _eps_offset(d, eps, lambda sd, e: sd > e)
+    return _eps_offset(d, eps, "edt_inside", lambda sd, e: sd > e)
 
 
 def eps_exterior(d, eps):
     """d dilated by a (closed) ball of radius eps on the raster."""
-    return _eps_offset(d, eps, lambda sd, e: sd >= -e)
+    return _eps_offset(d, eps, "edt_outside", lambda sd, e: sd >= -e)
 
 
 def symmetric_difference_band(d1, d2, reference_sd, level, band_cells=2.0):
@@ -384,11 +385,11 @@ def framing_check(nc, eps, info=None, band_cells=1.5):
     (Omega^t)_{eta*eps} on every slice of `nc`; violations past a band of
     `band_cells` cells must be zero.
 
-    The transported and eroded slices are `from_membership` rasters, so their
-    signed distances are the exact distance transforms the band is measured
-    with; all of them stay cached in `nc`, the transported ones for
-    `peel_measure`.  The cache rounds eps, so where eta is 1 up to round-off
-    (the translation family) both erosions of a slice are one raster."""
+    Violations lie outside the raster they escape, so the band is measured
+    with that raster's `edt_outside` alone; all the rasters stay cached in
+    `nc`, the transported ones for `peel_measure`.  The cache rounds eps, so
+    where eta is 1 up to round-off (the translation family) both erosions of
+    a slice are one raster."""
     info = bilipschitz(nc.family, nc.reference) if info is None else info
     eta = info.eta
     band = band_cells * max(nc.grid.spacing)
@@ -400,8 +401,8 @@ def framing_check(nc, eps, info=None, band_cells=1.5):
         viol2 = mid.inside & ~outer.inside
         raw_in += int(np.count_nonzero(viol1))
         raw_out += int(np.count_nonzero(viol2))
-        band_in += int(np.count_nonzero(viol1 & (mid.signed_distance < -band)))
-        band_out += int(np.count_nonzero(viol2 & (outer.signed_distance < -band)))
+        band_in += int(np.count_nonzero(viol1 & (mid.edt_outside < -band)))
+        band_out += int(np.count_nonzero(viol2 & (outer.edt_outside < -band)))
     return FramingReport(eta, eps, raw_in, raw_out, band_in, band_out)
 
 

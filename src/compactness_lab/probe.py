@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divfree import per_slice_project, staggered_inner, staggered_l2
-from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
-                   signed_distance_transform)
+from .grid import (RasterDomain, ScalarField, _axis_slices, _restricted_components,
+                   inner, lp_norm, signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import (_pull_back, bilipschitz, sobolev_embedding_exponent,
                       transported_poincare)
@@ -39,17 +39,19 @@ def _floor(scale):
 
 
 def series_lp(s, p, domains=None):
-    """L^p(I x Omega) norm of a step series, optionally on per-slice rasters.
+    """L^p(I x Omega) norm of a step series, optionally on per-slice rasters
+    (slice k measured over domains[k], bitwise as on `s.restricted(domains)`).
     Face slices weight every face fully (unlike `staggered_l2`, which
     half-weights boundary faces)."""
-    if domains is not None:
-        s = s.restricted(domains)
+    if domains is None:
+        domains = [None] * s.n_steps
     total = 0.0
-    for f in s.fields:
+    for f, d in zip(s.fields, domains, strict=True):
         if isinstance(f, ScalarField):
-            total += lp_norm(f, p) ** p
+            total += lp_norm(f, p, d) ** p
         else:
-            total += sum(float(np.sum(np.abs(c) ** p)) for c in f.components) * f.grid.cell_volume
+            comps = f.components if d is None else _restricted_components(f, d)
+            total += sum(float(np.sum(np.abs(c) ** p)) for c in comps) * f.grid.cell_volume
     return float((total * s.delta) ** (1.0 / p))
 
 
@@ -197,7 +199,7 @@ def local_to_global(f_seq, nc, eps_list, p=2):
                 vals = np.abs(f.values[peels[k]])
                 direct_p += float(np.sum(vals ** p)) * vol
                 mu_peel = float(np.count_nonzero(peels[k])) * vol
-                f_star = lp_norm(f.restricted(slice_domains[k]), ps)
+                f_star = lp_norm(f, ps, slice_domains[k])
                 mech_p += (f_star ** p) * mu_peel ** (1.0 - p / ps)
             direct = (direct_p * s.delta) ** (1.0 / p)
             mech = (mech_p * s.delta) ** (1.0 / p)
@@ -298,7 +300,7 @@ def time_shift_safety(nc, delta, n_times=16, band_cells=1.5, xi_min=1e-4):
             m1 = _pull_back(family, d1, t)
             viol = _pull_back(family, d2, t + sigma) & ~m1
             if np.any(viol):
-                sd1 = signed_distance_transform(grid, m1)
+                sd1 = signed_distance_transform(grid, m1, side="outside")
                 if np.any(viol & (sd1 < -band)):
                     return False
         return True

@@ -87,6 +87,35 @@ def test_eps_offsets_of_membership_rasters_match_fresh_transforms(data):
         assert np.array_equal(got.signed_distance, want.signed_distance)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_distance_transform_sides_are_halves_of_the_whole(data):
+    # oracle: the two-sided transform on random, all-inside and all-outside
+    # 1D/2D masks with non-square cells
+    shape = tuple(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=2)))
+    g = Grid(shape, tuple(data.draw(st.floats(0.25, 4.0)) for _ in shape))
+    inside = data.draw(st.one_of(st.booleans().map(lambda b: np.full(shape, b)),
+                                 hnp.arrays(bool, shape)))
+    whole = signed_distance_transform(g, inside)
+    d = RasterDomain.from_membership(g, inside)
+    assert "edt_inside" not in vars(d) and "edt_outside" not in vars(d)
+    for side, cells in (("inside", inside), ("outside", ~inside)):
+        alone = signed_distance_transform(g, inside, side=side)
+        assert np.array_equal(alone[cells], whole[cells])
+        assert np.array_equal(alone > 0, inside)
+        assert np.array_equal(getattr(d, "edt_" + side), alone)
+    assert np.array_equal(d.signed_distance, whole)
+    # an eps-offset computes the one side it thresholds, on a membership or
+    # an analytic base
+    eps = data.draw(st.floats(0.01, 8.0)) * max(g.spacing)
+    for offset, read, unread in ((eps_interior, "edt_inside", "edt_outside"),
+                                 (eps_exterior, "edt_outside", "edt_inside")):
+        for base in (RasterDomain.from_membership(g, inside),
+                     make_domain(f"disk:{0.3 * min(g.extent)!r}", g)):
+            offset(base, eps)
+            assert read in vars(base) and unread not in vars(base)
+
+
 def test_duality_band_closing_contains():
     disk = make_domain("disk:0.35", GRID_256)
     closed = eps_interior(eps_exterior(disk, 0.07), 0.07)
@@ -213,23 +242,36 @@ def test_framing_erosions_come_from_the_memo():
     assert rep == FramingReport(info.eta, eps, *(int(c) for c in np.sum(counts, axis=0)))
 
 
-def test_run_movedom_distance_transform_count(tmp_path, monkeypatch):
-    # the framing check's two erosions of a translated slice are one memo
-    # entry, so a default run makes 125 distance transforms
-    from compactness_lab import cli, grid, movedom
-    calls = []
+def _transform_sides_of_run(experiment, tmp_path, monkeypatch):
+    """The `side` of every distance transform a default run makes."""
+    from compactness_lab import cli, grid, probe
+    sides = []
     real = grid.signed_distance_transform
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(g, inside, side=None):
+        sides.append(side)
+        return real(g, inside, side)
 
-    for module in (grid, movedom):
+    for module in (grid, probe):
         monkeypatch.setattr(module, "signed_distance_transform", counted)
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
-    assert cli.run("movedom", str(cfg), str(tmp_path / "out"), seed=0) == 0
-    assert len(calls) == 125
+    assert cli.run(experiment, str(cfg), str(tmp_path / "out"), seed=0) == 0
+    return sides
+
+
+def test_run_movedom_distance_transform_count(tmp_path, monkeypatch):
+    # every transform is one-sided: erosions read the inside side and the
+    # framing bands the outside side, each computed once per raster
+    sides = _transform_sides_of_run("movedom", tmp_path, monkeypatch)
+    assert set(sides) <= {"inside", "outside"}
+    assert len(sides) == 103
+
+
+def test_run_nsprobe_distance_transform_count(tmp_path, monkeypatch):
+    sides = _transform_sides_of_run("nsprobe", tmp_path, monkeypatch)
+    assert set(sides) <= {"inside", "outside"}
+    assert len(sides) == 50
 
 
 def test_peel_measure_zero_eps():

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab import parabolic
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, h_minus_m_norm,
-                                  lp_norm, staggered_l2)
+                                  StaggeredVectorField, gradient,
+                                  h_minus_m_norm, lp_norm, staggered_l2)
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        _backward_euler, _flux_operator,
                                        StepTimeSeries, barenblatt_profile,
@@ -274,6 +274,48 @@ def test_energy_report_porous():
     rep = energy_report(run.series, DiffusionTensor.identity(), phi)
     assert rep.ok
     assert rep.max_relative_violation <= 1e-8
+
+
+def _energy_rows_recomputed(s, A, phi):
+    # oracle: every transition reads A's entries, builds its face coefficients
+    # and integrates psi of both states afresh
+    g, vol, delta = s.grid, s.grid.cell_volume, s.delta
+    rows = []
+    for k in range(s.n_steps - 1):
+        u_next = s.fields[k + 1]
+        entries = A.entries(s.times()[k + 1], g)
+        grad = gradient(u_next.map(phi.phi))
+        diss = grad_sq = 0.0
+        for a in range(g.dim):
+            coef = parabolic._face_coefficients(entries, g, a)
+            diss += float(np.sum(coef * grad.components[a] ** 2) * vol)
+            grad_sq += float(np.sum(grad.components[a] ** 2) * vol)
+        rhs = float(np.sum(phi.psi(s.fields[k].values)) * vol)
+        lhs = float(np.sum(phi.psi(u_next.values)) * vol) + delta * diss
+        coercive = float(np.sum(phi.psi(u_next.values)) * vol) + delta * 0.5 * A.coercivity * grad_sq
+        rows.append((k, lhs, rhs, delta * diss, coercive))
+    return rows
+
+
+@pytest.mark.parametrize("tensor", ["identity", "variable"])
+@pytest.mark.parametrize("g", [Grid((48,), (1.3,)), Grid((6, 5), (1.0, 0.8))])
+def test_energy_report_rows_equal_per_step_recompute(monkeypatch, tensor, g):
+    A = DiffusionTensor.identity(0.7) if tensor == "identity" else _variable_tensor(g.dim)
+    phi = nonlinearity_preset("porous:2")
+    n = 9
+    series = run_scheme(_porous_start(g), n, (0.1, 0.4), A, phi).series
+    want = _energy_rows_recomputed(series, A, phi)
+    calls = []
+    real = parabolic._face_coefficients
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(parabolic, "_face_coefficients", counted)
+    assert energy_report(series, A, phi).rows == want
+    # per axis: once for a t-independent tensor, at every transition otherwise
+    assert len(calls) == g.dim * (1 if tensor == "identity" else n - 1)
 
 
 def test_time_derivative_tv_cases():

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from compactness_lab.grid import Grid, RasterDomain, ScalarField, h_minus_m_norm
+from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
+                                  StaggeredVectorField, h_minus_m_norm)
 from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        constant_series, oscillating_series,
-                                       run_scheme)
+                                       run_scheme, series_l2)
 from compactness_lab.probe import (dual_time_estimate, interpolation_check,
                                    kruzhkov_probe, local_to_global,
-                                   make_battery, ns_probe, step3_dual_constant,
-                                   limsup_probe, time_shift_safety)
+                                   make_battery, ns_probe, series_lp,
+                                   step3_dual_constant, limsup_probe,
+                                   time_shift_safety)
 from compactness_lab.productlimit import smoothstep
 from compactness_lab.synth import (boundary_bump_family, disk_bump_velocity,
                                    generator, oscillating_ns_family,
@@ -282,3 +287,36 @@ def test_step3_constant_matched_battery_scaling():
         if c_prev is not None:
             assert c / c_prev >= 1.8
         c_prev = c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_norms_on_slice_rasters_equal_restricted_copies(data):
+    # the slice rasters differ from the fields' own masks; measuring over them
+    # directly must add the same values as the restricted copy does
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 24)) for _ in range(dim))
+    g = Grid(shape, tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim)))
+    n = data.draw(st.integers(1, 5))
+    # values spread over six decades, so that a sum regrouped differently
+    # (over fewer terms, say) would round differently
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def raster():
+        return RasterDomain.from_membership(g, data.draw(hnp.arrays(bool, shape)))
+
+    def values(array_shape):
+        return rng.standard_normal(array_shape) * 10.0 ** rng.uniform(-3, 3, array_shape)
+
+    if data.draw(st.booleans()):
+        fields = [ScalarField(g, values(shape), mask=raster()) for _ in range(n)]
+    else:
+        faces = [shape[:a] + (shape[a] + 1,) + shape[a + 1:] for a in range(dim)]
+        fields = [StaggeredVectorField(g, tuple(values(fs) for fs in faces), mask=raster())
+                  for _ in range(n)]
+    s = StepTimeSeries((0.0, data.draw(st.floats(0.5, 4.0))), fields)
+    domains = [raster() for _ in range(n)]
+    copy = s.restricted(domains)
+    assert series_l2(s, domains) == series_l2(copy)
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]))
+    assert series_lp(s, p, domains) == series_lp(copy, p)
