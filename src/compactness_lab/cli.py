@@ -13,7 +13,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -187,8 +187,16 @@ def _reference_disk(cfg, grid, center=None, moved_by=()):
     return disk
 
 
+def _csv_text(columns, rows):
+    """The text of report.csv: the column names, then one line per row, each
+    float cell as its `repr` and every other cell (text, ints) as its `str`."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows])
+
+
 # ---------------------------------------------------------------------------
-# experiments; each returns (csv_rows: list[str], failures: list[str])
+# experiments; each returns (csv columns, csv rows, failures: list[str])
 
 
 def _exp_porous(cfg, seed, out_dir):
@@ -227,7 +235,7 @@ def _exp_porous(cfg, seed, out_dir):
     monitor = hypothesis_monitor(series_list, phi, cfg["hminus_m"], domain)
     if not monitor.verdict:
         failures.extend(monitor.failures)
-    return monitor.csv_lines(), failures
+    return monitor.columns, monitor.rows, failures
 
 
 def _exp_commutator(cfg, seed, out_dir):
@@ -258,9 +266,7 @@ def _exp_commutator(cfg, seed, out_dir):
     factor = cfg["decay_factor"]
     if vals[-1] > vals[0] / factor:
         failures.append(f"commutator L1 at k={ks[-1]} above value(k={ks[0]})/{factor:g}")
-    rows = ["k,sup_l1"]
-    rows += [f"{k},{sup_l1[k]!r}" for k in ks]
-    return rows, failures
+    return ("k", "sup_l1"), [(k, sup_l1[k]) for k in ks], failures
 
 
 def _exp_productlimit(cfg, seed, out_dir):
@@ -290,7 +296,7 @@ def _exp_productlimit(cfg, seed, out_dir):
     totals = [abs(t) for t in report.column("total", k=k_big)]
     if totals[-1] > 0.6 * totals[0] + 1e-9:
         failures.append("pipeline total pairing does not settle in n")
-    return report.csv_lines(), failures
+    return report.columns, [astuple(r) for r in report.rows], failures
 
 
 def _exp_movedom(cfg, seed, out_dir):
@@ -298,11 +304,11 @@ def _exp_movedom(cfg, seed, out_dir):
     grid = Grid((n, n), (1.0, 1.0))
     disk = _reference_disk(cfg, grid)
     square = make_domain("square:1.0", grid)
-    rows = ["check,name,value,bound,ok"]
+    rows = []
     failures = []
 
     def record(check, name, value, bound, ok):
-        rows.append(f"{check},{name},{value!r},{bound!r},{int(ok)}")
+        rows.append((check, name, value, bound, int(ok)))
         if not ok:
             failures.append(f"{check}:{name}")
 
@@ -335,7 +341,7 @@ def _exp_movedom(cfg, seed, out_dir):
     direct = eps_interior(disk, eps)
     off_band = symmetric_difference_band(e2, direct, disk.signed_distance, eps)
     record("semigroup", "disk", off_band, 0, off_band == 0)
-    return rows, failures
+    return ("check", "name", "value", "bound", "ok"), rows, failures
 
 
 def _exp_divfree(cfg, seed, out_dir):
@@ -343,7 +349,7 @@ def _exp_divfree(cfg, seed, out_dir):
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
     rng = generator(seed)
-    rows = ["field,l2,seminorm,surrogate,div_residual,trace_residual,pythagoras,slack"]
+    rows = []
     failures = []
     fields = [random_stream_velocity(grid, rng) for _ in range(n_fields)]
     projected = []
@@ -361,8 +367,7 @@ def _exp_divfree(cfg, seed, out_dir):
         scale = rep.l2 + 1e-300
         ok = (div_res <= tol * scale / min(grid.spacing) and tr_res <= tol * scale
               and pyth <= tol and rep.ok)
-        rows.append(f"{i},{rep.l2!r},{rep.seminorm!r},{rep.surrogate!r},"
-                    f"{div_res!r},{tr_res!r},{pyth!r},{rep.slack!r}")
+        rows.append((i, rep.l2, rep.seminorm, rep.surrogate, div_res, tr_res, pyth, rep.slack))
         if not ok:
             failures.append(f"projection residuals out of tolerance at field {i}")
     for j in range(min(cfg["pair_checks"], n_fields - 1)):
@@ -376,8 +381,10 @@ def _exp_divfree(cfg, seed, out_dir):
     witness = staggered_l2(project_divfree0(one, domain, factor))
     if witness > 1e-8:
         failures.append(f"seminorm witness ||P(1,0)|| = {witness:.3e} above 1e-8")
-    rows.append(f"witness,{staggered_l2(one)!r},{witness!r},,,,,")
-    return rows, failures
+    rows.append(("witness", staggered_l2(one), witness, "", "", "", "", ""))
+    columns = ("field", "l2", "seminorm", "surrogate", "div_residual", "trace_residual",
+               "pythagoras", "slack")
+    return columns, rows, failures
 
 
 def _exp_nsprobe(cfg, seed, out_dir):
@@ -413,7 +420,7 @@ def _exp_nsprobe(cfg, seed, out_dir):
     failures = list(report.failures)
     if report.budget_defect > 1e-10:
         failures.append(f"budget additivity defect {report.budget_defect:.3e}")
-    return report.csv_lines(), failures
+    return report.columns, [astuple(r) for r in report.rows], failures
 
 
 def _exp_kruzhkov(cfg, seed, out_dir):
@@ -439,7 +446,7 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     failures = list(report.failures)
     if report.max_budget_defect > cfg["budget_tol"]:
         failures.append(f"three-term budget defect {report.max_budget_defect:.3e}")
-    return report.csv_lines(), failures
+    return report.columns, report.rows, failures
 
 
 EXPERIMENTS = {
@@ -468,12 +475,12 @@ def run(experiment, config_path, out_dir, seed=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         t_start = time.perf_counter()
-        rows, failures = EXPERIMENTS[experiment](cfg, seed, out)
+        columns, rows, failures = EXPERIMENTS[experiment](cfg, seed, out)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2
     wall = time.perf_counter() - t_start
-    (out / "report.csv").write_text("\n".join(rows) + "\n")
+    (out / "report.csv").write_text(_csv_text(columns, rows))
     manifest = [
         f"experiment = {experiment}",
         f"seed = {seed}",
@@ -491,13 +498,12 @@ def run(experiment, config_path, out_dir, seed=None):
     return 0 if not failures else 1
 
 
-def list_experiments(file=None):
-    file = file or sys.stdout
-    print("experiments and config keys (default; rule):", file=file)
+def list_experiments():
+    print("experiments and config keys (default; rule):")
     for name, table in KEYS.items():
-        print(f"  {name}", file=file)
+        print(f"  {name}")
         for k, (default, rule) in table.items():
-            print(f"    {k} = {default}  ({rule.text})", file=file)
+            print(f"    {k} = {default}  ({rule.text})")
 
 
 def main(argv=None):

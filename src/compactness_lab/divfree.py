@@ -46,10 +46,11 @@ class BoundaryData:
         return float(sum(np.sum(np.abs(self.values[a])) * face_measure(g, a)
                          for a in range(g.dim)))
 
-    def check_compatibility(self, tol=1e-10):
+    def check_compatibility(self):
+        """Raise unless the net flux is at most 1e-10 of the absolute flux."""
         scale = self.abs_flux() + 1e-300
         defect = abs(self.total_flux()) / scale
-        if defect > tol:
+        if defect > 1e-10:
             raise ValueError(f"incompatible Neumann data: relative net flux {defect:.3e}")
         return defect
 

@@ -259,10 +259,10 @@ class ScalarField:
         object.__setattr__(self, "values", _readonly(v))
 
     @classmethod
-    def from_function(cls, grid, fn, mask=None):
+    def from_function(cls, grid, fn):
         pts = grid.cell_centers().reshape(-1, grid.dim)
         vals = np.asarray(fn(pts), dtype=float).reshape(grid.shape)
-        return cls(grid, vals, mask=mask)
+        return cls(grid, vals)
 
     @classmethod
     def constant(cls, grid, c, mask=None):

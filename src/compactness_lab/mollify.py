@@ -35,10 +35,6 @@ class Mollifier:
     grid: object
     weights: np.ndarray  # footprint box, zero outside the support ball
 
-    @property
-    def radius(self):
-        return 1.0 / self.k
-
     def discrete_integral(self):
         return float(np.sum(self.weights) * self.grid.cell_volume)
 

@@ -49,11 +49,11 @@ def eps_exterior(d, eps):
     return _eps_offset(d, eps, "edt_outside", lambda sd, e: sd >= -e)
 
 
-def symmetric_difference_band(d1, d2, reference_sd, level, band_cells=2.0):
-    """Count symmetric-difference cells lying deeper than `band_cells` cells
-    away from the {reference_sd = level} contour."""
+def symmetric_difference_band(d1, d2, reference_sd, level):
+    """Count symmetric-difference cells lying deeper than two cells away from
+    the {reference_sd = level} contour."""
     sym = d1.inside ^ d2.inside
-    band = band_cells * max(d1.grid.spacing)
+    band = 2.0 * max(d1.grid.spacing)
     return int(np.count_nonzero(sym & (np.abs(reference_sd - level) > band)))
 
 
@@ -115,26 +115,25 @@ class DiffeoFamily:
     grad: object
     inverse: object
 
-    def times(self, per_unit=TIME_SAMPLES_PER_UNIT):
+    def times(self):
         a, b = self.interval
-        n = max(2, int(np.ceil((b - a) * per_unit)) + 1)
+        n = max(2, int(np.ceil((b - a) * TIME_SAMPLES_PER_UNIT)) + 1)
         return np.linspace(a, b, n)
 
-    def check_inverse(self, pts, times=None, tol=1e-9):
-        times = self.times() if times is None else times
+    def check_inverse(self, pts):
         worst = 0.0
-        for t in times:
+        for t in self.times():
             back = self.forward(t, self.inverse(t, pts))
             worst = max(worst, float(np.max(np.linalg.norm(back - pts, axis=1))))
-        if worst > tol:
-            raise ValueError(f"inverse inconsistency {worst:.3e} exceeds {tol:g}")
+        if worst > 1e-9:
+            raise ValueError(f"inverse inconsistency {worst:.3e} exceeds 1e-09")
         return worst
 
-    def grad_continuity_modulus(self, pts, n_times=32):
-        """Sampled sup |grad(t+dt) - grad(t)| at two time resolutions; both
+    def grad_continuity_modulus(self, pts):
+        """Sampled sup |grad(t+dt) - grad(t)| at 32 and 64 time steps; both
         shrink for a family continuous in time."""
         out = []
-        for n in (n_times, 2 * n_times):
+        for n in (32, 64):
             tt = np.linspace(self.interval[0], self.interval[1], n + 1)
             worst = 0.0
             prev = self.grad(tt[0], pts)
@@ -222,8 +221,8 @@ def make_family(name, interval, **params):
 class JacobianBounds:
     alpha: float
     beta: float
-    raw_min: float = None
-    raw_max: float = None
+    raw_min: float
+    raw_max: float
 
     def __post_init__(self):
         if not (0 < self.alpha <= self.beta):
@@ -234,13 +233,13 @@ SAFETY_SHRINK = 0.99
 SAFETY_INFLATE = 1.01
 
 
-def jacobian_bounds(family, domain, time_samples=None, max_points=2048):
-    """Min/max of |det grad A_t| over a (t, x) sample lattice, with the declared
-    0.99/1.01 safety factors."""
-    pts = _sample_points(domain, max_points)
-    times = family.times() if time_samples is None else time_samples
+def jacobian_bounds(family, domain):
+    """Min/max of |det grad A_t| over `family.times()` and at most 2048 cells
+    of `domain`: the raw extremes, and alpha/beta with the declared 0.99/1.01
+    safety factors."""
+    pts = _sample_points(domain, 2048)
     lo, hi = np.inf, -np.inf
-    for t in times:
+    for t in family.times():
         G = family.grad(t, pts)
         det = np.abs(np.linalg.det(G))
         lo = min(lo, float(det.min()))
@@ -255,17 +254,16 @@ class BilipschitzInfo:
     eta: float
 
 
-def bilipschitz(family, domain, n_pairs=400, seed=7, time_samples=None):
-    """Two-sided Lipschitz constant from sampled pairwise ratios; eta = 1/K."""
-    rng = np.random.default_rng(np.random.Philox(seed))
+def bilipschitz(family, domain):
+    """Two-sided Lipschitz constant from 400 seeded pairwise ratios; eta = 1/K."""
+    rng = np.random.default_rng(np.random.Philox(7))
     pts = _sample_points(domain, 4096)
-    idx = rng.integers(0, len(pts), size=(n_pairs, 2))
+    idx = rng.integers(0, len(pts), size=(400, 2))
     keep = idx[:, 0] != idx[:, 1]
     p, q = pts[idx[keep, 0]], pts[idx[keep, 1]]
     base = np.linalg.norm(p - q, axis=1)
-    times = family.times() if time_samples is None else time_samples
     hi, lo = 1.0, 1.0
-    for t in times:
+    for t in family.times():
         ratio = np.linalg.norm(family.forward(t, p) - family.forward(t, q), axis=1) / base
         hi = max(hi, float(ratio.max()))
         lo = min(lo, float(ratio.min()))
@@ -273,12 +271,11 @@ def bilipschitz(family, domain, n_pairs=400, seed=7, time_samples=None):
     return BilipschitzInfo(K=K, eta=1.0 / K)
 
 
-def grad_sup_norm(family, domain, time_samples=None, max_points=2048):
+def grad_sup_norm(family, domain):
     """Sampled sup over (t,x) of the spectral norm of grad A_t."""
-    pts = _sample_points(domain, max_points)
-    times = family.times() if time_samples is None else time_samples
+    pts = _sample_points(domain, 2048)
     worst = 0.0
-    for t in times:
+    for t in family.times():
         G = family.grad(t, pts)
         s = np.linalg.svd(G, compute_uv=False)
         worst = max(worst, float(s.max()))
@@ -410,11 +407,10 @@ def framing_check(nc, eps, info=None, band_cells=1.5):
 class PeelReport:
     measured_sup: float
     bound: float
-    tolerance: float = 0.02
 
     @property
     def ok(self):
-        return self.measured_sup <= self.bound * (1.0 + self.tolerance)
+        return self.measured_sup <= self.bound * 1.02
 
 
 def peel_measure(nc, eps, jb=None):
@@ -435,7 +431,7 @@ def peel_measure(nc, eps, jb=None):
 # Poincare constants
 
 
-def poincare_constant(domain, zero_rel_tol=1e-8):
+def poincare_constant(domain):
     """1/sqrt(lambda_1) with lambda_1 the smallest nonzero Neumann eigenvalue on
     the raster.
 
@@ -449,7 +445,7 @@ def poincare_constant(domain, zero_rel_tol=1e-8):
     L, _ = neumann_laplacian(domain)
     n = L.shape[0]
     scale = float(L.diagonal().max())
-    zero_tol = zero_rel_tol * scale
+    zero_tol = 1e-8 * scale
     k = 4
     if n <= k:
         lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
@@ -486,10 +482,8 @@ def transported_poincare(family, domain, gamma, eps_list=None, jb=None):
         eps_list = (0.0, gamma / 4, gamma / 2)
     sweep = uniform_poincare_sweep(domain, eps_list)
     jb = jacobian_bounds(family, domain) if jb is None else jb
-    alpha = jb.raw_min if jb.raw_min is not None else jb.alpha
-    beta = jb.raw_max if jb.raw_max is not None else jb.beta
     sup_grad = grad_sup_norm(family, domain)
-    return float(np.sqrt(beta / alpha) * max(sweep) * sup_grad)
+    return float(np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * sup_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +497,16 @@ def sobolev_embedding_exponent(p, dim):
     return p + 1.0
 
 
-def measure_sobolev_constant(domain, p, n_fields=40, seed=11, modes=4):
+def measure_sobolev_constant(domain, p, n_fields=40):
     """Rayleigh-quotient estimate of the reference Sobolev constant
     sup ||v||_{p*} / ||v||_{W^{1,p}} over a seeded random smooth family."""
-    rng = np.random.default_rng(np.random.Philox(seed))
+    rng = np.random.default_rng(np.random.Philox(11))
     g = domain.grid
     ps = sobolev_embedding_exponent(p, g.dim)
     best = 0.0
     vol = g.cell_volume
     for _ in range(n_fields):
-        f = random_smooth_field(g, rng, modes, mask=domain)
+        f = random_smooth_field(g, rng, mask=domain)
         grad = gradient(f)
         gp = sum(np.sum(np.abs(c) ** p) for c in grad.components) * vol
         w1p = (lp_norm(f, p) ** p + gp) ** (1.0 / p)
@@ -527,7 +521,5 @@ def sobolev_transport_constant(p, family, domain, s_ref=None, jb=None):
     jb = jacobian_bounds(family, domain) if jb is None else jb
     if s_ref is None:
         s_ref = measure_sobolev_constant(domain, p)
-    alpha = jb.raw_min if jb.raw_min is not None else jb.alpha
-    beta = jb.raw_max if jb.raw_max is not None else jb.beta
     ps = sobolev_embedding_exponent(p, domain.grid.dim)
-    return float(s_ref * beta ** (1.0 / ps) * alpha ** (-1.0 / p))
+    return float(s_ref * jb.raw_max ** (1.0 / ps) * jb.raw_min ** (-1.0 / p))

@@ -428,9 +428,7 @@ class MonitorReport:
     verdict: bool
     failures: list
 
-    def csv_lines(self):
-        return ["N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev"] + [
-            ",".join([str(row[0])] + [repr(float(x)) for x in row[1:]]) for row in self.rows]
+    columns = ("N", "l2_norm", "grad_phi_l2", "tv_hminus_m", "cauchy_to_prev")
 
     @property
     def verdict_text(self):
@@ -438,10 +436,10 @@ class MonitorReport:
                 else "inconsistent: " + "; ".join(self.failures))
 
 
-def hypothesis_monitor(series_list, phi, m, domain, bound_factor=2.0):
+def hypothesis_monitor(series_list, phi, m, domain):
     """Tabulate the three hypothesis norms and the cross-refinement Cauchy
-    column; positive verdict iff the norms are uniformly bounded (max/min <=
-    bound_factor) and the Cauchy column strictly decreases."""
+    column; positive verdict iff the norms are uniformly bounded (max/min <= 2)
+    and the Cauchy column strictly decreases."""
     rows = []
     prev = None
     for s in series_list:
@@ -457,7 +455,7 @@ def hypothesis_monitor(series_list, phi, m, domain, bound_factor=2.0):
         vals = np.array([r[col] for r in rows])
         floor = 1e-12 * (np.max(vals) + 1.0)
         lo = max(np.min(vals), floor)
-        if np.max(vals) > bound_factor * lo and np.max(vals) > floor:
+        if np.max(vals) > 2.0 * lo and np.max(vals) > floor:
             failures.append(f"{name} unbounded (x{np.max(vals) / lo:.2f} across refinements)")
     cauchy = [r[4] for r in rows[1:]]
     if any(b >= a for a, b in zip(cauchy[:-1], cauchy[1:])):

@@ -10,7 +10,7 @@ families).  Budget decompositions are algebraic identities and are asserted to
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .divfree import per_slice_project, staggered_inner, staggered_l2
 from .grid import (RasterDomain, ScalarField, _axis_slices, _restricted_components,
                    inner, lp_norm, signed_distance_transform)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
-from .movedom import (_pull_back, bilipschitz, sobolev_embedding_exponent,
-                      transported_poincare)
+from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
 from .parabolic import limit_series, series_l2, time_derivative_tv
 from .productlimit import product_pipeline
 from .synth import bump, generator, random_stream_velocity
@@ -97,10 +96,7 @@ class KruzhkovReport:
     verdict: bool
     failures: list
 
-    def csv_lines(self):
-        return ["n,q,ell,term1,term2,term3,total"] + [
-            f"{n},{q},{ell},{t1!r},{t2!r},{t3!r},{tot!r}"
-            for n, q, ell, t1, t2, t3, tot in self.rows]
+    columns = ("n", "q", "ell", "term1", "term2", "term3", "total")
 
 
 def check_ell_list(nc, m_interior, ell_list):
@@ -273,8 +269,7 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
         if tail > bound:
             failures.append(f"lim-sup chain violated at eps={eps:g}: "
                             f"{tail:.6g} > {bound:.6g}")
-    seen = set()
-    failures = [f for f in failures if not (f in seen or seen.add(f))]
+    failures = list(dict.fromkeys(failures))
     return LimsupReport(eps_rows, tv, worst_defect, verdict=not failures, failures=failures)
 
 
@@ -282,15 +277,15 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
 # time-shift safety radius
 
 
-def time_shift_safety(nc, delta, n_times=16, band_cells=1.5, xi_min=1e-4):
-    """Largest xi on a dyadic search with A_{t+sigma}(Omega_{2 delta}) inside
-    A_t(Omega_delta) for all sampled t and sigma in {xi/4, xi/2, xi}
-    (rasterized, one-cell band); the erosions come from `nc`'s memo."""
+def time_shift_safety(nc, delta, n_times=16):
+    """Largest xi > 1e-4 on a dyadic search with A_{t+sigma}(Omega_{2 delta})
+    inside A_t(Omega_delta) for all sampled t and sigma in {xi/4, xi/2, xi}
+    (rasterized, 1.5-cell band), else 0; the erosions come from `nc`'s memo."""
     family, grid = nc.family, nc.grid
     a, b = family.interval
     d1 = nc.eroded_reference(delta)
     d2 = nc.eroded_reference(2.0 * delta)
-    band = band_cells * max(grid.spacing)
+    band = 1.5 * max(grid.spacing)
 
     # one level down, the dyadic search asks again about xi/2 and xi/4
     @functools.cache
@@ -306,7 +301,7 @@ def time_shift_safety(nc, delta, n_times=16, band_cells=1.5, xi_min=1e-4):
         return True
 
     xi = b - a
-    while xi > xi_min:
+    while xi > 1e-4:
         if all(inclusion_holds(s) for s in (xi / 4, xi / 2, xi)):
             return xi
         xi /= 2.0
@@ -325,13 +320,11 @@ class BatteryMember:
     space: object              # ScalarField or StaggeredVectorField
 
 
-def make_battery(grid, interval, n_steps, seed=0, n_space=3,
-                 bump_widths=(0.5, 0.25, 0.125), positions=5,
-                 alternating_periods=(2, 4, 8, 16, 32), kind="vector",
-                 domain=None):
+def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
     """Seeded space-time battery: tensor products of time profiles (smooth bumps
-    at several scales/positions plus sign-alternating profiles at dyadic
-    periods) with curls of random streams (or scalar bumps).
+    of widths 1/2, 1/4 and 1/8 of the interval at five positions, plus
+    sign-alternating profiles at periods 2 to 32 slices) with three curls of
+    random streams (or three scalar bumps).
 
     The alternating profiles let the battery witness the dual-constant growth
     of time-oscillating families; smooth bumps alone cannot (a single captured
@@ -343,7 +336,7 @@ def make_battery(grid, interval, n_steps, seed=0, n_space=3,
     mids = a + (np.arange(n_steps) + 0.5) * delta
     rng = generator(seed)
     spaces = []
-    for _ in range(n_space):
+    for _ in range(3):
         if kind == "vector":
             spaces.append(random_stream_velocity(grid, rng))
         else:
@@ -351,19 +344,19 @@ def make_battery(grid, interval, n_steps, seed=0, n_space=3,
             c = np.array([rng.uniform(0.3, 0.7) * L for L in grid.extent])
             w = 0.2 * min(grid.extent)
             vals = bump(np.linalg.norm(pts - c, axis=1) / w).reshape(grid.shape)
-            spaces.append(ScalarField(grid, vals, mask=domain))
+            spaces.append(ScalarField(grid, vals))
     members = []
     for si, space in enumerate(spaces):
-        for w_frac in bump_widths:
+        for w_frac in (0.5, 0.25, 0.125):
             w = w_frac * (b - a)
-            for pos in range(positions):
-                c = a + (pos + 0.5) * (b - a) / positions
+            for pos in range(5):
+                c = a + (pos + 0.5) * (b - a) / 5
                 tv = bump(2.0 * (jumps - c) / w)
                 tl2 = float(np.sqrt(np.sum(bump(2.0 * (mids - c) / w) ** 2) * delta))
                 if tl2 > 0 and np.any(tv != 0):
                     members.append(BatteryMember(
                         f"bump[s{si},w{w_frac:g},p{pos}]", tv, tl2, space))
-        for period in alternating_periods:
+        for period in (2, 4, 8, 16, 32):
             if period >= 2 * n_steps:
                 continue
             half = max(1, period // 2)
@@ -409,43 +402,37 @@ def _jump_pairings(series, space):
                        for k in range(1, series.n_steps)])
 
 
-def dual_time_estimate(series, battery, n_order=1):
-    """max over the battery of |<d_t u, psi>| / sum_{|alpha|<=N} ||d^alpha psi||;
-    the time pairing is exact summation by parts for step series."""
+def _best_dual_ratio(series, battery, space_norm):
+    """max over the battery of |<d_t u, psi>| / (time L^2 of psi x
+    space_norm(spatial factor of psi)), with the member's label; each spatial
+    factor is paired and normed once.  The time pairing is exact summation by
+    parts for step series."""
     best, best_label = 0.0, None
-    denom_cache = {}
+    norm_cache = {}
     pair_cache = {}
     for memb in battery:
         key = id(memb.space)
-        if key not in denom_cache:
-            denom_cache[key] = _spatial_derivative_norms(memb.space, n_order)
+        if key not in norm_cache:
+            norm_cache[key] = space_norm(memb.space)
             pair_cache[key] = _jump_pairings(series, memb.space)
         num = abs(float(np.dot(memb.time_values, pair_cache[key])))
-        denom = memb.time_l2 * denom_cache[key]
+        denom = memb.time_l2 * norm_cache[key]
         if denom > 0 and num / denom > best:
             best, best_label = num / denom, memb.label
     return best, best_label
+
+
+def dual_time_estimate(series, battery, n_order=1):
+    """max over the battery of |<d_t u, psi>| / sum_{|alpha|<=N} ||d^alpha psi||."""
+    return _best_dual_ratio(series, battery,
+                            functools.partial(_spatial_derivative_norms, n_order=n_order))
 
 
 def step3_dual_constant(series, battery):
     """max over the battery of |<d_t v, psi>| / ||psi||_2 for the mollified
     family (the measured C_delta of the proof's third step)."""
-    best, best_label = 0.0, None
-    space_cache = {}
-    pair_cache = {}
-    for memb in battery:
-        key = id(memb.space)
-        if key not in space_cache:
-            if isinstance(memb.space, ScalarField):
-                space_cache[key] = lp_norm(memb.space, 2)
-            else:
-                space_cache[key] = staggered_l2(memb.space)
-            pair_cache[key] = _jump_pairings(series, memb.space)
-        num = abs(float(np.dot(memb.time_values, pair_cache[key])))
-        denom = memb.time_l2 * space_cache[key]
-        if denom > 0 and num / denom > best:
-            best, best_label = num / denom, memb.label
-    return best, best_label
+    return _best_dual_ratio(series, battery, lambda space: (
+        lp_norm(space, 2) if isinstance(space, ScalarField) else staggered_l2(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +454,27 @@ class NsProbeRow:
 
 @dataclass
 class NsProbeReport:
-    rows: list
+    rows: list                 # NsProbeRow, one per (member, delta, s)
     step1_sup: dict            # delta -> sup_n projection defect
-    chain_rows: list           # (n, delta, defect, measured bound, literal bound)
-    kappa: dict                # delta -> measured trace-equivalence factor
     xi: dict                   # delta -> time-shift safety radius
     step3_constants: dict      # delta -> [C per member]
     mollification_sup: dict    # delta -> sup_n ||u_n - u_n*phi_delta|| on the compact
     moll_bound_ratio: dict     # delta -> sup_n moll(2delta interior) / (delta ||grad u_n||)
     budget_defect: float
-    c_transport: float
     verdict: bool
     failures: list
 
-    def csv_lines(self):
-        return ["n,delta,s,step1,step3,line1,line2,line3,total"] + [
-            f"{r.n},{r.delta!r},{r.s!r},{r.step1!r},{r.step3!r},"
-            f"{r.line1!r},{r.line2!r},{r.line3!r},{r.total!r}" for r in self.rows]
+    columns = tuple(f.name for f in fields(NsProbeRow))
 
 
-def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None,
-             battery_seed=0, c_transport=None):
+def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     """Equicontinuity budget for per-slice div-free families on a moving domain.
 
     Per mollification radius delta (1/delta integer): Step-1 projection defect
-    on the 2delta-transported slices against the strip-mass chain bound (with a
-    trace-equivalence factor measured on the first member), Step-3 dual
+    on the 2delta-transported slices against the strip-mass chain bound
+    kappa ||u_n||_r mu(strip)^{1/2 - 1/r}, with r halfway between 2 and the
+    Sobolev exponent of 2 and the trace-equivalence factor kappa measured on
+    the first member; Step-3 dual
     constants on a seeded battery, the time-shift safety radius, and the
     three-line translation budget on the compact raster.  Verdict: the budget
     lines vanish in the proof's order (delta first, then s) and the dual
@@ -501,22 +483,18 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
     grid = nc.grid
     delta_list = sorted((float(d) for d in delta_list), reverse=True)
     q = sobolev_embedding_exponent(2, grid.dim)
-    r = r_exponent or (2.0 + q) / 2.0
-    if gamma is None:
-        gamma = 0.45 * float(np.max(nc.reference.signed_distance))
-    if c_transport is None:
-        c_transport = transported_poincare(nc.family, nc.reference, gamma)
+    r = (2.0 + q) / 2.0
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
     nowhere = RasterDomain.from_membership(grid, np.zeros(grid.shape, dtype=bool))
     members = [s.restricted(slice_domains) for s in u_seq]
     scale = max(series_l2(s) for s in members)
-    r_norms = [series_lp(s, r) for s in members]
+    r_norms = [series_lp(s, r) for s in members[1:]]
     battery = make_battery(grid, members[0].interval, members[0].n_steps,
                            seed=battery_seed, kind="vector")
     delta_t = members[0].delta
     grad_norms = [vector_series_gradient_l2(s) for s in members]
-    rows, chain_rows, failures = [], [], []
-    step1_sup, kappa_map, xi_map, c3_map, moll_sup, moll_ratio = {}, {}, {}, {}, {}, {}
+    rows, failures = [], []
+    step1_sup, xi_map, c3_map, moll_sup, moll_ratio = {}, {}, {}, {}, {}
     budget_defect = 0.0
     for delta in delta_list:
         k_mol = round(1.0 / delta)
@@ -530,33 +508,27 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
                   for k in range(nc.n_slices)]
         mu_strip = nc.delta * sum(float(np.count_nonzero(m)) * grid.cell_volume
                                   for m in strips)
-        defects, kappas, c3s, molls = [], [], [], []
         # free the previous delta's mollified family first: holding two at once
         # raised the peak RSS of `run nsprobe` by about 7 MB
         convolved = projected = None
         convolved = [u_series.map(lambda u: convolve_staggered(u, mol)) for u_series in members]
         projected = list(zip(convolved, per_slice_project(convolved, nc, 2.0 * delta)))
-        for i, (u_series, (v, proj)) in enumerate(zip(members, projected)):
-            defect = proj.spacetime_trace_norm
-            defects.append(defect)
-            strip_mass = float(np.sqrt(u_series.delta * sum(
-                staggered_l2_on_cells(u_series.fields[k], strips[k]) ** 2
-                for k in range(nc.n_slices))))
-            kappas.append(defect / (strip_mass + 1e-300))
-            c3, _ = step3_dual_constant(v, battery)
-            c3s.append(c3)
-            molls.append(series_l2(u_series - v, [compact] * nc.n_slices))
-            holder = r_norms[i] * mu_strip ** (0.5 - 1.0 / r)
-            chain_rows.append((i + 1, delta, defect, kappas[0] * holder,
-                               (c_transport + 1.0) * holder))
-        for i in range(1, len(members)):
-            holder = r_norms[i] * mu_strip ** (0.5 - 1.0 / r)
-            if defects[i] > kappas[0] * holder * (1.0 + 1e-8) + _floor(scale):
+        defects = [proj.spacetime_trace_norm for _, proj in projected]
+        c3s = [step3_dual_constant(v, battery)[0] for v, _ in projected]
+        molls = [series_l2(u_series - v, [compact] * nc.n_slices)
+                 for u_series, (v, _) in zip(members, projected)]
+        # the trace-equivalence factor, measured on the first member
+        strip_mass = float(np.sqrt(members[0].delta * sum(
+            staggered_l2_on_cells(members[0].fields[k], strips[k]) ** 2
+            for k in range(nc.n_slices))))
+        kappa = defects[0] / (strip_mass + 1e-300)
+        for defect, r_norm in zip(defects[1:], r_norms):
+            holder = r_norm * mu_strip ** (0.5 - 1.0 / r)
+            if defect > kappa * holder * (1.0 + 1e-8) + _floor(scale):
                 failures.append(f"step1 chain bound (measured constants) violated "
                                 f"at delta={delta:g}")
                 break
         step1_sup[delta] = max(defects)
-        kappa_map[delta] = max(kappas)
         c3_map[delta] = c3s
         moll_sup[delta] = max(molls)
         moll_ratio[delta] = max(
@@ -606,19 +578,17 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, gamma=None, r_exponent=None
             failures.append(f"step3 dual bound violated: battery constant grows "
                             f"x{min(growth):.2f} per member at delta={delta:g}")
             break
-    seen = set()
-    failures = [f for f in failures if not (f in seen or seen.add(f))]
-    return NsProbeReport(rows, step1_sup, chain_rows, kappa_map, xi_map, c3_map,
-                         moll_sup, moll_ratio, budget_defect, c_transport,
-                         verdict=not failures, failures=failures)
+    failures = list(dict.fromkeys(failures))
+    return NsProbeReport(rows, step1_sup, xi_map, c3_map, moll_sup, moll_ratio,
+                         budget_defect, verdict=not failures, failures=failures)
 
 
-def interpolation_check(u_series, r, q_exp, domains=None):
+def interpolation_check(u_series, r, q_exp):
     """Measured ||u||_r <= ||u||_2^{1-theta} ||u||_q^theta with
     1/r = theta/q + (1-theta)/2 (discrete interpolation inequality)."""
     theta = (0.5 - 1.0 / r) / (0.5 - 1.0 / q_exp)
-    lr = series_lp(u_series, r, domains)
-    l2 = series_lp(u_series, 2, domains)
-    lq = series_lp(u_series, q_exp, domains)
+    lr = series_lp(u_series, r)
+    l2 = series_lp(u_series, 2)
+    lq = series_lp(u_series, q_exp)
     bound = l2 ** (1.0 - theta) * lq ** theta
     return lr, bound, bound - lr

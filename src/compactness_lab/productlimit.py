@@ -8,7 +8,7 @@ estimating weak limits from data is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,10 +30,10 @@ class OrliczPair:
     psi: object
     name: str = "exp"
 
-    def validate(self, x_max=5.0, samples=200):
+    def validate(self):
         """Sampled convexity, vanishing value/slope at zero, and the Young
-        inequality x y <= phi(x) + psi(y) on a lattice."""
-        xs = np.linspace(0.0, x_max, samples)
+        inequality x y <= phi(x) + psi(y) on a 200 x 200 lattice of [0, 5]^2."""
+        xs = np.linspace(0.0, 5.0, 200)
         for fn in (self.phi, self.psi):
             vals = fn(xs)
             if abs(vals[0]) > 1e-12 or vals[1] / xs[1] > 0.1:
@@ -156,20 +156,15 @@ class PipelineRow:
 
 @dataclass
 class PipelineReport:
-    rows: list
+    rows: list  # PipelineRow, one per (k, n)
 
-    def csv_lines(self):
-        return ["n,k,step1,step2,step3,step4,total"] + [
-            f"{r.n},{r.k},{r.step1!r},{r.step2!r},{r.step3!r},{r.step4!r},{r.total!r}"
-            for r in self.rows]
+    columns = tuple(f.name for f in fields(PipelineRow))
 
     def max_accounting_defect(self):
         return max(r.accounting_defect for r in self.rows)
 
-    def column(self, name, k=None, n=None):
-        rows = [r for r in self.rows
-                if (k is None or r.k == k) and (n is None or r.n == n)]
-        return [getattr(r, name) for r in rows]
+    def column(self, name, k=None):
+        return [getattr(r, name) for r in self.rows if k is None or r.k == k]
 
 
 def product_pipeline(a_seq, b_seq, theta, k_list, a_limit, b_limit):

@@ -1,8 +1,8 @@
 """Seeded synthetic fields and families used by the diagnostics and demos.
 
-Velocities come from corner-sampled stream functions, so discrete divergence is
-an exact stencil zero.  All randomness flows through a counter-based generator
-keyed by an explicit seed.
+Velocities come from corner-sampled stream functions, so their discrete
+divergence is zero up to round-off.  All randomness flows through a
+counter-based generator keyed by an explicit seed.
 """
 
 from __future__ import annotations
@@ -26,29 +26,29 @@ def bump(rho):
     return out
 
 
-def random_smooth_field(grid, rng, modes=4, amplitude=1.0, mask=None):
+def random_smooth_field(grid, rng, modes=4, mask=None):
     """Low-order random trigonometric polynomial on the box."""
     pts = grid.cell_centers().reshape(-1, grid.dim)
     out = np.zeros(len(pts))
     for _ in range(modes):
         kvec = rng.integers(0, 4, size=grid.dim)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.normal() * amplitude
+        amp = rng.normal()
         arg = sum(2.0 * np.pi * kvec[a] * pts[:, a] / grid.extent[a] for a in range(grid.dim))
         out += amp * np.cos(arg + phase)
     return ScalarField(grid, out.reshape(grid.shape), mask=mask)
 
 
 # ---------------------------------------------------------------------------
-# stream functions and exact-div-free velocities (2D)
+# stream functions and their div-free velocities (2D)
 
 
-def curl_velocity(grid, psi_corners, mask=None):
+def curl_velocity(grid, psi_corners):
     """MAC curl of a corner stream function: u = (d psi/dy, -d psi/dx)."""
     hx, hy = grid.spacing
     ux = (psi_corners[:, 1:] - psi_corners[:, :-1]) / hy
     uy = -(psi_corners[1:, :] - psi_corners[:-1, :]) / hx
-    return StaggeredVectorField(grid, (ux, uy), mask=mask)
+    return StaggeredVectorField(grid, (ux, uy))
 
 
 def stream_from_function(grid, fn):
@@ -56,13 +56,14 @@ def stream_from_function(grid, fn):
     return np.asarray(fn(corners), dtype=float).reshape([n + 1 for n in grid.shape])
 
 
-def random_stream_velocity(grid, rng, modes=4, amplitude=1.0):
+def random_stream_velocity(grid, rng):
+    """Curl of a random stream of four trigonometric modes."""
     def fn(pts):
         out = np.zeros(len(pts))
-        for _ in range(modes):
+        for _ in range(4):
             kvec = rng.integers(1, 4, size=grid.dim)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.normal() * amplitude
+            amp = rng.normal()
             arg = sum(2.0 * np.pi * kvec[a] * pts[:, a] / grid.extent[a] for a in range(grid.dim))
             out += amp * np.sin(arg + phase)
         return out
@@ -70,14 +71,14 @@ def random_stream_velocity(grid, rng, modes=4, amplitude=1.0):
     return curl_velocity(grid, stream_from_function(grid, fn))
 
 
-def disk_bump_velocity(grid, center, radius, amplitude=1.0, modulation=None):
+def disk_bump_velocity(grid, center, radius, modulation=None):
     """Velocity given by a bump stream supported in the disk of the given
     radius; optional smooth scalar modulation of the stream."""
     c = np.asarray(center, dtype=float)
 
     def fn(pts):
         rho = np.linalg.norm(pts - c, axis=1) / radius
-        out = amplitude * bump(rho)
+        out = bump(rho)
         if modulation is not None:
             out = out * modulation(pts)
         return out
@@ -110,16 +111,16 @@ def oscillating_scalar_family(g, interval, n_slices, osc_list):
     return out
 
 
-def boundary_bump_family(domain, interval, n_slices, n_members, scale=0.25):
-    """Members of unit L^2 mass concentrating at distance scale/n from the
-    boundary (width scale/2n): the peel norms of this family do not decay
+def boundary_bump_family(domain, interval, n_slices, n_members):
+    """Members of unit L^2 mass concentrating at distance 1/4n from the
+    boundary (width 1/8n): the peel norms of this family do not decay
     uniformly, the adversarial case for the local-to-global step."""
     g = domain.grid
     sd = domain.signed_distance
     out = []
     for n in range(1, n_members + 1):
-        dist = scale / n
-        width = max(scale / (2.0 * n), 2.0 * max(g.spacing))
+        dist = 0.25 / n
+        width = max(dist / 2.0, 2.0 * max(g.spacing))
         vals = bump((sd - dist) / width)
         f = ScalarField(g, vals, mask=domain)
         nrm = lp_norm(f, 2)
@@ -130,8 +131,7 @@ def boundary_bump_family(domain, interval, n_slices, n_members, scale=0.25):
 
 
 def translating_disk_ns_family(grid, interval, n_slices, n_members, center,
-                               disk_radius, velocity, stream_fraction=0.7,
-                               amplitude=1.0):
+                               disk_radius, velocity, stream_fraction=0.7):
     """Convergent moving-domain family: u_n = curl of a bump stream riding the
     translating disk, plus an O(1/n) smooth perturbation; div-free, zero normal
     trace well inside every slice."""
@@ -149,18 +149,18 @@ def translating_disk_ns_family(grid, interval, n_slices, n_members, center,
                 return 1.0 + np.cos(2.0 * np.pi * pts[:, 0] / grid.extent[0]) / n
 
             fields.append(disk_bump_velocity(grid, c, stream_fraction * disk_radius,
-                                             amplitude=amplitude, modulation=modulation))
+                                             modulation=modulation))
         members.append(StepTimeSeries(interval, tuple(fields)))
     return members
 
 
 def oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_radius,
-                          stream_fraction=0.7, amplitude=1.0):
+                          stream_fraction=0.7):
     """Adversarial family u_n = sin(2 pi n t) curl(psi)(x) on a static domain,
     sampled at slice midpoints on a shared partition."""
     a, b = interval
     mids = a + (np.arange(n_slices) + 0.5) * (b - a) / n_slices
-    u0 = disk_bump_velocity(grid, center, stream_fraction * disk_radius, amplitude)
+    u0 = disk_bump_velocity(grid, center, stream_fraction * disk_radius)
     members = []
     for n in osc_list:
         coefs = np.sin(2.0 * np.pi * n * (mids - a) / (b - a))

@@ -58,6 +58,19 @@ def test_divergence_theorem_for_divfree_fields():
         assert abs(tr.total_flux()) <= 1e-12 * tr.abs_flux()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stream_velocity_divergence_is_round_off(data):
+    # the differences of the corner stream cancel exactly, but each face value
+    # is a rounded quotient, so the divergence is round-off in ||u||, not 0.0
+    shape = tuple(data.draw(st.integers(2, 39)) for _ in range(2))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(2))
+    g = Grid(shape, extent)
+    u = random_stream_velocity(g, generator(data.draw(st.integers(0, 2 ** 32 - 1))))
+    div = float(np.max(np.abs(divergence(u).values)))
+    assert min(g.spacing) * div <= 1e-13 * staggered_l2(u)
+
+
 def test_incompatible_neumann_data_rejected():
     vals = [np.zeros((65, 64)), np.zeros((64, 65))]
     vals[0][-1, :] = 1.0  # net outflow, nothing in

@@ -274,6 +274,24 @@ def test_run_nsprobe_distance_transform_count(tmp_path, monkeypatch):
     assert len(sides) == 50
 
 
+def test_run_nsprobe_makes_no_poincare_solve(tmp_path, monkeypatch):
+    # ns_probe's Step-1 verdict reads the measured chain constant only; the
+    # literal transported Poincare constant is not computed
+    from compactness_lab import cli, movedom
+    calls = []
+    real = movedom.poincare_constant
+
+    def counted(domain):
+        calls.append(domain)
+        return real(domain)
+
+    monkeypatch.setattr(movedom, "poincare_constant", counted)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    assert cli.run("nsprobe", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert len(calls) == 0
+
+
 def test_peel_measure_zero_eps():
     g = Grid((64, 64), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from compactness_lab import parabolic
+from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, gradient,
                                   h_minus_m_norm, lp_norm, staggered_l2)
@@ -386,7 +387,7 @@ def test_monitor_csv_schema(tmp_path):
     phi = nonlinearity_preset("identity")
     rep = hypothesis_monitor([constant_series(f, (0.0, 1.0), n) for n in (4, 8)], phi, 1, d)
     path = tmp_path / "monitor.csv"
-    path.write_text("\n".join(rep.csv_lines()) + "\n")
+    path.write_text(_csv_text(rep.columns, rep.rows))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "N,l2_norm,grad_phi_l2,tv_hminus_m,cauchy_to_prev"
     assert len(lines) == 3

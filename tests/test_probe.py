@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, h_minus_m_norm)
 from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
@@ -87,7 +90,7 @@ def test_kruzhkov_csv_schema(moving_disk, scalar_fields, tmp_path):
     fam = perturbation_scalar_family(base, pert, INTERVAL, 8, 2)
     rep = kruzhkov_probe(fam, moving_disk, 8, [16])
     path = tmp_path / "k.csv"
-    path.write_text("\n".join(rep.csv_lines()) + "\n")
+    path.write_text(_csv_text(rep.columns, rep.rows))
     assert path.read_text().splitlines()[0] == "n,q,ell,term1,term2,term3,total"
 
 
@@ -261,7 +264,7 @@ def test_ns_probe_csv_schema(ns_setup, tmp_path):
     nc, members, delta_list, s_list, compact = ns_setup
     rep = ns_probe(members[:2], nc, [delta_list[0]], s_list[:1], compact)
     path = tmp_path / "ns.csv"
-    path.write_text("\n".join(rep.csv_lines()) + "\n")
+    path.write_text(_csv_text(rep.columns, [astuple(r) for r in rep.rows]))
     assert path.read_text().splitlines()[0] == "n,delta,s,step1,step3,line1,line2,line3,total"
 
 

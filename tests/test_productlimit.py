@@ -1,7 +1,10 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from compactness_lab.cli import _csv_text
 from compactness_lab.grid import Grid, ScalarField, inner, lp_norm
 from compactness_lab.mollify import make_mollifier, shift_space
 from compactness_lab.movedom import make_domain
@@ -177,7 +180,7 @@ def test_pipeline_csv_schema(tmp_path):
     g, a_seq, b_seq, theta, a_lim, b_sp = _translating_family(members=2)
     rep = product_pipeline(a_seq, b_seq, theta, [8], a_lim, b_sp)
     path = tmp_path / "pipe.csv"
-    path.write_text("\n".join(rep.csv_lines()) + "\n")
+    path.write_text(_csv_text(rep.columns, [astuple(r) for r in rep.rows]))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,k,step1,step2,step3,step4,total"
     assert len(lines) == 3
