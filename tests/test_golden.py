@@ -1,0 +1,57 @@
+"""Byte-identity of the default outputs: every experiment's `report.csv` at its
+defaults (seed 0) and the porous run's `final_state.grid`, against the files
+in `tests/golden/`.
+
+The bytes depend on the numpy, scipy and BLAS builds as well as on this code,
+so `tests/golden/VERSIONS` names the builds the files were made with.  A change
+that moves a default output on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and states why, with the largest relative change per column.
+"""
+
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from compactness_lab import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FILES = [f"{exp}/report.csv" for exp in cli.EXPERIMENTS] + ["porous/final_state.grid"]
+
+
+def _versions():
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, python {sys.version.split()[0]}"
+
+
+def test_default_runs_pass(default_runs):
+    _, codes = default_runs
+    assert codes == dict.fromkeys(cli.EXPERIMENTS, 0)
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_default_output_is_byte_identical(default_runs, name):
+    out, _ = default_runs
+    made_with = (GOLDEN / "VERSIONS").read_text().strip()
+    assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), (
+        f"{name} differs from tests/golden/{name}, which was made with {made_with}; "
+        f"this run has {_versions()}.  The bytes depend on those builds as well as "
+        f"on the code.")
+
+
+if __name__ == "__main__":
+    from conftest import run_defaults
+
+    with tempfile.TemporaryDirectory() as tmp:
+        codes = run_defaults(Path(tmp))
+        for name in FILES:
+            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+    (GOLDEN / "VERSIONS").write_text(_versions() + "\n")
+    print(f"wrote {len(FILES)} files to {GOLDEN}; exit codes {codes}")
