@@ -29,8 +29,7 @@ from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: 
                       transported_poincare, uniform_poincare_sweep)
 from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F401
                         barenblatt_profile, energy_report, run_scheme,
-                        semi_implicit_step, hypothesis_monitor,
-                        time_derivative_tv)
+                        hypothesis_monitor, time_derivative_tv)
 from .productlimit import (build_cutoff, exp_orlicz_pair, localize,  # noqa: F401
                            luxemburg_gauge, orlicz_holder_check,
                            product_pipeline)

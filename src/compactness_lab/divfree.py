@@ -54,11 +54,6 @@ class BoundaryData:
             raise ValueError(f"incompatible Neumann data: relative net flux {defect:.3e}")
         return defect
 
-    def __mul__(self, s):
-        return BoundaryData(self.domain, tuple(v * s for v in self.values))
-
-    __rmul__ = __mul__
-
 
 def normal_trace(u, domain):
     """Outward-normal face components on the raster boundary."""
@@ -136,11 +131,14 @@ def _helmholtz_split(u, domain, factor=None):
 
 
 def _check_residuals(u, pu, domain):
-    """Raise unless P u is divergence-free and trace-free to tolerance, relative
-    to ||u||_2."""
+    """Raise unless the projection adds no divergence, div(P u) = div(u) inside,
+    and P u is trace-free, to tolerance relative to ||u||_2.  P u is only as
+    div-free as u, which may itself be round-off (P u on a raster whose
+    zero-trace div-free space is {0}), its divergence not small against ||u||_2."""
     scale = staggered_l2(u) + 1e-300
     h = min(domain.grid.spacing)
-    div_res = float(np.max(np.abs(divergence(pu).values[domain.inside]))) if domain.n_inside else 0.0
+    added = divergence(pu - u).values[domain.inside]
+    div_res = float(np.max(np.abs(added))) if domain.n_inside else 0.0
     if div_res > 10 * DIV_RESIDUAL_TOL * scale / h:
         raise RuntimeError(f"projected field divergence residual {div_res:.3e} out of tolerance")
     tr = normal_trace(pu, domain)

@@ -604,18 +604,6 @@ def h_minus_m_norm(f, m, domain):
     return float(np.sqrt(s * domain.grid.cell_volume))
 
 
-def h_m_norm_dual_weight(phi, m, domain):
-    """(vol phi^T (I+L)^m phi)^{1/2} = (sum_k (1+lambda_k)^m |<phi,e_k>|^2)^{1/2}:
-    the dual side of the H^{-m} pairing bound, by matrix-vector products."""
-    _check_order(m, domain)
-    A = _shifted_dirichlet(domain).matrix
-    w = phi.values[domain.inside]
-    for _ in range(m // 2):
-        w = A @ w
-    s = w @ (A @ w) if m % 2 else w @ w
-    return float(np.sqrt(s * domain.grid.cell_volume))
-
-
 # ---------------------------------------------------------------------------
 # .grid text format: line 1 `dim nx [ny]`, line 2 `Lx [Ly]`, one value per
 # line, row-major, >= 17 significant digits

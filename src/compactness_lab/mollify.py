@@ -35,12 +35,6 @@ class Mollifier:
     grid: object
     weights: np.ndarray  # footprint box, zero outside the support ball
 
-    def discrete_integral(self):
-        return float(np.sum(self.weights) * self.grid.cell_volume)
-
-    def support_cells(self):
-        return int(np.count_nonzero(self.weights))
-
 
 def make_mollifier(k, grid):
     """Standard bump at scale k; requires 1/k >= 2h so the kernel is resolvable."""

@@ -72,29 +72,29 @@ def make_domain(name, grid, center=None):
     if kind == "disk":
         r = float(parts[1])
 
-        def sdf(pts):
+        def disk_sdf(pts):
             return r - np.linalg.norm(pts - c, axis=1)
 
-        return RasterDomain.from_sdf(grid, sdf)
+        return RasterDomain.from_sdf(grid, disk_sdf)
     if kind == "square":
         L = float(parts[1])
         half = L / 2.0
 
-        def sdf(pts):
+        def square_sdf(pts):
             q = np.abs(pts - c) - half
             outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
             inside = np.minimum(np.max(q, axis=1), 0.0)
             return -(outside + inside)
 
-        return RasterDomain.from_sdf(grid, sdf)
+        return RasterDomain.from_sdf(grid, square_sdf)
     if kind == "annulus":
         r0, r1 = float(parts[1]), float(parts[2])
 
-        def sdf(pts):
+        def annulus_sdf(pts):
             rho = np.linalg.norm(pts - c, axis=1)
             return np.minimum(rho - r0, r1 - rho)
 
-        return RasterDomain.from_sdf(grid, sdf)
+        return RasterDomain.from_sdf(grid, annulus_sdf)
     raise ValueError(f"unknown domain preset {name!r}")
 
 

@@ -169,7 +169,8 @@ def series_distance(fine, coarse):
 
 
 class DiffusionTensor:
-    """Cellwise diagonal diffusion tensor A(t, x) with a declared coercivity.
+    """Cellwise diagonal diffusion tensor A(t, x) with a declared coercivity
+    lambda <= Spec(A + A^T) = 2 min(entries), which `run_scheme` checks.
 
     `entries(t, grid)` returns per-cell arrays (a11,) in 1D or (a11, a22) in 2D;
     the scheme only accepts diagonal tensors.
@@ -189,35 +190,11 @@ class DiffusionTensor:
 
         return cls(entries, coercivity=2.0 * scale, name=f"identity*{scale:g}")
 
-    @classmethod
-    def diagonal(cls, fns, coercivity):
-        """fns: per-axis callables (t, pts) -> per-cell values."""
-
-        def entries(t, grid):
-            pts = grid.cell_centers().reshape(-1, grid.dim)
-            return tuple(np.asarray(fn(t, pts), dtype=float).reshape(grid.shape) for fn in fns)
-
-        return cls(entries, coercivity=coercivity, name="diagonal")
-
     def entries(self, t, grid):
         out = self._entries(t, grid)
         if len(out) != grid.dim:
             raise ValueError("diffusion tensor entry count does not match grid dim")
         return out
-
-    def sample_coercivity(self, grid, times):
-        """Min over samples of Spec(A + A^T) (diagonal: 2*min entry)."""
-        worst = np.inf
-        for t in np.atleast_1d(times):
-            worst = min(worst, 2.0 * min(float(np.min(e)) for e in self.entries(t, grid)))
-        return worst
-
-    def check_coercivity(self, grid, times):
-        sampled = self.sample_coercivity(grid, times)
-        if sampled < self.coercivity - 1e-12:
-            raise ValueError(
-                f"sampled Spec(A+A^T) = {sampled:.3e} below declared coercivity {self.coercivity:.3e}")
-        return sampled
 
 
 def _face_coefficients(entries, grid, axis):
@@ -277,15 +254,6 @@ class NewtonFailure(RuntimeError):
     """Newton stalled; usually a degenerate Jacobian on the data range."""
 
 
-def semi_implicit_step(u_k, delta, A, phi, bc="noflux", t=0.0):
-    """One backward-Euler step; returns u_{k+1} with residual <= 1e-10 in the
-    max norm relative to ||u_k||_inf + 1.  Newton records are dropped; use
-    run_scheme to keep them."""
-    grid = u_k.grid
-    out, _ = _newton_step(u_k, delta, _flux_operator(A.entries(t, grid), grid, bc), phi)
-    return out
-
-
 def _newton_step(u_k, delta, flux_operator, phi):
     residual, newton_matrix = _backward_euler(u_k, delta, flux_operator, phi)
     u = u_k.values.reshape(-1).copy()
@@ -325,7 +293,8 @@ def run_scheme(u0, n_steps, interval, A, phi, bc="noflux"):
 
     The returned series places state u_k on (t_k, t_{k+1}); the state at the
     final time is exposed via `states[-1]`.  L_A is assembled at the first
-    step and again only where A's entries change.
+    step and again only where A's entries change; each time, a ValueError
+    unless 2 min(entries) >= A.coercivity - 1e-12.
     """
     a, b = interval
     delta = (b - a) / n_steps
@@ -334,8 +303,13 @@ def run_scheme(u0, n_steps, interval, A, phi, bc="noflux"):
     iters, residuals = [], []
     entries = operator = None
     for k in range(n_steps):
-        step_entries = A.entries(a + (k + 1) * delta, grid)
+        t = a + (k + 1) * delta
+        step_entries = A.entries(t, grid)
         if operator is None or not all(map(np.array_equal, step_entries, entries)):
+            spec = 2.0 * min(float(np.min(e)) for e in step_entries)
+            if spec < A.coercivity - 1e-12:
+                raise ValueError(f"Spec(A+A^T) = {spec:.3e} at t = {t:g} is below the "
+                                 f"declared coercivity {A.coercivity:.3e}")
             entries, operator = step_entries, _flux_operator(step_entries, grid, bc)
         nxt, history = _newton_step(states[-1], delta, operator, phi)
         states.append(nxt)
@@ -362,12 +336,6 @@ class EnergyReport:
     @property
     def ok(self):
         return not self.violations
-
-    @property
-    def max_relative_violation(self):
-        if not self.rows:
-            return 0.0
-        return max((lhs - rhs) / (abs(rhs) + 1.0) for _, lhs, rhs, _, _ in self.rows)
 
 
 def energy_report(s, A, phi, rel_tol=1e-8):

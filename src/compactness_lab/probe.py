@@ -458,7 +458,6 @@ class NsProbeReport:
     step1_sup: dict            # delta -> sup_n projection defect
     xi: dict                   # delta -> time-shift safety radius
     step3_constants: dict      # delta -> [C per member]
-    mollification_sup: dict    # delta -> sup_n ||u_n - u_n*phi_delta|| on the compact
     moll_bound_ratio: dict     # delta -> sup_n moll(2delta interior) / (delta ||grad u_n||)
     budget_defect: float
     verdict: bool
@@ -579,7 +578,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
                             f"x{min(growth):.2f} per member at delta={delta:g}")
             break
     failures = list(dict.fromkeys(failures))
-    return NsProbeReport(rows, step1_sup, xi_map, c3_map, moll_sup, moll_ratio,
+    return NsProbeReport(rows, step1_sup, xi_map, c3_map, moll_ratio,
                          budget_defect, verdict=not failures, failures=failures)
 
 

@@ -116,12 +116,8 @@ class HolderReport:
         return self.constant * self.gauge_f * self.gauge_g
 
     @property
-    def slack(self):
-        return self.rhs - self.lhs
-
-    @property
     def ok(self):
-        return self.slack >= -1e-9 * (self.lhs + 1.0)
+        return self.rhs - self.lhs >= -1e-9 * (self.lhs + 1.0)
 
 
 def orlicz_holder_check(f, g, pair=None):

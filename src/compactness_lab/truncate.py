@@ -113,7 +113,7 @@ def _hermite(z, a, b, va, vb, sa, sb):
 class TruncationBeta:
     """Piecewise C^1 truncation: identity outside the critical intervals,
     graft `z_i + phi(z) - phi(z_i)` on the inner halves, cubic Hermite blends
-    in between.  Callable on scalars or arrays; `derivative` likewise."""
+    in between.  Callable on scalars or arrays."""
 
     def __init__(self, source, eps):
         if eps <= 0:
@@ -158,11 +158,6 @@ class TruncationBeta:
         scalar = np.isscalar(z)
         out = self._pieces(np.atleast_1d(np.asarray(z, dtype=float)))
         return float(out[0]) if scalar else out.reshape(np.shape(z))
-
-    def derivative(self, z):
-        scalar = np.isscalar(z)
-        _, d = self._pieces(np.atleast_1d(np.asarray(z, dtype=float)), want_derivative=True)
-        return float(d[0]) if scalar else d.reshape(np.shape(z))
 
     def _measure_deviation(self):
         sup = 0.0
@@ -224,13 +219,6 @@ class ChainGradientReport:
     inner_max_abs_err: float
     outer_violations: int
     outer_bound: float
-
-    @property
-    def ok_fraction(self):
-        total = self.n_inner_faces + self.n_outer_faces + self.n_crossing_faces
-        if total == 0:
-            return 1.0
-        return 1.0 - (self.outer_violations / total)
 
 
 def chain_gradient_check(u, beta, phi):

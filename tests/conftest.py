@@ -50,8 +50,9 @@ class Reach:
         return self.demo_output[path]
 
     def package_functions(self):
-        """(module, qualified name) of every package function called so far."""
-        return {(Path(c.co_filename).stem, c.co_qualname) for c in self.codes
+        """(module, first line, name) of every package function called so far;
+        the first line is that of the first decorator, if any."""
+        return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in self.codes
                 if Path(c.co_filename).resolve().parent == PACKAGE}
 
 

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from compactness_lab import divfree
-from compactness_lab.divfree import (BoundaryData, _helmholtz_split,
-                                     dual_norm_check, dual_seminorm,
-                                     face_measure, harmonic_gradient,
-                                     neumann_factor, neumann_harmonic,
-                                     normal_trace, per_slice_project,
-                                     project_divfree0, read_sgrid_file,
-                                     trace_norm_surrogate, write_sgrid_file)
+from compactness_lab.divfree import (BoundaryData, dual_norm_check,
+                                     dual_seminorm, face_measure,
+                                     harmonic_gradient, neumann_factor,
+                                     neumann_harmonic, normal_trace,
+                                     per_slice_project, project_divfree0,
+                                     read_sgrid_file, trace_norm_surrogate,
+                                     write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence,
                                   inner, neumann_laplacian, staggered_inner,
@@ -243,11 +243,40 @@ def test_projection_idempotent_and_self_adjoint_on_random_masks(data):
             for _ in range(2))
     pu, pw = project_divfree0(u, dom, factor), project_divfree0(w, dom, factor)
     scale = staggered_l2(u) * staggered_l2(w) + 1e-300
-    # P u is div-free only to round-off in ||u||, not in its own norm, which can
-    # be round-off itself: reapply the unchecked split
-    _, _, ppu = _helmholtz_split(pu, dom, factor)
+    ppu = project_divfree0(pu, dom, factor)
     assert staggered_l2(ppu - pu) <= 1e-12 * staggered_l2(u)
     assert abs(staggered_inner(pu, w) - staggered_inner(u, pw)) <= 1e-10 * scale
+
+
+def test_projection_of_a_projection_on_the_l_shaped_raster():
+    # the zero-trace div-free space of these three cells is {0}, so P u is
+    # round-off, and so is its divergence relative to its own norm
+    g = Grid((2, 2), (1.0, 1.0))
+    dom = RasterDomain.from_membership(g, np.array([[False, True], [True, True]]))
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        u = curl_velocity(g, rng.normal(size=(3, 3)))
+        pu = project_divfree0(u, dom)
+        assert staggered_l2(pu) <= 1e-14 * staggered_l2(u)
+        assert staggered_l2(project_divfree0(pu, dom) - pu) <= 1e-12 * staggered_l2(u)
+
+
+def test_projection_with_a_non_harmonic_extension_raises(monkeypatch):
+    real = divfree.neumann_harmonic
+    x, y = np.meshgrid(*(GRID.axis_centers(a) for a in range(2)), indexing="ij")
+    bump = 1e-3 * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    def not_harmonic(g_data, domain, factor=None):
+        v = real(g_data, domain, factor)
+        return ScalarField(domain.grid, v.values + bump, mask=domain)
+
+    u = random_stream_velocity(GRID, generator(3))
+    project_divfree0(u, FULL)
+    monkeypatch.setattr(divfree, "neumann_harmonic", not_harmonic)
+    with pytest.raises(RuntimeError, match="divergence residual"):
+        project_divfree0(u, FULL)
+    with pytest.raises(RuntimeError, match="divergence residual"):
+        dual_norm_check(u, FULL, c_poincare=1.0)
 
 
 def test_dual_seminorm_witness():
@@ -285,7 +314,8 @@ def test_trace_surrogate_cases():
     g = normal_trace(u, FULL)
     val = trace_norm_surrogate(g, FULL)
     assert val == pytest.approx(1.0, abs=0.02)  # ||grad(x - 1/2)|| = 1 + O(h)
-    assert trace_norm_surrogate(2.0 * g, FULL) == pytest.approx(2.0 * val, rel=1e-10)
+    double = BoundaryData(FULL, tuple(2.0 * v for v in g.values))
+    assert trace_norm_surrogate(double, FULL) == pytest.approx(2.0 * val, rel=1e-10)
 
 
 def test_per_slice_static_matches_single_slice():

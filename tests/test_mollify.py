@@ -10,6 +10,14 @@ from compactness_lab.grid import divergence
 from compactness_lab.synth import generator, random_stream_velocity
 
 
+def discrete_integral(mol):
+    return float(np.sum(mol.weights) * mol.grid.cell_volume)
+
+
+def support_cells(mol):
+    return int(np.count_nonzero(mol.weights))
+
+
 def commutator_integral_form(fa, fb, mol):
     """Single-slice commutator assembled from the shifted-difference kernel
     representation sum_y [a(x) - a(x-y)] b(x-y) phi(y) h^d; equals the direct
@@ -35,7 +43,7 @@ def commutator_integral_form(fa, fb, mol):
 def test_kernel_normalization_and_symmetry():
     g = Grid((256,), (1.0,))
     mol = make_mollifier(8, g)
-    assert mol.discrete_integral() == pytest.approx(1.0, abs=1e-12)
+    assert discrete_integral(mol) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(mol.weights, mol.weights[::-1])
     assert np.all(mol.weights >= 0.0)
 
@@ -45,7 +53,7 @@ def test_kernel_support_radius():
     # exactly on the support edge where the bump vanishes)
     g = Grid((256,), (1.0,))
     mol = make_mollifier(8, g)
-    assert mol.support_cells() in (63, 64)
+    assert support_cells(mol) in (63, 64)
     nz = np.nonzero(mol.weights)[0]
     half = (len(mol.weights) - 1) // 2
     assert (nz.max() - half) * g.spacing[0] < 1.0 / 8

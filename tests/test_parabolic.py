@@ -13,13 +13,31 @@ from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   h_minus_m_norm, lp_norm, staggered_l2)
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        _backward_euler, _flux_operator,
-                                       StepTimeSeries, barenblatt_profile,
-                                       constant_series, energy_report, mass,
-                                       oscillating_series, run_scheme,
-                                       semi_implicit_step, series_distance,
-                                       series_l2, hypothesis_monitor,
-                                       time_derivative_tv)
+                                       _newton_step, StepTimeSeries,
+                                       barenblatt_profile, constant_series,
+                                       energy_report, mass, oscillating_series,
+                                       run_scheme, series_distance, series_l2,
+                                       hypothesis_monitor, time_derivative_tv)
 from compactness_lab.truncate import Nonlinearity, nonlinearity_preset
+
+
+def semi_implicit_step(u_k, delta, A, phi, bc="noflux", t=0.0):
+    """Oracle: one backward-Euler step with A's entries at t, through the
+    scheme's Newton solve, with no coercivity check; returns u_{k+1} with
+    residual <= 1e-10 in the max norm relative to ||u_k||_inf + 1."""
+    grid = u_k.grid
+    out, _ = _newton_step(u_k, delta, _flux_operator(A.entries(t, grid), grid, bc), phi)
+    return out
+
+
+def diagonal_tensor(fns, coercivity):
+    """A diagonal tensor from per-axis callables (t, pts) -> per-cell values."""
+
+    def entries(t, grid):
+        pts = grid.cell_centers().reshape(-1, grid.dim)
+        return tuple(np.asarray(fn(t, pts), dtype=float).reshape(grid.shape) for fn in fns)
+
+    return DiffusionTensor(entries, coercivity=coercivity, name="diagonal")
 
 
 def test_constants_are_steady_states():
@@ -32,7 +50,7 @@ def test_constants_are_steady_states():
 
 def _variable_tensor(dim):
     fns = [lambda t, p: 1.0 + p[:, 0] + t, lambda t, p: 2.0 - p[:, -1] ** 2]
-    return DiffusionTensor.diagonal(fns[:dim], coercivity=0.5)
+    return diagonal_tensor(fns[:dim], coercivity=0.5)
 
 
 def _affine_phi(slope=2.0, offset=0.5):
@@ -116,6 +134,29 @@ def test_heat_eigenfunction_decay():
     # and exactly for the discrete eigenvalue
     lam_h = 2 * (1 - np.cos(np.pi * h)) / h ** 2
     assert np.max(np.abs(out.values - u0.values / (1 + delta * lam_h))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_scheme_mass_telescopes_per_step_under_noflux(data):
+    # under noflux the columns of L_A sum to zero, so 1^T of the Newton matrix
+    # is 1^T and every Newton update keeps sum(u): each step conserves mass
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 12)) for _ in range(dim))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    g = Grid(shape, extent)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    u0 = ScalarField(g, rng.uniform(0.0, 2.0, size=shape))
+    if data.draw(st.booleans()):
+        A = DiffusionTensor.identity(data.draw(st.floats(0.1, 3.0)))
+    else:
+        A = diagonal_tensor([lambda t, p, a=a: 1.0 + 0.5 * np.sin(3.0 * p[:, a] + t)
+                             for a in range(dim)], coercivity=0.5)
+    phi = nonlinearity_preset(data.draw(st.sampled_from(["identity", "porous:2", "porous:3"])))
+    n = data.draw(st.integers(1, 6))
+    run = run_scheme(u0, n, (0.0, data.draw(st.floats(0.001, 0.1))), A, phi, bc="noflux")
+    for a, b in zip(run.states[:-1], run.states[1:]):
+        assert abs(mass(b) - mass(a)) <= 1e-13 * np.sum(np.abs(a.values)) * g.cell_volume
 
 
 def test_porous_mass_conservation_and_positivity():
@@ -273,8 +314,7 @@ def test_energy_report_porous():
     u0 = ScalarField(g, prof(g.axis_centers(0) - 3.0, 0.1))
     run = run_scheme(u0, 32, (0.1, 1.0), DiffusionTensor.identity(), phi)
     rep = energy_report(run.series, DiffusionTensor.identity(), phi)
-    assert rep.ok
-    assert rep.max_relative_violation <= 1e-8
+    assert rep.ok  # every transition within rel_tol = 1e-8
 
 
 def _energy_rows_recomputed(s, A, phi):
@@ -460,24 +500,35 @@ def test_oscillating_series_alternates():
 
 def test_diffusion_tensor_coercivity_check():
     g = Grid((16, 16), (1.0, 1.0))
-    A = DiffusionTensor.diagonal(
-        (lambda t, p: 1.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]),
-         lambda t, p: np.ones(len(p))), coercivity=1.0)
+    fns = (lambda t, p: 1.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]), lambda t, p: np.ones(len(p)))
     x = g.axis_centers(0)
     expected = 2.0 * min(1.0 + 0.5 * np.sin(2 * np.pi * x).min(), 1.0)
-    assert A.sample_coercivity(g, [0.0, 0.5]) == pytest.approx(expected, abs=1e-12)
-    assert A.check_coercivity(g, [0.0, 0.5]) >= 1.0
-    A_bad = DiffusionTensor.diagonal(
-        (lambda t, p: 0.1 * np.ones(len(p)), lambda t, p: np.ones(len(p))),
-        coercivity=1.0)
-    with pytest.raises(ValueError):
-        A_bad.check_coercivity(g, [0.0])
+    u0 = ScalarField.constant(g, 1.0)
+    phi = nonlinearity_preset("identity")
+    for declared in (1.0, expected):
+        run_scheme(u0, 2, (0.0, 0.5), diagonal_tensor(fns, declared), phi)
+    # with the pass above: the checked Spec(A+A^T) is within 1e-12 of `expected`
+    with pytest.raises(ValueError, match="coercivity"):
+        run_scheme(u0, 2, (0.0, 0.5), diagonal_tensor(fns, expected + 2e-12), phi)
+    A_bad = diagonal_tensor((lambda t, p: 0.1 * np.ones(len(p)), lambda t, p: np.ones(len(p))),
+                            coercivity=1.0)
+    with pytest.raises(ValueError, match="coercivity"):
+        run_scheme(u0, 1, (0.0, 0.5), A_bad, phi)
+
+
+def test_run_scheme_checks_coercivity_at_each_reassembly():
+    # 2 (1 - t) >= 1 holds up to t = 0.5: the steps ending at 0.25 and 0.5 run,
+    # the one ending at 0.75 reassembles L_A and fails the check
+    g = Grid((16,), (1.0,))
+    A = diagonal_tensor((lambda t, p: np.full(len(p), 1.0 - t),), coercivity=1.0)
+    u0 = ScalarField.constant(g, 1.0)
+    with pytest.raises(ValueError, match="t = 0.75"):
+        run_scheme(u0, 4, (0.0, 1.0), A, nonlinearity_preset("identity"))
 
 
 def test_variable_diagonal_tensor_step_conserves_mass():
     g = Grid((64,), (1.0,))
-    A = DiffusionTensor.diagonal(
-        (lambda t, p: 1.0 + 0.5 * np.cos(2 * np.pi * p[:, 0]),), coercivity=1.0)
+    A = diagonal_tensor((lambda t, p: 1.0 + 0.5 * np.cos(2 * np.pi * p[:, 0]),), coercivity=1.0)
     phi = nonlinearity_preset("porous:2")
     u0 = ScalarField.from_function(g, lambda p: 1.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
     out = semi_implicit_step(u0, 0.01, A, phi, bc="noflux")

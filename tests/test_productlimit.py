@@ -89,7 +89,7 @@ def test_holder_random_sweep():
         f = ScalarField(g, rng.normal(size=g.shape))
         w = ScalarField(g, rng.normal(size=g.shape))
         rep = orlicz_holder_check(f, w)
-        assert rep.slack >= -1e-9 * (rep.lhs + 1.0)
+        assert rep.ok
 
 
 def test_gauge_duality_pairing():
