@@ -22,9 +22,9 @@ import scipy
 
 from . import __version__
 from .divfree import (dual_norm_check, neumann_factor, normal_trace,
-                      project_divfree0, staggered_inner, staggered_l2)
+                      project_divfree0)
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
-                   divergence, write_grid_file)
+                   divergence, staggered_inner, staggered_l2, write_grid_file)
 from .mollify import commutator, make_mollifier, shift_space
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .grid import (RasterDomain, RasterFactor, ScalarField,
                    StaggeredVectorField, _axis_slices, _read_header_and_values,
-                   divergence, gradient, neumann_laplacian,
-                   staggered_inner, staggered_l2)
+                   divergence, gradient, neumann_laplacian, staggered_l2)
 from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
 

@@ -104,16 +104,29 @@ def make_domain(name, grid, center=None):
 
 @dataclass(frozen=True, eq=False)
 class DiffeoFamily:
-    """Closed-form family A_t with gradient and inverse evaluators.
+    """The affine family A_t(x) = c + M(t)(x - c) + t v.
 
-    forward/inverse: (t, pts (n,d)) -> (n,d); grad: (t, pts) -> (n,d,d).
+    `mat` and `inv` map t to M(t) and M(t)^{-1}; forward/inverse:
+    (t, pts (n,d)) -> (n,d); grad: (t, pts) -> (n,d,d).
     """
 
     interval: tuple
-    kind: str
-    forward: object
-    grad: object
-    inverse: object
+    mat: object
+    inv: object
+    center: np.ndarray
+    velocity: np.ndarray
+
+    def forward(self, t, pts):
+        c = self.center
+        return c + (np.asarray(pts, dtype=float) - c) @ self.mat(t).T + t * self.velocity
+
+    def grad(self, t, pts):
+        m = self.mat(t)
+        return np.broadcast_to(m, (len(pts),) + m.shape).copy()
+
+    def inverse(self, t, pts):
+        c = self.center
+        return c + (np.asarray(pts, dtype=float) - c - t * self.velocity) @ self.inv(t).T
 
     def times(self):
         a, b = self.interval
@@ -147,70 +160,43 @@ class DiffeoFamily:
 
 def make_family(name, interval, **params):
     """Presets: identity | translation (velocity) | rotation (omega, center) |
-    dilation (amplitude, freq, center) | shear (amplitude)."""
-    a, b = float(interval[0]), float(interval[1])
-    dim = int(params.get("dim", 2))
-    eye = np.eye(dim)
+    dilation (amplitude, center) | shear (amplitude)."""
+    eye = np.eye(2)
+    center, velocity = np.zeros(2), np.zeros(2)
 
-    if name == "identity":
-        return DiffeoFamily(
-            (a, b), "identity",
-            forward=lambda t, p: np.array(p, dtype=float),
-            grad=lambda t, p: np.broadcast_to(eye, (len(p), dim, dim)).copy(),
-            inverse=lambda t, p: np.array(p, dtype=float),
-        )
+    def unit(t):
+        return eye
+
+    mat = inv = unit
     if name == "translation":
-        v = np.asarray(params["velocity"], dtype=float)
-        return DiffeoFamily(
-            (a, b), "translation",
-            forward=lambda t, p: np.asarray(p, dtype=float) + t * v,
-            grad=lambda t, p: np.broadcast_to(eye, (len(p), dim, dim)).copy(),
-            inverse=lambda t, p: np.asarray(p, dtype=float) - t * v,
-        )
-    if name == "rotation":
+        velocity = np.asarray(params["velocity"], dtype=float)
+    elif name == "rotation":
         omega = float(params.get("omega", 1.0))
-        c = np.asarray(params["center"], dtype=float)
+        center = np.asarray(params["center"], dtype=float)
 
         def rot(t):
             th = omega * t
             return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
 
-        return DiffeoFamily(
-            (a, b), "rotation",
-            forward=lambda t, p: c + (np.asarray(p, dtype=float) - c) @ rot(t).T,
-            grad=lambda t, p: np.broadcast_to(rot(t), (len(p), 2, 2)).copy(),
-            inverse=lambda t, p: c + (np.asarray(p, dtype=float) - c) @ rot(t),
-        )
-    if name == "dilation":
+        mat, inv = rot, lambda t: rot(t).T
+    elif name == "dilation":
         amp = float(params.get("amplitude", 0.25))
-        freq = float(params.get("freq", 1.0))
-        c = np.asarray(params["center"], dtype=float)
+        center = np.asarray(params["center"], dtype=float)
 
         def scale(t):
-            return 1.0 + amp * np.sin(freq * t)
+            return 1.0 + amp * np.sin(t)
 
-        return DiffeoFamily(
-            (a, b), "dilation",
-            forward=lambda t, p: c + scale(t) * (np.asarray(p, dtype=float) - c),
-            grad=lambda t, p: np.broadcast_to(scale(t) * eye, (len(p), dim, dim)).copy(),
-            inverse=lambda t, p: c + (np.asarray(p, dtype=float) - c) / scale(t),
-        )
-    if name == "shear":
+        mat, inv = (lambda t: scale(t) * eye), (lambda t: eye / scale(t))
+    elif name == "shear":
         amp = float(params.get("amplitude", 0.2))
 
-        def mat(t):
+        def shear(t):
             return np.array([[1.0, amp * np.sin(t)], [0.0, 1.0]])
 
-        def imat(t):
-            return np.array([[1.0, -amp * np.sin(t)], [0.0, 1.0]])
-
-        return DiffeoFamily(
-            (a, b), "shear",
-            forward=lambda t, p: np.asarray(p, dtype=float) @ mat(t).T,
-            grad=lambda t, p: np.broadcast_to(mat(t), (len(p), 2, 2)).copy(),
-            inverse=lambda t, p: np.asarray(p, dtype=float) @ imat(t).T,
-        )
-    raise ValueError(f"unknown family preset {name!r}")
+        mat, inv = shear, lambda t: shear(-t)
+    elif name != "identity":
+        raise ValueError(f"unknown family preset {name!r}")
+    return DiffeoFamily((float(interval[0]), float(interval[1])), mat, inv, center, velocity)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .divfree import per_slice_project, staggered_inner, staggered_l2
+from .divfree import per_slice_project
 from .grid import (RasterDomain, ScalarField, _axis_slices, _restricted_components,
-                   inner, lp_norm, signed_distance_transform)
+                   inner, lp_norm, signed_distance_transform, staggered_inner,
+                   staggered_l2)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
 from .parabolic import limit_series, series_l2, time_derivative_tv

@@ -194,14 +194,6 @@ class TruncationBeta:
                 worst_der = max(worst_der, abs(bd[0] - 1.0))
         return worst_val, worst_der
 
-    def in_inner_zone(self, z):
-        """True where z lies in some inner (graft) interval J_i^{eps/2}."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape, dtype=bool)
-        for zi in self.source.critical_points:
-            out |= np.abs(z - zi) <= self.eps / 2
-        return out
-
 
 def build_beta(phi, eps):
     """C^1 truncation of a Nonlinearity; precondition: the critical intervals
@@ -232,7 +224,7 @@ def chain_gradient_check(u, beta, phi):
     eps = beta.eps
     # lower bound of |phi'| outside the inner zone, over the data range
     zz = np.linspace(float(vals.min()) - 1e-9, float(vals.max()) + 1e-9, 4001)
-    outer = ~beta.in_inner_zone(zz)
+    outer = _zone_index(zz, beta) < 1
     inf_out = float(np.min(np.abs(phi.dphi(zz[outer])))) if np.any(outer) else np.inf
     bound = beta.sup_slope / inf_out if inf_out > 0 else np.inf
 

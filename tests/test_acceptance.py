@@ -18,9 +18,9 @@ from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   neumann_laplacian, staggered_inner,
                                   staggered_l2)
 from compactness_lab.mollify import commutator, make_mollifier
-from compactness_lab.movedom import (NonCylindricalDomain, bilipschitz,
-                                     eps_interior, framing_check, make_domain,
-                                     make_family, poincare_constant)
+from compactness_lab.movedom import (NonCylindricalDomain, eps_interior,
+                                     framing_check, make_domain, make_family,
+                                     poincare_constant)
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        barenblatt_profile, energy_report, mass,
                                        oscillating_series, run_scheme,

@@ -15,7 +15,7 @@ from compactness_lab.divfree import (BoundaryData, dual_norm_check,
                                      write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence,
-                                  inner, neumann_laplacian, staggered_inner,
+                                  neumann_laplacian, staggered_inner,
                                   staggered_l2)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, poincare_constant)

@@ -56,11 +56,11 @@ LEDGER = {
         "statement", "t -> grad A_t is continuous, the time regularity the "
         "non-cylindrical theorem assumes of the family"),
     "movedom.make_family.<locals>.rot": (
-        "statement", "the rotation family: volume-preserving A_t, Jacobian exactly 1"),
-    "movedom.make_family.<locals>.mat": (
-        "statement", "the shear family: A_t with a non-normal gradient"),
-    "movedom.make_family.<locals>.imat": (
-        "statement", "the inverse of the shear family's A_t"),
+        "statement", "the rotation family: volume-preserving A_t, Jacobian exactly 1, "
+        "inverse rot(t)^T"),
+    "movedom.make_family.<locals>.shear": (
+        "statement", "the shear family: A_t with a non-normal gradient, inverse "
+        "shear(-t)"),
     "movedom.make_domain.<locals>.annulus_sdf": (
         "statement", "the annulus preset: a raster with a hole, where a zero-trace "
         "div-free field can circulate around the hole"),

@@ -156,16 +156,25 @@ def test_bilipschitz_presets():
 
 
 def test_family_inverse_and_continuity():
+    # grad against a central-difference Jacobian of forward, column j from
+    # the step h along axis j
     g = Grid((32, 32), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
     pts = g.cell_centers().reshape(-1, 2)[disk.inside.reshape(-1)][::7]
-    for name, kwargs in (("rotation", dict(omega=1.5, center=(0.5, 0.5))),
+    h = 1e-6
+    for name, kwargs in (("identity", {}),
+                         ("translation", dict(velocity=(0.3, -0.1))),
+                         ("rotation", dict(omega=1.5, center=(0.5, 0.5))),
                          ("dilation", dict(amplitude=0.2, center=(0.5, 0.5))),
                          ("shear", dict(amplitude=0.3))):
         fam = make_family(name, (0.0, 1.0), **kwargs)
         assert fam.check_inverse(pts) <= 1e-9
         coarse, fine = fam.grad_continuity_modulus(pts)
         assert fine <= coarse * 0.75 + 1e-12
+        for t in (0.0, 0.37, 1.0):
+            fd = np.stack([(fam.forward(t, pts + h * e) - fam.forward(t, pts - h * e)) / (2 * h)
+                           for e in np.eye(2)], axis=-1)
+            assert np.max(np.abs(fam.grad(t, pts) - fd)) <= 1e-8, name
 
 
 def test_framing_identity_is_equality():

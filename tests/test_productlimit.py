@@ -8,7 +8,7 @@ from compactness_lab.cli import _csv_text
 from compactness_lab.grid import Grid, ScalarField, inner, lp_norm
 from compactness_lab.mollify import make_mollifier, shift_space
 from compactness_lab.movedom import make_domain
-from compactness_lab.parabolic import StepTimeSeries, constant_series
+from compactness_lab.parabolic import constant_series
 from compactness_lab.productlimit import (build_cutoff, exp_orlicz_pair,
                                           localize, luxemburg_gauge,
                                           orlicz_holder_check,
