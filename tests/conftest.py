@@ -1,7 +1,7 @@
 """Session-wide runs shared by several test files: every experiment at its
 defaults (seed 0) and every demo script, each run once per session, in
 process, under one profiler that records which functions of
-`compactness_lab` they call."""
+`compactness_lab` they call.  Their expected outputs are in `GOLDEN`."""
 
 import contextlib
 import io
@@ -16,6 +16,7 @@ from compactness_lab import cli
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(cli.__file__).resolve().parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 class Reach:

@@ -1,10 +1,11 @@
 """Byte-identity of the default outputs: every experiment's `report.csv` at its
 defaults (seed 0) and the porous run's `final_state.grid`, against the files
-in `tests/golden/`.
+in `tests/golden/`.  The printed output of every demo is checked against
+`tests/golden/demos/<stem>.txt` in `test_demos.py`.
 
 The bytes depend on the numpy, scipy and BLAS builds as well as on this code,
 so `tests/golden/VERSIONS` names the builds the files were made with.  A change
-that moves a default output on purpose regenerates the files with
+that moves a default output on purpose regenerates all of these files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,8 +22,8 @@ import pytest
 import scipy
 
 from compactness_lab import cli
+from conftest import DEMOS, GOLDEN, Reach
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = [f"{exp}/report.csv" for exp in cli.EXPERIMENTS] + ["porous/final_state.grid"]
 
 
@@ -53,5 +54,9 @@ if __name__ == "__main__":
         for name in FILES:
             (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    reach = Reach()
+    for path in DEMOS:
+        (GOLDEN / "demos" / f"{path.stem}.txt").write_bytes(reach.run_demo(path).encode())
     (GOLDEN / "VERSIONS").write_text(_versions() + "\n")
-    print(f"wrote {len(FILES)} files to {GOLDEN}; exit codes {codes}")
+    print(f"wrote {len(FILES) + len(DEMOS)} files to {GOLDEN}; exit codes {codes}")
