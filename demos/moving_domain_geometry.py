@@ -33,7 +33,7 @@ print(f"  erosion sweep constants: {[round(c, 5) for c in sweep]}"
 print("\ndilation family 1 + 0.25 sin t over a full period:")
 fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
 small = make_domain("disk:0.25", g128)
-jb = jacobian_bounds(fam, small)
+jb = jacobian_bounds(fam)
 info = bilipschitz(fam, small)
 print(f"  Jacobian range [{jb.raw_min:.4f}, {jb.raw_max:.4f}]"
       f"  (analytic [{0.75 ** 2}, {1.25 ** 2}])")

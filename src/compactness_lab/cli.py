@@ -327,7 +327,7 @@ def _exp_movedom(cfg, seed, out_dir):
                       center=center)
     tra = make_family("translation", interval, velocity=(0.05, 0.0))
     for name, fam in (("translation", tra), ("dilation", dil)):
-        jb = jacobian_bounds(fam, disk)
+        jb = jacobian_bounds(fam)
         record("jacobian", name, jb.raw_min, jb.raw_max, jb.raw_min <= jb.raw_max)
         # one moving domain: the framing check's slices serve the peel measure
         nc = NonCylindricalDomain(fam, disk, cfg["n_slices"])

@@ -126,7 +126,7 @@ def _helmholtz_split(u, domain, factor=None):
     u = u.restricted(domain)
     g = normal_trace(u, domain)
     gv = harmonic_gradient(neumann_harmonic(g, domain, factor), domain, g)
-    return u, gv, (u - gv).restricted(domain)
+    return u, gv, u - gv
 
 
 def _check_residuals(u, pu, domain):

@@ -14,10 +14,16 @@ frozen object that owns the cells: `RasterDomain.face_masks` (and
 reads, and the inside and outside sides of the exact distance transform
 (`RasterDomain.edt_inside`, `edt_outside`), one EDT each, run by
 `signed_distance_transform`.  A membership raster assembles its signed
-distance from the two sides only where all of it is read.  Norms take the
-raster they measure over (`lp_norm`, `staggered_l2`), so a field is measured
-on another raster without a restricted copy.  The one operator assembler,
-`face_laplacian`, builds -div(c grad .) on a raster's
+distance from the two sides only where all of it is read.
+
+One mask rule serves cell and face fields: a field with a mask holds exact
+zero off its raster (a cell field on the cells outside it, a face field on
+the faces next to no inside cell) from the moment it is built, so
+`restricted` only re-masks.  Norms take the raster they measure over
+(`lp_norm`, `staggered_l2`), so a field is measured on another raster
+without a restricted copy.
+
+The one operator assembler, `face_laplacian`, builds -div(c grad .) on a raster's
 inside cells from per-face coefficients plus a boundary-face closure: the
 Dirichlet and Neumann Laplacians are two calls to it, and the parabolic
 scheme's Newton matrix is built from the same operator.
@@ -124,10 +130,6 @@ class RasterDomain:
         inside = np.asarray(self.inside, dtype=bool).reshape(self.grid.shape)
         inside.setflags(write=False)
         object.__setattr__(self, "inside", inside)
-
-    @classmethod
-    def from_membership(cls, grid, inside):
-        return cls(grid, inside)
 
     @classmethod
     def from_sdf(cls, grid, sdf):
@@ -242,19 +244,29 @@ def _edt_side(grid, inside, side):
     raise ValueError(f"side must be 'inside', 'outside' or None, got {side!r}")
 
 
+def _check_mask(field):
+    mask = field.mask
+    if mask is not None and mask.grid is not field.grid and mask.grid != field.grid:
+        raise ValueError("mask grid differs from field grid")
+
+
+def _face_shape(cells, axis):
+    """Shape of the `axis`-normal face array over a cell array of shape `cells`."""
+    return tuple(n + (a == axis) for a, n in enumerate(cells))
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Grid-sampled scalar function; masked-out cells hold exactly zero."""
+    """Grid-sampled scalar function; cells outside the mask hold exact zero."""
 
     grid: Grid
     values: np.ndarray
     mask: RasterDomain = None
 
     def __post_init__(self):
+        _check_mask(self)
         v = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
         if self.mask is not None:
-            if self.mask.grid is not self.grid and self.mask.grid != self.grid:
-                raise ValueError("mask grid differs from field grid")
             v = np.where(self.mask.inside, v, 0.0)
         object.__setattr__(self, "values", _readonly(v))
 
@@ -275,6 +287,7 @@ class ScalarField:
         return self.with_values(fn(self.values))
 
     def restricted(self, domain):
+        """The same values on `domain`: the cells outside it zeroed."""
         return ScalarField(self.grid, self.values, mask=domain)
 
     def __add__(self, other):
@@ -296,43 +309,35 @@ def _vals(x):
 @dataclass(frozen=True, eq=False)
 class StaggeredVectorField:
     """MAC face field: `components[a]` holds the a-normal components, shape grows
-    by one along axis a.  1D has a single component."""
+    by one along axis a.  1D has a single component.  Faces next to no inside
+    cell of the mask hold exact zero."""
 
     grid: Grid
     components: tuple
     mask: RasterDomain = None
 
     def __post_init__(self):
+        _check_mask(self)
         comps = []
         for a in range(self.grid.dim):
-            shape = list(self.grid.shape)
-            shape[a] += 1
-            c = np.asarray(self.components[a], dtype=float).reshape(shape)
+            c = np.asarray(self.components[a], dtype=float).reshape(_face_shape(self.grid.shape, a))
+            if self.mask is not None:
+                interior, boundary, _ = self.mask.face_masks[a]
+                c = np.where(interior | boundary, c, 0.0)
             comps.append(_readonly(c))
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
-    def zero(cls, grid, mask=None):
-        comps = []
-        for a in range(grid.dim):
-            shape = list(grid.shape)
-            shape[a] += 1
-            comps.append(np.zeros(shape))
-        return cls(grid, tuple(comps), mask=mask)
-
-    @classmethod
     def constant(cls, grid, vec, mask=None):
-        u = cls.zero(grid, mask=mask)
-        comps = tuple(np.full_like(c, float(v)) for c, v in zip(u.components, np.atleast_1d(vec)))
-        return cls(grid, comps, mask=mask)
+        return cls(grid, tuple(np.full(_face_shape(grid.shape, a), float(v))
+                               for a, v in enumerate(np.atleast_1d(vec))), mask=mask)
 
     def with_components(self, comps):
         return StaggeredVectorField(self.grid, tuple(comps), mask=self.mask)
 
     def restricted(self, domain):
-        """Zero all faces not adjacent to an inside cell; attaches the raster."""
-        return StaggeredVectorField(self.grid, tuple(_restricted_components(self, domain)),
-                                    mask=domain)
+        """The same components on `domain`: the faces next to no inside cell zeroed."""
+        return StaggeredVectorField(self.grid, self.components, mask=domain)
 
     def __add__(self, other):
         return self.with_components([a + b for a, b in zip(self.components, other.components)])
@@ -344,13 +349,6 @@ class StaggeredVectorField:
         return self.with_components([c * s for c in self.components])
 
     __rmul__ = __mul__
-
-
-def _restricted_components(u, domain):
-    """`u`'s components with every face not adjacent to an inside cell of
-    `domain` zeroed."""
-    return [np.where(interior | boundary, c, 0.0)
-            for (interior, boundary, _), c in zip(domain.face_masks, u.components)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +396,7 @@ def face_masks(inside):
     out = []
     for a in range(inside.ndim):
         below, above, _ = _axis_slices(inside.ndim, a)
-        shape = list(inside.shape)
-        shape[a] += 1
+        shape = _face_shape(inside.shape, a)
         low, high = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         low[above] = inside  # the cell below each face
         high[below] = inside  # the cell above it
@@ -450,9 +447,7 @@ def gradient(f):
     comps = []
     for a in range(g.dim):
         _, _, inner = _axis_slices(g.dim, a)
-        shape = list(g.shape)
-        shape[a] += 1
-        out = np.zeros(shape)
+        out = np.zeros(_face_shape(g.shape, a))
         diff = np.diff(f.values, axis=a) / g.spacing[a]
         if f.mask is not None:
             interior, _, _ = f.mask.face_masks[a]

@@ -36,7 +36,7 @@ def _eps_offset(d, eps, side, keep):
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return d
-    return RasterDomain.from_membership(d.grid, keep(getattr(d, side), eps))
+    return RasterDomain(d.grid, keep(getattr(d, side), eps))
 
 
 def eps_interior(d, eps):
@@ -106,8 +106,8 @@ def make_domain(name, grid, center=None):
 class DiffeoFamily:
     """The affine family A_t(x) = c + M(t)(x - c) + t v.
 
-    `mat` and `inv` map t to M(t) and M(t)^{-1}; forward/inverse:
-    (t, pts (n,d)) -> (n,d); grad: (t, pts) -> (n,d,d).
+    `mat` and `inv` map t to M(t) and M(t)^{-1}; grad A_t = M(t) at every x.
+    forward/inverse: (t, pts (n,d)) -> (n,d).
     """
 
     interval: tuple
@@ -119,10 +119,6 @@ class DiffeoFamily:
     def forward(self, t, pts):
         c = self.center
         return c + (np.asarray(pts, dtype=float) - c) @ self.mat(t).T + t * self.velocity
-
-    def grad(self, t, pts):
-        m = self.mat(t)
-        return np.broadcast_to(m, (len(pts),) + m.shape).copy()
 
     def inverse(self, t, pts):
         c = self.center
@@ -142,19 +138,13 @@ class DiffeoFamily:
             raise ValueError(f"inverse inconsistency {worst:.3e} exceeds 1e-09")
         return worst
 
-    def grad_continuity_modulus(self, pts):
-        """Sampled sup |grad(t+dt) - grad(t)| at 32 and 64 time steps; both
-        shrink for a family continuous in time."""
+    def grad_continuity_modulus(self):
+        """Sampled sup |M(t+dt) - M(t)| at 32 and 64 time steps; both shrink
+        for a family continuous in time."""
         out = []
         for n in (32, 64):
-            tt = np.linspace(self.interval[0], self.interval[1], n + 1)
-            worst = 0.0
-            prev = self.grad(tt[0], pts)
-            for t in tt[1:]:
-                cur = self.grad(t, pts)
-                worst = max(worst, float(np.max(np.abs(cur - prev))))
-                prev = cur
-            out.append(worst)
+            mats = np.array([self.mat(t) for t in np.linspace(*self.interval, n + 1)])
+            out.append(float(np.max(np.abs(np.diff(mats, axis=0)))))
         return tuple(out)
 
 
@@ -219,17 +209,11 @@ SAFETY_SHRINK = 0.99
 SAFETY_INFLATE = 1.01
 
 
-def jacobian_bounds(family, domain):
-    """Min/max of |det grad A_t| over `family.times()` and at most 2048 cells
-    of `domain`: the raw extremes, and alpha/beta with the declared 0.99/1.01
-    safety factors."""
-    pts = _sample_points(domain, 2048)
-    lo, hi = np.inf, -np.inf
-    for t in family.times():
-        G = family.grad(t, pts)
-        det = np.abs(np.linalg.det(G))
-        lo = min(lo, float(det.min()))
-        hi = max(hi, float(det.max()))
+def jacobian_bounds(family):
+    """Min/max of |det grad A_t| = |det M(t)| over `family.times()`: the raw
+    extremes, and alpha/beta with the declared 0.99/1.01 safety factors."""
+    dets = [abs(float(np.linalg.det(family.mat(t)))) for t in family.times()]
+    lo, hi = min(dets), max(dets)
     return JacobianBounds(alpha=SAFETY_SHRINK * lo, beta=SAFETY_INFLATE * hi,
                           raw_min=lo, raw_max=hi)
 
@@ -241,9 +225,12 @@ class BilipschitzInfo:
 
 
 def bilipschitz(family, domain):
-    """Two-sided Lipschitz constant from 400 seeded pairwise ratios; eta = 1/K."""
+    """Two-sided Lipschitz constant from 400 seeded pairwise ratios among at
+    most 4096 cell centres of `domain`; eta = 1/K."""
     rng = np.random.default_rng(np.random.Philox(7))
-    pts = _sample_points(domain, 4096)
+    pts = domain.grid.cell_centers()[domain.inside]
+    if len(pts) > 4096:
+        pts = pts[::int(np.ceil(len(pts) / 4096))]
     idx = rng.integers(0, len(pts), size=(400, 2))
     keep = idx[:, 0] != idx[:, 1]
     p, q = pts[idx[keep, 0]], pts[idx[keep, 1]]
@@ -257,23 +244,9 @@ def bilipschitz(family, domain):
     return BilipschitzInfo(K=K, eta=1.0 / K)
 
 
-def grad_sup_norm(family, domain):
-    """Sampled sup over (t,x) of the spectral norm of grad A_t."""
-    pts = _sample_points(domain, 2048)
-    worst = 0.0
-    for t in family.times():
-        G = family.grad(t, pts)
-        s = np.linalg.svd(G, compute_uv=False)
-        worst = max(worst, float(s.max()))
-    return worst
-
-
-def _sample_points(domain, max_points):
-    pts = domain.grid.cell_centers().reshape(-1, domain.grid.dim)[domain.inside.reshape(-1)]
-    if len(pts) > max_points:
-        stride = int(np.ceil(len(pts) / max_points))
-        pts = pts[::stride]
-    return pts
+def grad_sup_norm(family):
+    """Sup over `family.times()` of the spectral norm of grad A_t = M(t)."""
+    return max(float(np.linalg.norm(family.mat(t), 2)) for t in family.times())
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +302,7 @@ class NonCylindricalDomain:
         """Raster of A_{t_k}(Omega_eps)."""
         def build():
             base = self.eroded_reference(eps) if eps > 0 else self.reference
-            return RasterDomain.from_membership(
-                self.grid, _pull_back(self.family, base, self.slice_times()[k]))
+            return RasterDomain(self.grid, _pull_back(self.family, base, self.slice_times()[k]))
         return self._cached("transported", k, eps, build)
 
     def slice_eroded(self, k, eps):
@@ -345,8 +317,7 @@ class NonCylindricalDomain:
         """The cells inside A_t(Omega_eps) on every slice, eroded by two cells."""
         inside = np.logical_and.reduce(
             [self.transported(k, eps).inside for k in range(self.n_slices)])
-        return eps_interior(RasterDomain.from_membership(self.grid, inside),
-                            2 * max(self.grid.spacing))
+        return eps_interior(RasterDomain(self.grid, inside), 2 * max(self.grid.spacing))
 
 
 @dataclass
@@ -404,7 +375,7 @@ def peel_measure(nc, eps, jb=None):
     the transport bound beta * mu(Omega minus Omega_eps)."""
     if eps == 0.0:
         return PeelReport(0.0, 0.0)
-    jb = jacobian_bounds(nc.family, nc.reference) if jb is None else jb
+    jb = jacobian_bounds(nc.family) if jb is None else jb
     worst = 0.0
     for k in range(nc.n_slices):
         peel = nc.slice_raster(k).inside & ~nc.transported(k, eps).inside
@@ -467,8 +438,8 @@ def transported_poincare(family, domain, gamma, eps_list=None, jb=None):
     if eps_list is None:
         eps_list = (0.0, gamma / 4, gamma / 2)
     sweep = uniform_poincare_sweep(domain, eps_list)
-    jb = jacobian_bounds(family, domain) if jb is None else jb
-    sup_grad = grad_sup_norm(family, domain)
+    jb = jacobian_bounds(family) if jb is None else jb
+    sup_grad = grad_sup_norm(family)
     return float(np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * sup_grad)
 
 
@@ -504,7 +475,7 @@ def measure_sobolev_constant(domain, p, n_fields=40):
 def sobolev_transport_constant(p, family, domain, s_ref=None, jb=None):
     """K_p = S_Omega * beta^{1/p*} * alpha^{-1/p} with the raw measured
     Jacobian extremes; S_Omega declared or measured as a fallback."""
-    jb = jacobian_bounds(family, domain) if jb is None else jb
+    jb = jacobian_bounds(family) if jb is None else jb
     if s_ref is None:
         s_ref = measure_sobolev_constant(domain, p)
     ps = sobolev_embedding_exponent(p, domain.grid.dim)

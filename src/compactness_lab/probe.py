@@ -15,9 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divfree import per_slice_project
-from .grid import (RasterDomain, ScalarField, _axis_slices, _restricted_components,
-                   inner, lp_norm, signed_distance_transform, staggered_inner,
-                   staggered_l2)
+from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
+                   signed_distance_transform, staggered_inner, staggered_l2)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
 from .parabolic import limit_series, series_l2, time_derivative_tv
@@ -38,20 +37,12 @@ def _floor(scale):
 # norms over moving-domain slices
 
 
-def series_lp(s, p, domains=None):
-    """L^p(I x Omega) norm of a step series, optionally on per-slice rasters
-    (slice k measured over domains[k], bitwise as on `s.restricted(domains)`).
-    Face slices weight every face fully (unlike `staggered_l2`, which
-    half-weights boundary faces)."""
-    if domains is None:
-        domains = [None] * s.n_steps
+def series_lp(s, p):
+    """L^p(I x Omega) norm of a series of face fields, every face weighted
+    fully (unlike `staggered_l2`, which half-weights boundary faces)."""
     total = 0.0
-    for f, d in zip(s.fields, domains, strict=True):
-        if isinstance(f, ScalarField):
-            total += lp_norm(f, p, d) ** p
-        else:
-            comps = f.components if d is None else _restricted_components(f, d)
-            total += sum(float(np.sum(np.abs(c) ** p)) for c in comps) * f.grid.cell_volume
+    for f in s.fields:
+        total += sum(float(np.sum(np.abs(c) ** p)) for c in f.components) * f.grid.cell_volume
     return float((total * s.delta) ** (1.0 / p))
 
 
@@ -109,7 +100,7 @@ def check_ell_list(nc, m_interior, ell_list):
             f"ell = {min(ell_list)} below the well-definedness bound 2m/eta = {min_ell:.1f}")
 
 
-def kruzhkov_probe(f_seq, nc, m_interior, ell_list, p=2):
+def kruzhkov_probe(f_seq, nc, m_interior, ell_list):
     """Three-term mollification budget f_n - f_q = (f_n - f_n*phi) +
     (f_n*phi - f_q*phi) + (f_q*phi - f_q) measured on the 1/m-interior slices,
     with the proof's order of limits as the verdict."""
@@ -123,21 +114,21 @@ def kruzhkov_probe(f_seq, nc, m_interior, ell_list, p=2):
     uniform, pairwise = {}, {}
     rows = []
     max_defect = 0.0
-    scale = max(series_lp(s, p, slice_domains) for s in members)
+    scale = max(series_l2(s) for s in members)
     for ell in ell_list:
-        moduli = [series_lp(m - c, p, inner_domains)
+        moduli = [series_l2(m - c, inner_domains)
                   for m, c in zip(members, conv[ell])]
         uniform[ell] = max(moduli)
         pw = {}
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                t2 = series_lp(conv[ell][i] - conv[ell][j], p, inner_domains)
+                t2 = series_l2(conv[ell][i] - conv[ell][j], inner_domains)
                 pw[(i + 1, j + 1)] = t2
                 direct = members[i] - members[j]
-                total = series_lp(direct, p, inner_domains)
+                total = series_l2(direct, inner_domains)
                 resum = ((members[i] - conv[ell][i]) + (conv[ell][i] - conv[ell][j])
                          + (conv[ell][j] - members[j]))
-                defect = series_lp(resum - direct, p, inner_domains)
+                defect = series_l2(resum - direct, inner_domains)
                 max_defect = max(max_defect, defect / (total + 1e-300))
                 rows.append((i + 1, j + 1, ell, moduli[i], t2, moduli[j], total))
         pairwise[ell] = pw
@@ -485,7 +476,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     q = sobolev_embedding_exponent(2, grid.dim)
     r = (2.0 + q) / 2.0
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    nowhere = RasterDomain.from_membership(grid, np.zeros(grid.shape, dtype=bool))
+    nowhere = RasterDomain(grid, np.zeros(grid.shape, dtype=bool))
     members = [s.restricted(slice_domains) for s in u_seq]
     scale = max(series_l2(s) for s in members)
     r_norms = [series_lp(s, r) for s in members[1:]]

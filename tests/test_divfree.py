@@ -131,7 +131,7 @@ def test_neumann_harmonic_single_cell_is_zero():
     assert np.all(neumann_harmonic(normal_trace(u, one), one).values == 0.0)
     mem = np.zeros((4, 4), bool)
     mem[2, 1] = True
-    cell = RasterDomain.from_membership(Grid((4, 4), (1.0, 1.0)), mem)
+    cell = RasterDomain(Grid((4, 4), (1.0, 1.0)), mem)
     u = StaggeredVectorField.constant(cell.grid, (1.0, -2.0))
     assert np.all(neumann_harmonic(normal_trace(u, cell), cell).values == 0.0)
 
@@ -140,7 +140,7 @@ def test_neumann_harmonic_disconnected_rejected():
     g = Grid((8,), (1.0,))
     mem = np.zeros(8, bool)
     mem[1] = mem[6] = True
-    d = RasterDomain.from_membership(g, mem)
+    d = RasterDomain(g, mem)
     zero = BoundaryData(d, (np.zeros(9),))
     with pytest.raises(ValueError):
         neumann_harmonic(zero, d)
@@ -236,7 +236,7 @@ def test_projection_idempotent_and_self_adjoint_on_random_masks(data):
     labels, _ = scipy.ndimage.label(cells)
     largest = np.argmax(np.bincount(labels[cells]))
     g = Grid(shape, extent)
-    dom = RasterDomain.from_membership(g, labels == largest)
+    dom = RasterDomain(g, labels == largest)
     factor = neumann_factor(dom)
     rng = np.random.default_rng(seed)
     u, w = (curl_velocity(g, rng.normal(size=(shape[0] + 1, shape[1] + 1))).restricted(dom)
@@ -252,7 +252,7 @@ def test_projection_of_a_projection_on_the_l_shaped_raster():
     # the zero-trace div-free space of these three cells is {0}, so P u is
     # round-off, and so is its divergence relative to its own norm
     g = Grid((2, 2), (1.0, 1.0))
-    dom = RasterDomain.from_membership(g, np.array([[False, True], [True, True]]))
+    dom = RasterDomain(g, np.array([[False, True], [True, True]]))
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = curl_velocity(g, rng.normal(size=(3, 3)))

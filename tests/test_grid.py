@@ -125,7 +125,7 @@ def test_gradient_divergence_skew_adjoint_on_random_rasters(data):
     inside = data.draw(hnp.arrays(bool, shape))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     g = Grid(shape, extent)
-    d = RasterDomain.from_membership(g, inside)
+    d = RasterDomain(g, inside)
     p = ScalarField(g, rng.normal(size=shape))
     u = StaggeredVectorField(g, tuple(np.where(interior, rng.normal(size=interior.shape), 0.0)
                                       for interior, _, _ in d.face_masks))
@@ -146,7 +146,7 @@ def test_neumann_laplacian_is_minus_div_grad(data):
     inside = data.draw(hnp.arrays(bool, shape).filter(np.any))
     vals = data.draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
     g = Grid(shape, extent)
-    d = RasterDomain.from_membership(g, inside)
+    d = RasterDomain(g, inside)
     v = ScalarField(g, vals, mask=d)
     L, _ = neumann_laplacian(d)
     lhs = -(L @ v.values[inside])
@@ -174,7 +174,7 @@ def test_face_masks_are_built_once_read_only_and_exact(data):
     extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
     inside = data.draw(hnp.arrays(bool, shape))
     g = Grid(shape, extent)
-    d = RasterDomain.from_membership(g, inside)
+    d = RasterDomain(g, inside)
     for owner, cells in ((d, inside), (g, np.ones(shape, dtype=bool))):
         cached = owner.face_masks
         assert owner.face_masks is cached
@@ -205,11 +205,54 @@ def test_gradient_never_crosses_mask():
     assert all(np.max(np.abs(c)) == 0.0 for c in grad.components)
 
 
-def test_masked_cells_hold_exact_zero():
-    g = Grid((32, 32), (1.0, 1.0))
-    disk = make_domain("disk:0.3", g)
-    f = ScalarField.constant(g, 7.0, mask=disk)
-    assert np.all(f.values[~disk.inside] == 0.0)
+def _arrays(field):
+    return [field.values] if isinstance(field, ScalarField) else list(field.components)
+
+
+def _on_raster(field, inside):
+    """Per array of `field`, where it lies on the raster `inside`: the inside
+    cells, or the faces next to an inside cell (from the float oracle)."""
+    if isinstance(field, ScalarField):
+        return [inside]
+    return [interior + boundary > 0 for interior, boundary in _float_face_masks(inside)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_masked_cells_hold_exact_zero(data):
+    # one mask rule for cell and face fields: a field with a mask holds exact 0
+    # on every cell outside its raster and on every face next to no inside
+    # cell, whichever operation made it, and `restricted` only re-masks
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
+    g = Grid(shape, tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim)))
+    d, other = (RasterDomain(g, data.draw(hnp.arrays(bool, shape))) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    faces = [shape[:a] + (shape[a] + 1,) + shape[a + 1:] for a in range(dim)]
+    s = data.draw(st.floats(-1e3, 1e3))
+
+    def scalar(mask=None):
+        return ScalarField(g, rng.normal(size=shape), mask=mask)
+
+    def vector(mask=None):
+        return StaggeredVectorField(g, tuple(rng.normal(size=fs) for fs in faces), mask=mask)
+
+    foreign = RasterDomain.full(Grid(tuple(n + 1 for n in shape), g.extent))
+    f = scalar(d)
+    made = [(gradient(f), d)]
+    for field, unmasked in ((f, scalar()), (vector(d), vector())):
+        made += [(field, d), (field.restricted(other), other)]
+        made += [(x, d) for x in (field - unmasked, field + unmasked, field * s, s * field)]
+        once = field.restricted(other)
+        for got, twice, was, on in zip(_arrays(once), _arrays(once.restricted(other)),
+                                       _arrays(field), _on_raster(field, other.inside)):
+            assert got.tobytes() == twice.tobytes() == np.where(on, was, 0.0).tobytes()
+        with pytest.raises(ValueError, match="mask grid"):
+            field.restricted(foreign)
+    for field, domain in made:
+        assert field.mask is domain
+        for values, on in zip(_arrays(field), _on_raster(field, domain.inside)):
+            assert np.all(values[~on] == 0.0)
 
 
 def test_h_minus_m_zero_field():
@@ -276,7 +319,7 @@ def test_h_minus_m_norm_matches_dense_eigenbasis(data):
     inside = data.draw(hnp.arrays(bool, shape).filter(np.any))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     g = Grid(shape, extent)
-    d = RasterDomain.from_membership(g, inside)
+    d = RasterDomain(g, inside)
     rng = np.random.default_rng(seed)
     f = ScalarField(g, rng.normal(size=shape), mask=d)
     phi = ScalarField(g, rng.normal(size=shape), mask=d)
@@ -298,7 +341,7 @@ def test_h_minus_m_rejects_bad_order_and_empty_domain(norm):
     for m in (1.5, -1):
         with pytest.raises(ValueError, match="integer"):
             norm(f, m, d)
-    empty = RasterDomain.from_membership(g, np.zeros(g.shape, dtype=bool))
+    empty = RasterDomain(g, np.zeros(g.shape, dtype=bool))
     with pytest.raises(ValueError, match="empty"):
         norm(f, 1, empty)
 

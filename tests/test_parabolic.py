@@ -479,7 +479,7 @@ def test_step_series_shift_and_restriction(data):
             assert f is s.fields[k - j]
     kept = np.sqrt(s.delta * sum(norm(f) ** 2 for f in s.fields[:n - j]))
     assert series_l2(shifted) == pytest.approx(kept, rel=1e-12, abs=0.0)
-    domains = [RasterDomain.from_membership(g, data.draw(hnp.arrays(bool, shape)))
+    domains = [RasterDomain(g, data.draw(hnp.arrays(bool, shape)))
                for _ in range(n)]
     on_slices = np.sqrt(s.delta * sum(norm(f.restricted(d)) ** 2
                                       for f, d in zip(s.fields, domains)))

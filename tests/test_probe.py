@@ -15,7 +15,7 @@ from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        run_scheme, series_l2)
 from compactness_lab.probe import (dual_time_estimate, interpolation_check,
                                    kruzhkov_probe, local_to_global,
-                                   make_battery, ns_probe, series_lp,
+                                   make_battery, ns_probe,
                                    step3_dual_constant, limsup_probe,
                                    time_shift_safety)
 from compactness_lab.productlimit import smoothstep
@@ -50,6 +50,31 @@ def test_kruzhkov_budget_additivity(moving_disk, scalar_fields):
     fam = perturbation_scalar_family(base, pert, INTERVAL, 8, 4)
     rep = kruzhkov_probe(fam, moving_disk, 8, [16, 32])
     assert rep.max_budget_defect <= 1e-10
+
+
+# random translating disks on a grid of non-square cells (h = 1/40 by 1.5/48,
+# fine enough for kernels down to 1/16): the budget lines are algebraic
+# identities, so they add up to round-off on every one of them
+BUDGET_GRID = Grid((40, 48), (1.0, 1.5))
+BUDGET_VELOCITY = (0.05, 0.0)
+DISKS = st.tuples(st.floats(0.38, 0.44), st.floats(0.46, 0.5), st.floats(0.6, 0.9))
+
+
+def _moving_disk(disk, n_slices):
+    radius, cx, cy = disk
+    ref = make_domain(f"disk:{radius}", BUDGET_GRID, center=(cx, cy))
+    fam = make_family("translation", INTERVAL, velocity=BUDGET_VELOCITY)
+    return NonCylindricalDomain(fam, ref, n_slices)
+
+
+@settings(max_examples=10, deadline=None)
+@given(DISKS, st.integers(0, 2 ** 32 - 1))
+def test_kruzhkov_budget_adds_up_on_random_disks(disk, seed):
+    rng = generator(seed)
+    base, pert = (random_smooth_field(BUDGET_GRID, rng, modes=3) for _ in range(2))
+    fam = perturbation_scalar_family(base, pert, INTERVAL, 4, 3)
+    rep = kruzhkov_probe(fam, _moving_disk(disk, 4), 4, [8, 16])
+    assert rep.rows and rep.max_budget_defect <= 1e-10
 
 
 def test_kruzhkov_constant_family(moving_disk, scalar_fields):
@@ -236,6 +261,20 @@ def test_ns_probe_convergent_positive(ns_setup):
     assert all(r <= np.sqrt(2) * (1 + 1e-6) for r in rep.moll_bound_ratio.values())
 
 
+@settings(max_examples=6, deadline=None)
+@given(DISKS)
+def test_ns_budget_adds_up_on_random_disks(disk):
+    radius, cx, cy = disk
+    nc = _moving_disk(disk, 8)
+    members = translating_disk_ns_family(BUDGET_GRID, INTERVAL, 8, 3, (cx, cy), radius,
+                                         BUDGET_VELOCITY, stream_fraction=0.55)
+    delta_list = [1 / 8, 1 / 16]
+    compact = nc.compact_core(2 * max(delta_list))
+    assert compact.n_inside > 0
+    rep = ns_probe(members, nc, delta_list, [1 / 8, 2 / 8], compact)
+    assert rep.rows and rep.budget_defect <= 1e-10
+
+
 def test_ns_probe_oscillating_negative(ns_setup):
     _, _, delta_list, s_list, _ = ns_setup
     n_slices = 16
@@ -306,7 +345,7 @@ def test_series_norms_on_slice_rasters_equal_restricted_copies(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def raster():
-        return RasterDomain.from_membership(g, data.draw(hnp.arrays(bool, shape)))
+        return RasterDomain(g, data.draw(hnp.arrays(bool, shape)))
 
     def values(array_shape):
         return rng.standard_normal(array_shape) * 10.0 ** rng.uniform(-3, 3, array_shape)
@@ -321,5 +360,3 @@ def test_series_norms_on_slice_rasters_equal_restricted_copies(data):
     domains = [raster() for _ in range(n)]
     copy = s.restricted(domains)
     assert series_l2(s, domains) == series_l2(copy)
-    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]))
-    assert series_lp(s, p, domains) == series_lp(copy, p)
