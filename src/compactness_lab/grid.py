@@ -19,7 +19,8 @@ distance from the two sides only where all of it is read.
 One mask rule serves cell and face fields: a field with a mask holds exact
 zero off its raster (a cell field on the cells outside it, a face field on
 the faces next to no inside cell) from the moment it is built, so
-`restricted` only re-masks.  Norms take the raster they measure over
+`restricted` only re-masks, and a sum or difference of fields on two rasters
+carries no mask and loses no value.  Norms take the raster they measure over
 (`lp_norm`, `staggered_l2`), so a field is measured on another raster
 without a restricted copy.
 
@@ -36,10 +37,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.ndimage
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 
 @dataclass(frozen=True)
@@ -291,10 +289,10 @@ class ScalarField:
         return ScalarField(self.grid, self.values, mask=domain)
 
     def __add__(self, other):
-        return self.with_values(self.values + _vals(other))
+        return ScalarField(self.grid, self.values + _vals(other), mask=_sum_mask(self, other))
 
     def __sub__(self, other):
-        return self.with_values(self.values - _vals(other))
+        return ScalarField(self.grid, self.values - _vals(other), mask=_sum_mask(self, other))
 
     def __mul__(self, other):
         return self.with_values(self.values * _vals(other))
@@ -304,6 +302,13 @@ class ScalarField:
 
 def _vals(x):
     return x.values if isinstance(x, ScalarField) else x
+
+
+def _sum_mask(a, b):
+    """The mask of a + b and a - b: a's, unless b is masked on another raster.
+    Then none, since each operand already holds exact zero off its own raster."""
+    b_mask = getattr(b, "mask", None)
+    return a.mask if b_mask is None or b_mask is a.mask else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +345,12 @@ class StaggeredVectorField:
         return StaggeredVectorField(self.grid, self.components, mask=domain)
 
     def __add__(self, other):
-        return self.with_components([a + b for a, b in zip(self.components, other.components)])
+        comps = [a + b for a, b in zip(self.components, other.components)]
+        return StaggeredVectorField(self.grid, comps, mask=_sum_mask(self, other))
 
     def __sub__(self, other):
-        return self.with_components([a - b for a, b in zip(self.components, other.components)])
+        comps = [a - b for a, b in zip(self.components, other.components)]
+        return StaggeredVectorField(self.grid, comps, mask=_sum_mask(self, other))
 
     def __mul__(self, s):
         return self.with_components([c * s for c in self.components])

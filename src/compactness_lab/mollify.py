@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
+import scipy
 
 from .grid import ScalarField, StaggeredVectorField
 from .parabolic import StepTimeSeries

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 from .grid import (RasterDomain, RasterFactor, gradient, lp_norm,
                    neumann_laplacian)

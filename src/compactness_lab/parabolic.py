@@ -22,8 +22,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
+import scipy
 
 from .grid import (RasterDomain, ScalarField, StaggeredVectorField,
                    _axis_slices, face_laplacian, gradient, h_minus_m_norm,

@@ -225,27 +225,42 @@ def test_projection_idempotent_and_self_adjoint():
     assert abs(staggered_inner(resid, pw)) <= 1e-8 * scale
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_projection_idempotent_and_self_adjoint_on_random_masks(data):
+def _random_raster_fields(data, n):
+    """The largest connected component of a random raster on a grid of random,
+    mostly non-square cells, and `n` random div-free face fields on it."""
     shape = tuple(data.draw(st.integers(2, 14)) for _ in range(2))
     extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(2))
     cells = data.draw(hnp.arrays(bool, shape).filter(np.any))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    # the largest connected component of a random raster
     labels, _ = scipy.ndimage.label(cells)
     largest = np.argmax(np.bincount(labels[cells]))
     g = Grid(shape, extent)
     dom = RasterDomain(g, labels == largest)
-    factor = neumann_factor(dom)
     rng = np.random.default_rng(seed)
-    u, w = (curl_velocity(g, rng.normal(size=(shape[0] + 1, shape[1] + 1))).restricted(dom)
-            for _ in range(2))
+    return dom, [curl_velocity(g, rng.normal(size=(shape[0] + 1, shape[1] + 1))).restricted(dom)
+                 for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projection_idempotent_and_self_adjoint_on_random_masks(data):
+    dom, (u, w) = _random_raster_fields(data, 2)
+    factor = neumann_factor(dom)
     pu, pw = project_divfree0(u, dom, factor), project_divfree0(w, dom, factor)
     scale = staggered_l2(u) * staggered_l2(w) + 1e-300
     ppu = project_divfree0(pu, dom, factor)
     assert staggered_l2(ppu - pu) <= 1e-12 * staggered_l2(u)
     assert abs(staggered_inner(pu, w) - staggered_inner(u, pw)) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projected_field_has_exactly_zero_normal_trace_on_random_masks(data):
+    # `harmonic_gradient` writes u's own component on every boundary face, so
+    # the trace of P u = u - grad v is exact zero, not round-off
+    dom, (u,) = _random_raster_fields(data, 1)
+    trace = normal_trace(project_divfree0(u, dom), dom)
+    assert all(np.all(v == 0.0) for v in trace.values)
 
 
 def test_projection_of_a_projection_on_the_l_shaped_raster():

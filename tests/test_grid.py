@@ -222,7 +222,8 @@ def _on_raster(field, inside):
 def test_masked_cells_hold_exact_zero(data):
     # one mask rule for cell and face fields: a field with a mask holds exact 0
     # on every cell outside its raster and on every face next to no inside
-    # cell, whichever operation made it, and `restricted` only re-masks
+    # cell, whichever operation made it, and `restricted` only re-masks; a sum
+    # or difference of fields on two rasters carries no mask and is exact
     dim = data.draw(st.integers(1, 2))
     shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
     g = Grid(shape, tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim)))
@@ -242,7 +243,13 @@ def test_masked_cells_hold_exact_zero(data):
     made = [(gradient(f), d)]
     for field, unmasked in ((f, scalar()), (vector(d), vector())):
         made += [(field, d), (field.restricted(other), other)]
-        made += [(x, d) for x in (field - unmasked, field + unmasked, field * s, s * field)]
+        made += [(x, d) for x in (field - unmasked, field + unmasked,
+                                  field - unmasked.restricted(d), field * s, s * field)]
+        on_other = unmasked.restricted(other)
+        for mixed, op in ((field - on_other, np.subtract), (field + on_other, np.add)):
+            assert mixed.mask is None
+            for got, a, b in zip(_arrays(mixed), _arrays(field), _arrays(on_other)):
+                assert got.tobytes() == op(a, b).tobytes()
         once = field.restricted(other)
         for got, twice, was, on in zip(_arrays(once), _arrays(once.restricted(other)),
                                        _arrays(field), _on_raster(field, other.inside)):
