@@ -4,8 +4,8 @@ convergent and one adversarial family."""
 
 from compactness_lab import (Grid, NonCylindricalDomain, kruzhkov_probe,
                              make_domain, make_family, ns_probe)
-from compactness_lab.synth import (generator, oscillating_ns_family,
-                                   oscillating_scalar_family,
+from compactness_lab.synth import (disk_bump_velocity, generator,
+                                   oscillating_family,
                                    perturbation_scalar_family,
                                    random_smooth_field,
                                    translating_disk_ns_family)
@@ -27,7 +27,7 @@ print(f"  1/n-perturbation family: verdict "
       f" (budget defect {pos.max_budget_defect:.1e})")
 print(f"  uniform moduli: "
       + ", ".join(f"ell={k}: {v:.2e}" for k, v in pos.uniform_modulus.items()))
-neg = kruzhkov_probe(oscillating_scalar_family(base, interval, 8, [1, 2, 4]),
+neg = kruzhkov_probe(oscillating_family(base, interval, 8, [1, 2, 4]),
                      nc, 8, [16, 24, 32])
 print(f"  oscillating family: verdict {'POSITIVE' if neg.verdict else 'NEGATIVE'}"
       f" -- {'; '.join(neg.failures)}")
@@ -53,8 +53,8 @@ print(f"  time-shift safety xi   : "
 fam3 = make_family("identity", interval)
 ref3 = make_domain("disk:0.3", grid)
 nc3 = NonCylindricalDomain(fam3, ref3, 16)
-adv = oscillating_ns_family(grid, interval, 16, [2, 4, 8], (0.5, 0.5), 0.3,
-                            stream_fraction=0.55)
+adv = oscillating_family(disk_bump_velocity(grid, (0.5, 0.5), 0.55 * 0.3),
+                         interval, 16, [2, 4, 8])
 rep2 = ns_probe(adv, nc3, delta_list, [dt, 2 * dt, 4 * dt],
                 nc3.compact_core(2 * max(delta_list)))
 print(f"\n  oscillating family: verdict {'POSITIVE' if rep2.verdict else 'NEGATIVE'}")

@@ -34,7 +34,7 @@ from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
                         energy_report, mass, run_scheme, hypothesis_monitor)
 from .probe import check_ell_list, kruzhkov_probe, ns_probe
 from .productlimit import product_pipeline, transposition_defect
-from .synth import (generator, oscillating_ns_family, oscillating_scalar_family,
+from .synth import (disk_bump_velocity, generator, oscillating_family,
                     perturbation_scalar_family, random_smooth_field,
                     random_stream_velocity, translating_disk_ns_family)
 from .truncate import nonlinearity_preset
@@ -422,8 +422,8 @@ def _exp_nsprobe(cfg, seed, out_dir):
             grid, interval, n_slices, cfg["members"], center, disk_r,
             (speed, 0.0), stream_fraction=0.55)
     else:
-        members = oscillating_ns_family(grid, interval, n_slices, cfg["osc_list"], center,
-                                        disk_r, stream_fraction=0.55)
+        members = oscillating_family(disk_bump_velocity(grid, center, 0.55 * disk_r),
+                                     interval, n_slices, cfg["osc_list"])
     dt = (interval[1] - interval[0]) / n_slices
     report = ns_probe(members, nc, delta_list, [dt, 2 * dt, 4 * dt], compact,
                       battery_seed=seed)
@@ -437,6 +437,7 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     n, n_slices, m_interior = cfg["grid"], cfg["n_slices"], cfg["m_interior"]
     ell_list, speed = cfg["ell_list"], cfg["speed"]
     grid = Grid((n, n), (1.0, 1.0))
+    _check_kernels(cfg, grid, "ell_list", ell_list)
     interval = (0.0, 1.0)
     ref = _reference_disk(cfg, grid, (0.5 - speed / 2, 0.5), moved_by=("speed",))
     fam = make_family("translation", interval, velocity=(speed, 0.0))
@@ -451,7 +452,7 @@ def _exp_kruzhkov(cfg, seed, out_dir):
     if cfg["family"] == "perturbation":
         members = perturbation_scalar_family(base, pert, interval, n_slices, cfg["members"])
     else:
-        members = oscillating_scalar_family(base, interval, n_slices, cfg["osc_list"])
+        members = oscillating_family(base, interval, n_slices, cfg["osc_list"])
     report = kruzhkov_probe(members, nc, m_interior, ell_list)
     failures = list(report.failures)
     if report.max_budget_defect > cfg["budget_tol"]:

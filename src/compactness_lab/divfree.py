@@ -201,7 +201,6 @@ class PerSliceProjection:
     projected: StepTimeSeries
     slice_surrogates: list
     spacetime_trace_norm: float
-    pythagoras_defect: float
 
 
 def per_slice_project(series_list, nc, eps):
@@ -217,21 +216,16 @@ def per_slice_project(series_list, nc, eps):
         raise ValueError("series and domain slice counts differ")
     projected = [[] for _ in series_list]
     surrs = [[] for _ in series_list]
-    pyth = [0.0] * len(series_list)
     for k in range(nc.n_slices):
         domain = nc.transported(k, eps)
         factor = neumann_factor(domain)
         for i, s in enumerate(series_list):
-            u_r, gv, pu = _helmholtz_split(s.fields[k], domain, factor)
+            _, gv, pu = _helmholtz_split(s.fields[k], domain, factor)
             projected[i].append(pu)
-            surr = staggered_l2(gv)
-            surrs[i].append(surr)
-            lhs = staggered_l2(u_r) ** 2
-            rhs = staggered_l2(pu) ** 2 + surr ** 2
-            pyth[i] = max(pyth[i], abs(lhs - rhs) / (lhs + 1e-300))
+            surrs[i].append(staggered_l2(gv))
     return [PerSliceProjection(StepTimeSeries(s.interval, tuple(out)), surr,
-                               float(np.sqrt(s.delta * sum(x ** 2 for x in surr))), defect)
-            for s, out, surr, defect in zip(series_list, projected, surrs, pyth)]
+                               float(np.sqrt(s.delta * sum(x ** 2 for x in surr))))
+            for s, out, surr in zip(series_list, projected, surrs)]
 
 
 # ---------------------------------------------------------------------------

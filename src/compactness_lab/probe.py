@@ -59,21 +59,6 @@ def staggered_l2_on_cells(u, cell_mask):
     return float(np.sqrt(total * g.cell_volume))
 
 
-def staggered_gradient_l2(u):
-    """L^2 of the componentwise face-lattice gradient (the measured ||grad u||)."""
-    vol = u.grid.cell_volume
-    total = 0.0
-    for c in u.components:
-        for a in range(u.grid.dim):
-            h = u.grid.spacing[a]
-            total += float(np.sum((np.diff(c, axis=a) / h) ** 2)) * vol
-    return float(np.sqrt(total))
-
-
-def vector_series_gradient_l2(s):
-    return float(np.sqrt(s.delta * sum(staggered_gradient_l2(u) ** 2 for u in s.fields)))
-
-
 # ---------------------------------------------------------------------------
 # Kruzhkov-style mollification probe (scalar series on a moving domain)
 
@@ -109,26 +94,27 @@ def kruzhkov_probe(f_seq, nc, m_interior, ell_list):
     inner_domains = [nc.transported(k, 1.0 / m_interior) for k in range(nc.n_slices)]
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
     members = [s.restricted(slice_domains) for s in f_seq]
-    conv = {ell: [convolve_space(s, make_mollifier(ell, nc.grid)) for s in members]
-            for ell in ell_list}
     uniform, pairwise = {}, {}
     rows = []
     max_defect = 0.0
     scale = max(series_l2(s) for s in members)
     for ell in ell_list:
-        moduli = [series_l2(m - c, inner_domains)
-                  for m, c in zip(members, conv[ell])]
+        mol = make_mollifier(ell, nc.grid)
+        conv = [convolve_space(s, mol) for s in members]
+        first = [m - c for m, c in zip(members, conv)]
+        moduli = [series_l2(f, inner_domains) for f in first]
         uniform[ell] = max(moduli)
         pw = {}
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                t2 = series_l2(conv[ell][i] - conv[ell][j], inner_domains)
+                middle = conv[i] - conv[j]
+                t2 = series_l2(middle, inner_domains)
                 pw[(i + 1, j + 1)] = t2
                 direct = members[i] - members[j]
                 total = series_l2(direct, inner_domains)
-                resum = ((members[i] - conv[ell][i]) + (conv[ell][i] - conv[ell][j])
-                         + (conv[ell][j] - members[j]))
-                defect = series_l2(resum - direct, inner_domains)
+                # the re-summed budget less the direct difference; the third
+                # term f_q*phi - f_q enters as -first[j]
+                defect = series_l2(first[i] + middle - first[j] - direct, inner_domains)
                 max_defect = max(max_defect, defect / (total + 1e-300))
                 rows.append((i + 1, j + 1, ell, moduli[i], t2, moduli[j], total))
         pairwise[ell] = pw
@@ -305,11 +291,13 @@ def time_shift_safety(nc, delta, n_times=16):
 
 
 @dataclass
-class BatteryMember:
-    label: str
-    time_values: np.ndarray    # psi(t_k) at the interior jump times
-    time_l2: float
-    space: object              # ScalarField or StaggeredVectorField
+class Battery:
+    """Space-time test functions psi(t, x) = profile(t) space(x), one for each
+    (space, profile) pair.  A profile is (label, psi(t_k) at the interior jump
+    times, time L^2 of psi); the pair's label is the profile's with the space
+    index first inside the brackets, as in `alt[s0,p4,ph0]`."""
+    spaces: list               # ScalarField or StaggeredVectorField
+    profiles: list
 
 
 def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
@@ -337,28 +325,25 @@ def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
             w = 0.2 * min(grid.extent)
             vals = bump(np.linalg.norm(pts - c, axis=1) / w).reshape(grid.shape)
             spaces.append(ScalarField(grid, vals))
-    members = []
-    for si, space in enumerate(spaces):
-        for w_frac in (0.5, 0.25, 0.125):
-            w = w_frac * (b - a)
-            for pos in range(5):
-                c = a + (pos + 0.5) * (b - a) / 5
-                tv = bump(2.0 * (jumps - c) / w)
-                tl2 = float(np.sqrt(np.sum(bump(2.0 * (mids - c) / w) ** 2) * delta))
-                if tl2 > 0 and np.any(tv != 0):
-                    members.append(BatteryMember(
-                        f"bump[s{si},w{w_frac:g},p{pos}]", tv, tl2, space))
-        for period in (2, 4, 8, 16, 32):
-            if period >= 2 * n_steps:
-                continue
-            half = max(1, period // 2)
-            for phase in (0, half):
-                slices = np.where(((np.arange(n_steps) + phase) // half) % 2 == 0, 1.0, -1.0)
-                slices[0] = slices[-1] = 0.0  # compact support in time
-                tl2 = float(np.sqrt(np.sum(slices ** 2) * delta))
-                members.append(BatteryMember(
-                    f"alt[s{si},p{period},ph{phase}]", slices[1:].copy(), tl2, space))
-    return members
+    profiles = []
+    for w_frac in (0.5, 0.25, 0.125):
+        w = w_frac * (b - a)
+        for pos in range(5):
+            c = a + (pos + 0.5) * (b - a) / 5
+            tv = bump(2.0 * (jumps - c) / w)
+            tl2 = float(np.sqrt(np.sum(bump(2.0 * (mids - c) / w) ** 2) * delta))
+            if tl2 > 0 and np.any(tv != 0):
+                profiles.append((f"bump[w{w_frac:g},p{pos}]", tv, tl2))
+    for period in (2, 4, 8, 16, 32):
+        if period >= 2 * n_steps:
+            continue
+        half = max(1, period // 2)
+        for phase in (0, half):
+            slices = np.where(((np.arange(n_steps) + phase) // half) % 2 == 0, 1.0, -1.0)
+            slices[0] = slices[-1] = 0.0  # compact support in time
+            tl2 = float(np.sqrt(np.sum(slices ** 2) * delta))
+            profiles.append((f"alt[p{period},ph{phase}]", slices[1:], tl2))
+    return Battery(spaces, profiles)
 
 
 def _pair_space(df, space):
@@ -389,28 +374,22 @@ def _spatial_derivative_norms(space, n_order):
     return total
 
 
-def _jump_pairings(series, space):
-    return np.asarray([_pair_space(series.fields[k] - series.fields[k - 1], space)
-                       for k in range(1, series.n_steps)])
-
-
 def _best_dual_ratio(series, battery, space_norm):
     """max over the battery of |<d_t u, psi>| / (time L^2 of psi x
-    space_norm(spatial factor of psi)), with the member's label; each spatial
-    factor is paired and normed once.  The time pairing is exact summation by
-    parts for step series."""
+    space_norm(spatial factor of psi)), with the maximiser's label (the first
+    one on ties).  The jumps of `series` are formed once and each spatial factor
+    is paired and normed once; the time pairing is exact summation by parts
+    for step series."""
+    jumps = [series.fields[k] - series.fields[k - 1] for k in range(1, series.n_steps)]
     best, best_label = 0.0, None
-    norm_cache = {}
-    pair_cache = {}
-    for memb in battery:
-        key = id(memb.space)
-        if key not in norm_cache:
-            norm_cache[key] = space_norm(memb.space)
-            pair_cache[key] = _jump_pairings(series, memb.space)
-        num = abs(float(np.dot(memb.time_values, pair_cache[key])))
-        denom = memb.time_l2 * norm_cache[key]
-        if denom > 0 and num / denom > best:
-            best, best_label = num / denom, memb.label
+    for si, space in enumerate(battery.spaces):
+        norm = space_norm(space)
+        pairings = np.asarray([_pair_space(df, space) for df in jumps])
+        for label, time_values, time_l2 in battery.profiles:
+            num = abs(float(np.dot(time_values, pairings)))
+            denom = time_l2 * norm
+            if denom > 0 and num / denom > best:
+                best, best_label = num / denom, label.replace("[", f"[s{si},", 1)
     return best, best_label
 
 
@@ -450,7 +429,6 @@ class NsProbeReport:
     step1_sup: dict            # delta -> sup_n projection defect
     xi: dict                   # delta -> time-shift safety radius
     step3_constants: dict      # delta -> [C per member]
-    moll_bound_ratio: dict     # delta -> sup_n moll(2delta interior) / (delta ||grad u_n||)
     budget_defect: float
     verdict: bool
     failures: list
@@ -483,17 +461,16 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     battery = make_battery(grid, members[0].interval, members[0].n_steps,
                            seed=battery_seed, kind="vector")
     delta_t = members[0].delta
-    grad_norms = [vector_series_gradient_l2(s) for s in members]
     rows, failures = [], []
-    step1_sup, xi_map, c3_map, moll_sup, moll_ratio = {}, {}, {}, {}, {}
+    step1_sup, xi_map, c3_map, moll_sup = {}, {}, {}, {}
     budget_defect = 0.0
     for delta in delta_list:
         k_mol = round(1.0 / delta)
         if abs(1.0 / delta - k_mol) > 1e-9:
             raise ValueError(f"delta = {delta:g} must be a reciprocal integer")
         mol = make_mollifier(k_mol, grid)
-        inner_domains = [nc.transported(k, 2.0 * delta) for k in range(nc.n_slices)]
-        if any(np.any(compact.inside & ~d.inside) for d in inner_domains):
+        if any(np.any(compact.inside & ~nc.transported(k, 2.0 * delta).inside)
+               for k in range(nc.n_slices)):
             raise ValueError(f"compact raster escapes the 2*delta interior at delta={delta:g}")
         strips = [nc.slice_exterior(k, 2.0 * delta).inside & ~nc.transported(k, 3.0 * delta).inside
                   for k in range(nc.n_slices)]
@@ -522,9 +499,6 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
         step1_sup[delta] = max(defects)
         c3_map[delta] = c3s
         moll_sup[delta] = max(molls)
-        moll_ratio[delta] = max(
-            series_l2(u_series - v, inner_domains) / (delta * grad_norms[i] + 1e-300)
-            for i, (u_series, (v, _)) in enumerate(zip(members, projected)))
         xi = time_shift_safety(nc, delta)
         xi_map[delta] = xi
         # the compact subset of space-time: `compact` on the slices from the
@@ -570,8 +544,8 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
                             f"x{min(growth):.2f} per member at delta={delta:g}")
             break
     failures = list(dict.fromkeys(failures))
-    return NsProbeReport(rows, step1_sup, xi_map, c3_map, moll_ratio,
-                         budget_defect, verdict=not failures, failures=failures)
+    return NsProbeReport(rows, step1_sup, xi_map, c3_map, budget_defect,
+                         verdict=not failures, failures=failures)
 
 
 def interpolation_check(u_series, r, q_exp):

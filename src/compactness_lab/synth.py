@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ScalarField, StaggeredVectorField, lp_norm
-from .parabolic import StepTimeSeries
+from .parabolic import StepTimeSeries, constant_series
 
 
 def generator(seed):
@@ -92,15 +92,14 @@ def disk_bump_velocity(grid, center, radius, modulation=None):
 
 def perturbation_scalar_family(base, pert, interval, n_slices, n_members):
     """f_n = base + pert/n, constant in time (the Cauchy-in-n model family)."""
-    out = []
-    for n in range(1, n_members + 1):
-        f = base + (1.0 / n) * pert
-        out.append(StepTimeSeries(interval, (f,) * n_slices))
-    return out
+    return [constant_series(base + (1.0 / n) * pert, interval, n_slices)
+            for n in range(1, n_members + 1)]
 
 
-def oscillating_scalar_family(g, interval, n_slices, osc_list):
-    """f_n = sin(2 pi n t) g(x) sampled at slice midpoints on a shared partition."""
+def oscillating_family(g, interval, n_slices, osc_list):
+    """f_n = sin(2 pi n t) g(x), g a cell or a face field, sampled at slice
+    midpoints on a shared partition (with g = curl psi, the adversarial
+    div-free family on a static domain)."""
     a, b = interval
     mids = a + (np.arange(n_slices) + 0.5) * (b - a) / n_slices
     out = []
@@ -126,7 +125,7 @@ def boundary_bump_family(domain, interval, n_slices, n_members):
         nrm = lp_norm(f, 2)
         if nrm > 0:
             f = f * (1.0 / nrm)
-        out.append(StepTimeSeries(interval, (f,) * n_slices))
+        out.append(constant_series(f, interval, n_slices))
     return out
 
 
@@ -151,18 +150,4 @@ def translating_disk_ns_family(grid, interval, n_slices, n_members, center,
             fields.append(disk_bump_velocity(grid, c, stream_fraction * disk_radius,
                                              modulation=modulation))
         members.append(StepTimeSeries(interval, tuple(fields)))
-    return members
-
-
-def oscillating_ns_family(grid, interval, n_slices, osc_list, center, disk_radius,
-                          stream_fraction=0.7):
-    """Adversarial family u_n = sin(2 pi n t) curl(psi)(x) on a static domain,
-    sampled at slice midpoints on a shared partition."""
-    a, b = interval
-    mids = a + (np.arange(n_slices) + 0.5) * (b - a) / n_slices
-    u0 = disk_bump_velocity(grid, center, stream_fraction * disk_radius)
-    members = []
-    for n in osc_list:
-        coefs = np.sin(2.0 * np.pi * n * (mids - a) / (b - a))
-        members.append(StepTimeSeries(interval, tuple(u0 * float(c) for c in coefs)))
     return members

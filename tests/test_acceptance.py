@@ -26,8 +26,8 @@ from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        oscillating_series, run_scheme,
                                        hypothesis_monitor)
 from compactness_lab.probe import kruzhkov_probe, ns_probe
-from compactness_lab.synth import (generator, oscillating_ns_family,
-                                   oscillating_scalar_family,
+from compactness_lab.synth import (disk_bump_velocity, generator,
+                                   oscillating_family,
                                    perturbation_scalar_family,
                                    random_smooth_field, random_stream_velocity,
                                    translating_disk_ns_family)
@@ -263,8 +263,8 @@ def test_criterion_09_ns_probe():
     fam2 = make_family("identity", interval)
     ref2 = make_domain("disk:0.3", g)
     nc2 = NonCylindricalDomain(fam2, ref2, n_slices)
-    adv = oscillating_ns_family(g, interval, n_slices, [2, 4, 8], (0.5, 0.5), 0.3,
-                                stream_fraction=0.55)
+    adv = oscillating_family(disk_bump_velocity(g, (0.5, 0.5), 0.55 * 0.3),
+                             interval, n_slices, [2, 4, 8])
     compact2 = nc2.compact_core(2 * max(delta_list))
     neg = ns_probe(adv, nc2, delta_list, s_list, compact2, battery_seed=0)
     growth_ok = all(
@@ -288,7 +288,7 @@ def test_criterion_10_kruzhkov_probe():
     pert = random_smooth_field(g, rng, modes=3)
     pos = kruzhkov_probe(perturbation_scalar_family(base, pert, interval, 8, 6),
                          nc, 8, [16, 24, 32])
-    neg = kruzhkov_probe(oscillating_scalar_family(base, interval, 8, [1, 2, 4]),
+    neg = kruzhkov_probe(oscillating_family(base, interval, 8, [1, 2, 4]),
                          nc, 8, [16, 24, 32])
     ok = (pos.max_budget_defect <= 1e-10 and pos.verdict and not neg.verdict)
     report(10, ok, f"three-term budget defect {pos.max_budget_defect:.1e} (<= 1e-10); "

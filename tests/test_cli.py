@@ -108,6 +108,7 @@ def test_commutator_experiment(tmp_path):
     ("kruzhkov", "m_interior = 0"),
     ("kruzhkov", "ell_list = ,"),
     ("kruzhkov", "ell_list = 4"),
+    ("kruzhkov", "ell_list = 16,24,64"),  # under-resolved kernel: 1/ell < 2h
     ("divfree", "pair_checks = -1"),
     ("porous", "grid_cell = 64"),        # unknown key: a typo for grid_cells
     ("kruzhkov", "budget_tol = nan"),

@@ -333,6 +333,17 @@ def test_trace_surrogate_cases():
     assert trace_norm_surrogate(double, FULL) == pytest.approx(2.0 * val, rel=1e-10)
 
 
+def _pythagoras_defect(series, out, nc, eps):
+    """max over slices of | ||u||^2 - ||P u||^2 - surrogate^2 | / ||u||^2, u the
+    slice on its A_t(Omega_eps) raster: P u and grad v are orthogonal."""
+    worst = 0.0
+    for k, (u, pu, surr) in enumerate(zip(series.fields, out.projected.fields,
+                                          out.slice_surrogates)):
+        lhs = staggered_l2(u.restricted(nc.transported(k, eps))) ** 2
+        worst = max(worst, abs(lhs - staggered_l2(pu) ** 2 - surr ** 2) / (lhs + 1e-300))
+    return worst
+
+
 def test_per_slice_static_matches_single_slice():
     disk = make_domain("disk:0.35", GRID)
     nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 4)
@@ -344,7 +355,7 @@ def test_per_slice_static_matches_single_slice():
     single = project_divfree0(u.restricted(d), d)
     for f in out.projected.fields:
         assert staggered_l2(f - single) <= 1e-9 * staggered_l2(u)
-    assert out.pythagoras_defect <= 1e-8
+    assert _pythagoras_defect(series, out, nc, 0.05) <= 1e-8
 
 
 def test_per_slice_zero_trace_is_identity():
@@ -367,7 +378,7 @@ def test_per_slice_moving_disk_pythagoras():
     members = translating_disk_ns_family(GRID, (0.0, 1.0), 6, 1, (0.45, 0.5), 0.3,
                                          (speed, 0.0), stream_fraction=0.8)
     [out] = per_slice_project(members[:1], nc, 0.04)
-    assert out.pythagoras_defect <= 1e-8
+    assert _pythagoras_defect(members[0], out, nc, 0.04) <= 1e-8
     st = np.sqrt(members[0].delta * sum(s ** 2 for s in out.slice_surrogates))
     assert out.spacetime_trace_norm == pytest.approx(st, rel=1e-12)
 
@@ -385,12 +396,12 @@ def test_per_slice_grouped_equals_single_series(monkeypatch):
     grouped = per_slice_project(members, nc, 0.04)
     assert len(builds) == nc.n_slices
     assert len(grouped) == len(members)
-    for out, single in zip(grouped, singles):
+    for s, out, single in zip(members, grouped, singles):
         for f, h in zip(out.projected.fields, single.projected.fields):
             assert all(np.array_equal(a, b) for a, b in zip(f.components, h.components))
         assert out.slice_surrogates == single.slice_surrogates
         assert out.spacetime_trace_norm == single.spacetime_trace_norm
-        assert out.pythagoras_defect == single.pythagoras_defect
+        assert _pythagoras_defect(s, out, nc, 0.04) <= 1e-8
     short = StepTimeSeries((0.0, 1.0), members[0].fields[:2])
     with pytest.raises(ValueError, match="slice counts differ"):
         per_slice_project([members[0], short], nc, 0.04)

@@ -8,20 +8,22 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, h_minus_m_norm)
+                                  StaggeredVectorField, h_minus_m_norm, inner,
+                                  staggered_inner, staggered_l2)
+from compactness_lab.mollify import convolve_staggered, make_mollifier
 from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        constant_series, oscillating_series,
                                        run_scheme, series_l2)
-from compactness_lab.probe import (dual_time_estimate, interpolation_check,
+from compactness_lab.probe import (Battery, _spatial_derivative_norms,
+                                   dual_time_estimate, interpolation_check,
                                    kruzhkov_probe, local_to_global,
                                    make_battery, ns_probe,
                                    step3_dual_constant, limsup_probe,
                                    time_shift_safety)
 from compactness_lab.productlimit import smoothstep
 from compactness_lab.synth import (boundary_bump_family, disk_bump_velocity,
-                                   generator, oscillating_ns_family,
-                                   oscillating_scalar_family,
+                                   generator, oscillating_family,
                                    perturbation_scalar_family,
                                    random_smooth_field,
                                    translating_disk_ns_family)
@@ -97,7 +99,7 @@ def test_kruzhkov_perturbation_family_positive(moving_disk, scalar_fields):
 
 def test_kruzhkov_oscillating_family_negative(moving_disk, scalar_fields):
     base, _ = scalar_fields
-    fam = oscillating_scalar_family(base, INTERVAL, 8, [1, 2, 4])
+    fam = oscillating_family(base, INTERVAL, 8, [1, 2, 4])
     rep = kruzhkov_probe(fam, moving_disk, 8, [16, 24, 32])
     assert not rep.verdict
     assert any("Cauchy" in f for f in rep.failures)
@@ -233,6 +235,15 @@ def test_dual_estimate_heat_flow_bounded():
     assert max(vals) <= 2.0 * min(vals)
 
 
+def _face_gradient_l2(s):
+    """L^2(I x Omega) of the componentwise face-lattice gradient of a series
+    of face fields."""
+    g = s.fields[0].grid
+    total = sum(float(np.sum((np.diff(c, axis=a) / g.spacing[a]) ** 2))
+                for f in s.fields for c in f.components for a in range(g.dim))
+    return float(np.sqrt(s.delta * total * g.cell_volume))
+
+
 @pytest.fixture(scope="module")
 def ns_setup():
     speed = 0.15
@@ -257,8 +268,16 @@ def test_ns_probe_convergent_positive(ns_setup):
     d_first, d_last = max(delta_list), min(delta_list)
     assert rep.step1_sup[d_last] <= 0.6 * rep.step1_sup[d_first] + 1e-8
     assert not any("chain" in f for f in rep.failures)
-    # mollification line controlled by delta * ||grad u|| (within the lattice factor)
-    assert all(r <= np.sqrt(2) * (1 + 1e-6) for r in rep.moll_bound_ratio.values())
+    # the mollification line u - u*rho_delta on the 2 delta-interiors is
+    # controlled by delta ||grad u|| (within the lattice factor sqrt 2)
+    slices = [nc.slice_raster(k) for k in range(nc.n_slices)]
+    for delta in delta_list:
+        mol = make_mollifier(round(1.0 / delta), GRID)
+        interiors = [nc.transported(k, 2.0 * delta) for k in range(nc.n_slices)]
+        for s in members:
+            u = s.restricted(slices)
+            moll = series_l2(u - u.map(lambda f: convolve_staggered(f, mol)), interiors)
+            assert moll <= np.sqrt(2) * delta * _face_gradient_l2(u) * (1 + 1e-6)
 
 
 @settings(max_examples=6, deadline=None)
@@ -281,8 +300,8 @@ def test_ns_probe_oscillating_negative(ns_setup):
     fam = make_family("identity", INTERVAL)
     ref = make_domain("disk:0.3", GRID)
     nc = NonCylindricalDomain(fam, ref, n_slices)
-    members = oscillating_ns_family(GRID, INTERVAL, n_slices, [2, 4, 8], (0.5, 0.5),
-                                    0.3, stream_fraction=0.55)
+    members = oscillating_family(disk_bump_velocity(GRID, (0.5, 0.5), 0.55 * 0.3),
+                                 INTERVAL, n_slices, [2, 4, 8])
     rep = ns_probe(members, nc, delta_list, s_list, nc.compact_core(2 * max(delta_list)),
                    battery_seed=0)
     assert not rep.verdict
@@ -329,6 +348,46 @@ def test_step3_constant_matched_battery_scaling():
         if c_prev is not None:
             assert c / c_prev >= 1.8
         c_prev = c
+
+
+def _brute_force_dual_ratio(series, battery, space_norm):
+    """The battery's best ratio and its label, each (space, profile) pair
+    paired from scratch, spaces outermost, the first maximum kept."""
+    pair = inner if isinstance(battery.spaces[0], ScalarField) else staggered_inner
+    best, best_label = 0.0, None
+    for si, space in enumerate(battery.spaces):
+        for label, time_values, time_l2 in battery.profiles:
+            pairings = np.asarray([pair(series.fields[k] - series.fields[k - 1], space)
+                                   for k in range(1, series.n_steps)])
+            ratio = abs(float(np.dot(time_values, pairings))) / (time_l2 * space_norm(space))
+            if ratio > best:
+                name, params = label.split("[", 1)
+                best, best_label = ratio, f"{name}[s{si},{params}"
+    return best, best_label
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_best_dual_ratio_matches_brute_force(kind):
+    n_steps = 16
+    battery = make_battery(GRID, INTERVAL, n_steps, seed=7, kind=kind)
+    if kind == "scalar":
+        estimate, norm = dual_time_estimate, lambda sp: _spatial_derivative_norms(sp, 1)
+    else:
+        estimate, norm = step3_dual_constant, staggered_l2
+    mids = (np.arange(n_steps) + 0.5) / n_steps
+    kinds = set()
+    # a series on the j-th spatial factor is best met by that factor
+    for j, coefs in ((2, np.sign(np.sin(8 * np.pi * mids))), (1, (mids > 0.5) * 1.0),
+                     (0, np.exp(-((mids - 0.5) / 0.2) ** 2))):
+        series = StepTimeSeries(INTERVAL, tuple(battery.spaces[j] * float(c) for c in coefs))
+        best, label = estimate(series, battery)
+        assert (best, label) == _brute_force_dual_ratio(series, battery, norm)
+        assert f"[s{j}," in label
+        kinds.add(label.split("[")[0])
+        # on a tie the first space wins
+        twice = Battery([battery.spaces[j]] * 2, battery.profiles)
+        assert estimate(series, twice) == (best, label.replace(f"[s{j},", "[s0,"))
+    assert kinds == {"alt", "bump"}
 
 
 @settings(max_examples=60, deadline=None)
