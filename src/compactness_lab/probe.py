@@ -78,8 +78,9 @@ class KruzhkovReport:
 
 def check_ell_list(nc, m_interior, ell_list):
     """Raise ValueError unless every mollifier scale meets the well-definedness
-    bound ell >= 2m/eta of the Kruzhkov budget, eta from `bilipschitz`."""
-    min_ell = 2.0 * m_interior / bilipschitz(nc.family, nc.reference).eta
+    bound ell >= 2m/eta = 2mK of the Kruzhkov budget, K the exact
+    `bilipschitz` constant of the motion."""
+    min_ell = 2.0 * m_interior * bilipschitz(nc.family)
     if min(ell_list) < min_ell * (1.0 - 1e-9):
         raise ValueError(
             f"ell = {min(ell_list)} below the well-definedness bound 2m/eta = {min_ell:.1f}")

@@ -29,6 +29,24 @@ GRID = Grid((64, 64), (1.0, 1.0))
 FULL = RasterDomain.full(GRID)
 
 
+def _domain(spec):
+    """The raster named by `spec`: the box for None, `annulus:r0:r1` for a
+    centred annulus (a raster with a hole, where a zero-trace div-free field
+    can circulate around it), else a `make_domain` preset."""
+    if spec is None:
+        return FULL
+    kind, *radii = spec.split(":")
+    if kind != "annulus":
+        return make_domain(spec, GRID)
+    r0, r1 = map(float, radii)
+
+    def annulus_sdf(pts):
+        rho = np.linalg.norm(pts - 0.5, axis=1)
+        return np.minimum(rho - r0, r1 - rho)
+
+    return RasterDomain.from_sdf(GRID, annulus_sdf)
+
+
 def interior_dirichlet_energy(v, domain):
     """Interior-face Dirichlet energy <grad v, grad v> (the variational one)."""
     g = harmonic_gradient(v, domain, g_data=None)
@@ -109,7 +127,7 @@ def test_neumann_harmonic_green_identity():
 
 @pytest.mark.parametrize("spec", [None, "disk:0.35", "annulus:0.15:0.4"])
 def test_neumann_harmonic_solves_discrete_problem(spec):
-    dom = FULL if spec is None else make_domain(spec, GRID)
+    dom = _domain(spec)
     u = random_stream_velocity(GRID, generator(11)).restricted(dom)
     v = neumann_harmonic(normal_trace(u, dom), dom)
     # right-hand side: divergence of the boundary faces of u, the prescribed flux
@@ -150,7 +168,7 @@ def test_neumann_harmonic_disconnected_rejected():
 
 @pytest.mark.parametrize("spec", [None, "annulus:0.15:0.4"])
 def test_passed_factor_gives_identical_results(spec):
-    dom = FULL if spec is None else make_domain(spec, GRID)
+    dom = _domain(spec)
     factor = neumann_factor(dom)
     u = random_stream_velocity(GRID, generator(29)).restricted(dom)
     g = normal_trace(u, dom)
@@ -377,10 +395,16 @@ def test_per_slice_moving_disk_pythagoras():
     nc = NonCylindricalDomain(fam, disk, 6)
     members = translating_disk_ns_family(GRID, (0.0, 1.0), 6, 1, (0.45, 0.5), 0.3,
                                          (speed, 0.0), stream_fraction=0.8)
-    [out] = per_slice_project(members[:1], nc, 0.04)
-    assert _pythagoras_defect(members[0], out, nc, 0.04) <= 1e-8
-    st = np.sqrt(members[0].delta * sum(s ** 2 for s in out.slice_surrogates))
-    assert out.spacetime_trace_norm == pytest.approx(st, rel=1e-12)
+    # the bump's surrogate is negligible against its norm; a constant flow
+    # crosses every slice's boundary, so its surrogate is a share of ||u||^2
+    flow = StepTimeSeries((0.0, 1.0), (StaggeredVectorField.constant(GRID, (1.0, 0.0)),) * 6)
+    outs = per_slice_project([members[0], flow], nc, 0.04)
+    for series, out in zip((members[0], flow), outs):
+        assert _pythagoras_defect(series, out, nc, 0.04) <= 1e-8
+        st = np.sqrt(series.delta * sum(s ** 2 for s in out.slice_surrogates))
+        assert out.spacetime_trace_norm == pytest.approx(st, rel=1e-12)
+    assert min(outs[1].slice_surrogates) > 0.1 * staggered_l2(flow.fields[0].restricted(
+        nc.transported(0, 0.04)))
 
 
 def test_per_slice_grouped_equals_single_series(monkeypatch):

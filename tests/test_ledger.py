@@ -49,21 +49,6 @@ LEDGER = {
     "grid.read_grid_file": GRID,
     "mollify.shift_time": ("statement", "the time translation lambda_sigma f(t) = f(t - sigma) "
                            "of the criterion's time-equicontinuity hypothesis"),
-    "movedom.DiffeoFamily.check_inverse": (
-        "statement", "each A_t is a diffeomorphism, A_t(A_t^{-1}(x)) = x, as the "
-        "non-cylindrical theorem assumes"),
-    "movedom.DiffeoFamily.grad_continuity_modulus": (
-        "statement", "t -> grad A_t is continuous, the time regularity the "
-        "non-cylindrical theorem assumes of the family"),
-    "movedom.make_family.<locals>.rot": (
-        "statement", "the rotation family: volume-preserving A_t, Jacobian exactly 1, "
-        "inverse rot(t)^T"),
-    "movedom.make_family.<locals>.shear": (
-        "statement", "the shear family: A_t with a non-normal gradient, inverse "
-        "shear(-t)"),
-    "movedom.make_domain.<locals>.annulus_sdf": (
-        "statement", "the annulus preset: a raster with a hole, where a zero-trace "
-        "div-free field can circulate around the hole"),
     "movedom.measure_sobolev_constant": (
         "statement", "the reference Sobolev constant S_Omega, a factor of the "
         "transported constant K_p"),

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField, gradient,
                                   lp_norm, neumann_laplacian,
                                   signed_distance_transform, staggered_l2)
-from compactness_lab.movedom import (BilipschitzInfo, FramingReport,
+from compactness_lab import movedom
+from compactness_lab.movedom import (DiffeoFamily, FramingReport,
                                      NonCylindricalDomain, bilipschitz,
                                      eps_exterior, eps_interior, framing_check,
                                      grad_sup_norm, jacobian_bounds,
@@ -24,6 +25,66 @@ from compactness_lab.synth import generator, random_smooth_field
 
 
 GRID_256 = Grid((256, 256), (1.0, 1.0))
+
+
+# test-side oracles: the forward map A_t, two hypotheses the non-cylindrical
+# theorem makes of the family, and two motions no run uses, a rotation (volume
+# preserving) and a shear (non-normal gradient)
+
+def forward(fam, t, pts):
+    c = fam.center
+    return c + (np.asarray(pts, dtype=float) - c) @ fam.mat(t).T + t * fam.velocity
+
+
+def check_inverse(fam, pts):
+    """sup_t |A_t(A_t^{-1}(x)) - x| over `pts`: each A_t is a diffeomorphism."""
+    return max(float(np.max(np.linalg.norm(forward(fam, t, fam.inverse(t, pts)) - pts, axis=1)))
+               for t in fam.times())
+
+
+def grad_continuity_modulus(fam):
+    """Sampled sup |M(t+dt) - M(t)| at 32 and 64 time steps; both shrink for a
+    family continuous in time."""
+    out = []
+    for n in (32, 64):
+        mats = np.array([fam.mat(t) for t in np.linspace(*fam.interval, n + 1)])
+        out.append(float(np.max(np.abs(np.diff(mats, axis=0)))))
+    return tuple(out)
+
+
+def sampled_bilipschitz(fam, domain):
+    """max(hi, 1/lo) of |A_t p - A_t q| / |p - q| over 400 seeded pairs among at
+    most 4096 cell centres of `domain`: a sample, so it can only read low."""
+    rng = np.random.default_rng(np.random.Philox(7))
+    pts = domain.grid.cell_centers()[domain.inside]
+    if len(pts) > 4096:
+        pts = pts[::int(np.ceil(len(pts) / 4096))]
+    idx = rng.integers(0, len(pts), size=(400, 2))
+    keep = idx[:, 0] != idx[:, 1]
+    p, q = pts[idx[keep, 0]], pts[idx[keep, 1]]
+    base = np.linalg.norm(p - q, axis=1)
+    hi, lo = 1.0, 1.0
+    for t in fam.times():
+        ratio = np.linalg.norm(forward(fam, t, p) - forward(fam, t, q), axis=1) / base
+        hi = max(hi, float(ratio.max()))
+        lo = min(lo, float(ratio.min()))
+    return max(hi, 1.0 / lo)
+
+
+def rotation(interval, omega, center):
+    def rot(t):
+        th = omega * t
+        return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+
+    return DiffeoFamily(interval, rot, lambda t: rot(t).T,
+                        np.asarray(center, dtype=float), np.zeros(2))
+
+
+def shear(interval, amplitude):
+    def mat(t):
+        return np.array([[1.0, amplitude * np.sin(t)], [0.0, 1.0]])
+
+    return DiffeoFamily(interval, mat, lambda t: mat(-t), np.zeros(2), np.zeros(2))
 
 
 def mean_zero(f):
@@ -124,7 +185,7 @@ def test_duality_band_closing_contains():
 
 def test_jacobian_bounds_identity_and_rotation():
     for fam in (make_family("identity", (0.0, 1.0)),
-                make_family("rotation", (0.0, 1.0), omega=2.0, center=(0.5, 0.5))):
+                rotation((0.0, 1.0), omega=2.0, center=(0.5, 0.5))):
         jb = jacobian_bounds(fam)
         assert jb.raw_min == pytest.approx(1.0, abs=1e-12)
         assert jb.raw_max == pytest.approx(1.0, abs=1e-12)
@@ -139,38 +200,60 @@ def test_jacobian_bounds_dilation_closed_form():
     assert jb.alpha <= jb.raw_min and jb.beta >= jb.raw_max
 
 
+def _five_families(interval):
+    return {"identity": make_family("identity", interval),
+            "translation": make_family("translation", interval, velocity=(0.3, 0.1)),
+            "dilation": make_family("dilation", interval, amplitude=0.25, center=(0.5, 0.5)),
+            "rotation": rotation(interval, omega=1.5, center=(0.5, 0.5)),
+            "shear": shear(interval, amplitude=0.2)}
+
+
 def test_bilipschitz_presets():
+    # oracle: a dense SVD of M(t) per time sample; the old pair sampler can
+    # only read below the exact constant
     g = Grid((64, 64), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
-    assert bilipschitz(make_family("identity", (0.0, 1.0)), disk).K == pytest.approx(1.0, abs=1e-12)
-    assert bilipschitz(make_family("translation", (0.0, 1.0), velocity=(0.3, 0.1)),
-                       disk).K == pytest.approx(1.0, abs=1e-12)
-    info = bilipschitz(make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25,
-                                   center=(0.5, 0.5)), disk)
-    assert info.K == pytest.approx(4.0 / 3.0, rel=1e-2)
-    assert info.eta == pytest.approx(1.0 / info.K)
+    fams = _five_families((0.0, 2 * np.pi))
+    for name, fam in fams.items():
+        per_t = [np.linalg.svd(fam.mat(t), compute_uv=False) for t in fam.times()]
+        K = bilipschitz(fam)
+        assert K == max(max(s[0], 1.0 / s[-1]) for s in per_t), name
+        assert sampled_bilipschitz(fam, disk) <= K * (1 + 1e-12), name
+    for name in ("identity", "translation"):
+        assert bilipschitz(fams[name]) == 1.0
+    assert bilipschitz(fams["rotation"]) == pytest.approx(1.0, abs=1e-14)
+    assert bilipschitz(fams["dilation"]) == pytest.approx(4.0 / 3.0, rel=1e-4)
+    # the shear's largest singular value, at |a sin t| = a
+    a = 0.2
+    assert bilipschitz(fams["shear"]) == pytest.approx((a + np.sqrt(a * a + 4)) / 2, rel=1e-4)
+
+
+def test_batched_constants_match_per_t_loops():
+    # oracle: one determinant and one spectral norm of M(t) per time sample
+    for name, fam in _five_families((0.0, 2 * np.pi)).items():
+        dets = [abs(float(np.linalg.det(fam.mat(t)))) for t in fam.times()]
+        jb = jacobian_bounds(fam)
+        assert (jb.raw_min, jb.raw_max) == (min(dets), max(dets)), name
+        assert grad_sup_norm(fam) == max(float(np.linalg.norm(fam.mat(t), 2))
+                                         for t in fam.times()), name
 
 
 def test_family_inverse_and_continuity():
-    # M(t) = grad A_t against a central-difference Jacobian of forward,
-    # column j from the step h along axis j
+    # M(t) = grad A_t against a central-difference Jacobian of the forward
+    # map, column j from the step h along axis j
     g = Grid((32, 32), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
     pts = g.cell_centers().reshape(-1, 2)[disk.inside.reshape(-1)][::7]
     h = 1e-6
-    for name, kwargs in (("identity", {}),
-                         ("translation", dict(velocity=(0.3, -0.1))),
-                         ("rotation", dict(omega=1.5, center=(0.5, 0.5))),
-                         ("dilation", dict(amplitude=0.2, center=(0.5, 0.5))),
-                         ("shear", dict(amplitude=0.3))):
-        fam = make_family(name, (0.0, 1.0), **kwargs)
-        assert fam.check_inverse(pts) <= 1e-9
-        coarse, fine = fam.grad_continuity_modulus()
+    for name, fam in _five_families((0.0, 1.0)).items():
+        assert check_inverse(fam, pts) <= 1e-9
+        coarse, fine = grad_continuity_modulus(fam)
         assert fine <= coarse * 0.75 + 1e-12
         for t in (0.0, 0.37, 1.0):
-            fd = np.stack([(fam.forward(t, pts + h * e) - fam.forward(t, pts - h * e)) / (2 * h)
+            fd = np.stack([(forward(fam, t, pts + h * e) - forward(fam, t, pts - h * e)) / (2 * h)
                            for e in np.eye(2)], axis=-1)
             assert np.max(np.abs(fam.mat(t) - fd)) <= 1e-8, name
+        assert np.array_equal(fam.mats(), [fam.mat(t) for t in fam.times()])
 
 
 def test_framing_identity_is_equality():
@@ -191,22 +274,24 @@ def test_framing_translation_and_dilation():
     assert rep2.ok
 
 
-def test_framing_shared_nc_matches_explicit_transforms():
+def test_framing_shared_nc_matches_explicit_transforms(monkeypatch):
     # oracle: the distance transforms recomputed from the memberships; eta = 1
     # for a dilation breaks the inclusions, and half a cell of band keeps
     # banded violations to count
     g = Grid((64, 64), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
     fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
-    eps, info, band = 0.08, BilipschitzInfo(K=1.0, eta=1.0), 0.5 * max(g.spacing)
+    eps, eta, band = 0.08, 1.0, 0.5 * max(g.spacing)
+    monkeypatch.setattr(movedom, "bilipschitz", lambda family: 1.0)
     nc = NonCylindricalDomain(fam, disk, 6)
-    rep = framing_check(nc, eps, info=info, band_cells=0.5)
+    rep = framing_check(nc, eps, band_cells=0.5)
+    assert rep.eta == eta
     counts = np.zeros(4, int)
     oracle = NonCylindricalDomain(fam, disk, 6)
     for k in range(6):
         slice_r, mid = oracle.slice_raster(k), oracle.transported(k, eps)
-        inner = eps_interior(slice_r, eps / info.eta)
-        outer = eps_interior(slice_r, info.eta * eps)
+        inner = eps_interior(slice_r, eps / eta)
+        outer = eps_interior(slice_r, eta * eps)
         sd_mid = signed_distance_transform(g, mid.inside)
         sd_out = signed_distance_transform(g, outer.inside)
         viol1, viol2 = inner.inside & ~mid.inside, mid.inside & ~outer.inside
@@ -223,28 +308,27 @@ def test_framing_shared_nc_matches_explicit_transforms():
 
 def test_framing_erosions_come_from_the_memo():
     # oracle: the translation family's framing recomputed from fresh erosions
-    # of fresh slices; eta is 1 up to round-off, so both erosions of a slice
-    # are one cached raster
+    # of fresh slices; eta is exactly 1, so both erosions of a slice are one
+    # cached raster
     g = Grid((64, 64), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
     fam = make_family("translation", (0.0, 1.0), velocity=(0.05, 0.0))
     eps, band = 0.1, 1.5 * max(g.spacing)
     nc = NonCylindricalDomain(fam, disk, 8)
-    info = bilipschitz(fam, disk)
-    assert info.eta != 1.0 and abs(info.eta - 1.0) < 1e-12
-    rep = framing_check(nc, eps, info=info)
+    assert bilipschitz(fam) == 1.0
+    rep = framing_check(nc, eps)
     fresh = NonCylindricalDomain(fam, disk, 8)
     counts = []
     for k in range(8):
         slice_r, mid = fresh.slice_raster(k), fresh.transported(k, eps)
-        inner, outer = eps_interior(slice_r, eps / info.eta), eps_interior(slice_r, info.eta * eps)
-        assert nc.slice_eroded(k, eps / info.eta) is nc.slice_eroded(k, info.eta * eps)
-        assert np.array_equal(nc.slice_eroded(k, eps / info.eta).inside, inner.inside)
+        inner = outer = eps_interior(slice_r, eps)
+        assert nc.slice_eroded(k, eps / rep.eta) is nc.slice_eroded(k, rep.eta * eps)
+        assert np.array_equal(nc.slice_eroded(k, eps).inside, inner.inside)
         viol1, viol2 = inner.inside & ~mid.inside, mid.inside & ~outer.inside
         counts.append([np.count_nonzero(viol1), np.count_nonzero(viol2),
                        np.count_nonzero(viol1 & (mid.signed_distance < -band)),
                        np.count_nonzero(viol2 & (outer.signed_distance < -band))])
-    assert rep == FramingReport(info.eta, eps, *(int(c) for c in np.sum(counts, axis=0)))
+    assert rep == FramingReport(1.0, eps, *(int(c) for c in np.sum(counts, axis=0)))
 
 
 def _transform_sides_of_run(experiment, tmp_path, monkeypatch):
@@ -481,7 +565,7 @@ def test_change_of_variable_norm_transport():
         slice_r = nc.slice_raster(k)
         vals_t = u_fn(centers).reshape(g.shape)
         norm_t = lp_norm(ScalarField(g, vals_t, mask=slice_r), 2) ** 2
-        pulled = ScalarField(g, u_fn(fam.forward(t, centers)).reshape(g.shape), mask=disk)
+        pulled = ScalarField(g, u_fn(forward(fam, t, centers)).reshape(g.shape), mask=disk)
         norm_ref = lp_norm(pulled, 2) ** 2
         assert jb.alpha * norm_ref * 0.98 <= norm_t <= jb.beta * norm_ref * 1.02
 

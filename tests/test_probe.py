@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, h_minus_m_norm, inner,
-                                  staggered_inner, staggered_l2)
-from compactness_lab.mollify import convolve_staggered, make_mollifier
+                                  lp_norm, staggered_inner, staggered_l2)
+from compactness_lab.mollify import (convolve_space, convolve_staggered,
+                                     make_mollifier)
 from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        constant_series, oscillating_series,
@@ -77,6 +78,40 @@ def test_kruzhkov_budget_adds_up_on_random_disks(disk, seed):
     fam = perturbation_scalar_family(base, pert, INTERVAL, 4, 3)
     rep = kruzhkov_probe(fam, _moving_disk(disk, 4), 4, [8, 16])
     assert rep.rows and rep.max_budget_defect <= 1e-10
+
+
+def test_kruzhkov_rows_recomputed_slice_by_slice():
+    # oracle: each term of each row recomputed from the member values, slice
+    # by slice: an L^2 norm on A_t(Omega_{1/m}) by `lp_norm`, summed over slices
+    g, m, n_slices = Grid((32, 32), (1.0, 1.0)), 4, 4
+    fam = make_family("translation", INTERVAL, velocity=(0.1, 0.0))
+    nc = NonCylindricalDomain(fam, make_domain("disk:0.35", g, center=(0.45, 0.5)), n_slices)
+    rng = generator(3)
+    base, pert = (random_smooth_field(g, rng, modes=3) for _ in range(2))
+    members = perturbation_scalar_family(base, pert, INTERVAL, n_slices, 3)
+    rep = kruzhkov_probe(members, nc, m, [8, 16])
+    inner_domains = [nc.transported(k, 1.0 / m) for k in range(n_slices)]
+
+    def norm(slices):
+        return np.sqrt(members[0].delta * sum(lp_norm(ScalarField(g, v), 2, d) ** 2
+                                              for v, d in zip(slices, inner_domains)))
+
+    vals = [[np.where(nc.slice_raster(k).inside, f.values, 0.0) for k, f in enumerate(s.fields)]
+            for s in members]
+    want = []
+    for ell in (8, 16):
+        mol = make_mollifier(ell, g)
+        conv = [[convolve_space(ScalarField(g, v), mol).values for v in s] for s in vals]
+        first = [norm([v - c for v, c in zip(vals[i], conv[i])]) for i in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                want.append((i + 1, j + 1, ell, first[i],
+                             norm([a - b for a, b in zip(conv[i], conv[j])]), first[j],
+                             norm([a - b for a, b in zip(vals[i], vals[j])])))
+    assert [row[:3] for row in rep.rows] == [w[:3] for w in want]
+    assert all(min(w[3:]) > 0 for w in want)
+    np.testing.assert_allclose([row[3:] for row in rep.rows], [w[3:] for w in want],
+                               rtol=1e-12, atol=0)
 
 
 def test_kruzhkov_constant_family(moving_disk, scalar_fields):
