@@ -1,6 +1,6 @@
 """Moving-domain geometry: epsilon-interiors by exact distance transforms, the
 bilipschitz framing of transported erosions, and the uniform constants
-(Jacobian, Poincare, Sobolev) that survive the motion."""
+(Jacobian, Poincare) that survive the motion."""
 
 import numpy as np
 
@@ -42,8 +42,8 @@ nc = NonCylindricalDomain(fam, small, 16)
 rep = framing_check(nc, 0.05)
 print(f"  framing (Omega^t)_(eps/eta) in A_t(Omega_eps) in (Omega^t)_(eta eps):"
       f" banded violations {rep.inner_violations_banded}/{rep.outer_violations_banded}")
-peel = peel_measure(nc, 0.05, jb=jb)
+peel = peel_measure(nc, 0.05)
 print(f"  peel sup_t mu(Omega^t \\ A_t(Omega_eps)) = {peel.measured_sup:.5f}"
       f" <= beta * mu(Omega \\ Omega_eps) = {peel.bound:.5f}")
 print(f"  transported Poincare constant: "
-      f"{transported_poincare(fam, small, 0.1, eps_list=(0.0, 0.04), jb=jb):.5f}")
+      f"{transported_poincare(fam, small, 0.1, eps_list=(0.0, 0.04)):.5f}")

@@ -21,21 +21,19 @@ from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,  # noq
                    divergence, gradient, h_minus_m_norm, inner, lp_norm,
                    staggered_inner, staggered_l2)
 from .mollify import (commutator, convolve_space, convolve_staggered,  # noqa: F401
-                      make_mollifier, shift_space, shift_time)
+                      make_mollifier, shift_space)
 from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: F401
                       eps_exterior, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
-                      poincare_constant, sobolev_transport_constant,
-                      transported_poincare, uniform_poincare_sweep)
+                      poincare_constant, transported_poincare,
+                      uniform_poincare_sweep)
 from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F401
                         barenblatt_profile, energy_report, run_scheme,
                         hypothesis_monitor, time_derivative_tv)
-from .productlimit import (build_cutoff, exp_orlicz_pair, localize,  # noqa: F401
-                           luxemburg_gauge, orlicz_holder_check,
-                           product_pipeline)
+from .productlimit import (exp_orlicz_pair, luxemburg_gauge,  # noqa: F401
+                           orlicz_holder_check, product_pipeline)
 from .divfree import (dual_norm_check, dual_seminorm, neumann_factor,  # noqa: F401
                       neumann_harmonic, normal_trace, per_slice_project,
                       project_divfree0, trace_norm_surrogate)
-from .probe import (dual_time_estimate, kruzhkov_probe, local_to_global,  # noqa: F401
-                    ns_probe, limsup_probe, time_shift_safety)
+from .probe import kruzhkov_probe, ns_probe, time_shift_safety  # noqa: F401
 from .truncate import build_beta, chain_gradient_check, nonlinearity_preset  # noqa: F401

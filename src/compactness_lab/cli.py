@@ -75,6 +75,8 @@ def _one_of(*choices):
 
 POS_INT = Rule("int > 0", int, lambda v: v > 0)
 INT_GE0 = Rule("int >= 0", int, lambda v: v >= 0)
+INT_GE2 = Rule("int >= 2", int, lambda v: v >= 2)
+INT_GE5 = Rule("int >= 5", int, lambda v: v >= 5)
 FLOAT = Rule("float", float, math.isfinite)
 POS_FLOAT = Rule("float > 0", float, lambda v: math.isfinite(v) and v > 0)
 FLOAT_GE0 = Rule("float >= 0", float, lambda v: math.isfinite(v) and v >= 0)
@@ -99,16 +101,16 @@ KEYS = {
         "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", POS_INT),
         "k_list": ("4,8,16,32", POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
     "movedom": {
-        "grid": ("128", POS_INT), "eps": ("0.1", FLOAT_GE0),
+        "grid": ("128", INT_GE2), "eps": ("0.1", FLOAT_GE0),
         "eps_list": ("0.0,0.05,0.1", FLOATS_GE0), "disk_radius": ("0.4", POS_FLOAT),
         "poincare_tol": ("0.01", FLOAT_GE0), "spread_tol": ("0.25", FLOAT_GE0),
         "n_slices": ("16", POS_INT), "dilation_amplitude": ("0.25", FLOAT)},
     "divfree": {
-        "grid": ("64", POS_INT), "n_fields": ("100", POS_INT),
+        "grid": ("64", INT_GE2), "n_fields": ("100", POS_INT),
         "residual_tol": ("1e-8", FLOAT_GE0), "pair_checks": ("20", INT_GE0)},
     "nsprobe": {
         "family": ("convergent", _one_of("convergent", "oscillating")),
-        "grid": ("64", POS_INT), "n_slices": ("16", POS_INT), "members": ("4", POS_INT),
+        "grid": ("64", POS_INT), "n_slices": ("16", INT_GE5), "members": ("4", POS_INT),
         "osc_list": ("2,4,8", POS_INTS), "delta_list": ("0.0625,0.03125", POS_FLOATS),
         "disk_radius": ("0.3", POS_FLOAT), "speed": ("0.15", FLOAT)},
     "kruzhkov": {
@@ -343,7 +345,7 @@ def _exp_movedom(cfg, seed, out_dir):
         nc = NonCylindricalDomain(fam, disk, cfg["n_slices"])
         fr = framing_check(nc, eps)
         record("framing", name, fr.inner_violations_banded, 0, fr.ok)
-        peel = peel_measure(nc, eps, jb=jb)
+        peel = peel_measure(nc, eps)
         record("peel", name, peel.measured_sup, peel.bound * 1.02, peel.ok)
     # raster semigroup identity within a one-cell band
     e1 = eps_interior(disk, eps / 2)

@@ -121,17 +121,6 @@ def shift_space(f, h_vec):
     return ScalarField(g, out)
 
 
-def shift_time(s, sigma):
-    """lambda_sigma f(t) = f(t - sigma) for a step series; sigma must sit on the
-    series' step lattice (within 1e-9 relative), zero-filled outside."""
-    delta = s.delta
-    r = sigma / delta
-    j = round(r)
-    if abs(r - j) > 1e-9 * max(1.0, abs(r)):
-        raise ValueError(f"time shift {sigma:g} is not a multiple of the step {delta:g}")
-    return s.shifted(int(j))
-
-
 def commutator(a, b, mol):
     """S = a (b * phi_k) - (a b) * phi_k per slice, plus its L^1(time x space) norm."""
     if a.interval != b.interval or a.n_steps != b.n_steps:

@@ -1,6 +1,7 @@
 """Diffeomorphism families, non-cylindrical domains, epsilon-interior geometry,
-and the uniform constants (Jacobian bounds, bilipschitz frame, Poincare and
-Sobolev transport) that the moving-domain compactness argument consumes.
+and the uniform constants (Jacobian bounds, bilipschitz frame, Poincare
+transport, Sobolev exponent) that the moving-domain compactness argument
+consumes.
 
 All set identities are raster statements: erosion thresholds the inside
 side of the membership's exact Euclidean distance transform and dilation its
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .grid import (RasterDomain, RasterFactor, gradient, lp_norm,
-                   neumann_laplacian)
-from .synth import random_smooth_field
+from .grid import RasterDomain, RasterFactor, neumann_laplacian
 
 TIME_SAMPLES_PER_UNIT = 64
 
@@ -307,18 +306,17 @@ class PeelReport:
         return self.measured_sup <= self.bound * 1.02
 
 
-def peel_measure(nc, eps, jb=None):
+def peel_measure(nc, eps):
     """sup_t of the rasterized measure of Omega^t minus A_t(Omega_eps), against
     the transport bound beta * mu(Omega minus Omega_eps)."""
     if eps == 0.0:
         return PeelReport(0.0, 0.0)
-    jb = jacobian_bounds(nc.family) if jb is None else jb
     worst = 0.0
     for k in range(nc.n_slices):
         peel = nc.slice_raster(k).inside & ~nc.transported(k, eps).inside
         worst = max(worst, float(np.count_nonzero(peel)) * nc.grid.cell_volume)
     ref_peel = (nc.reference.measure - nc.eroded_reference(eps).measure)
-    return PeelReport(worst, jb.beta * ref_peel)
+    return PeelReport(worst, jacobian_bounds(nc.family).beta * ref_peel)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +366,20 @@ def uniform_poincare_sweep(domain, eps_list):
     return tuple(poincare_constant(eps_interior(domain, e)) for e in eps_list)
 
 
-def transported_poincare(family, domain, gamma, eps_list=None, jb=None):
+def transported_poincare(family, domain, gamma, eps_list=None):
     """Closed-form transported constant sqrt(beta/alpha) * C_{Omega,gamma} *
     sup|grad A_t| from the measured ingredients (raw sampled Jacobian extremes,
     so the identity family reproduces C_{Omega,gamma} exactly)."""
     if eps_list is None:
         eps_list = (0.0, gamma / 4, gamma / 2)
     sweep = uniform_poincare_sweep(domain, eps_list)
-    jb = jacobian_bounds(family) if jb is None else jb
+    jb = jacobian_bounds(family)
     sup_grad = grad_sup_norm(family)
     return float(np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * sup_grad)
 
 
 # ---------------------------------------------------------------------------
-# Sobolev transport
+# Sobolev exponent
 
 
 def sobolev_embedding_exponent(p, dim):
@@ -389,31 +387,3 @@ def sobolev_embedding_exponent(p, dim):
     if p < dim:
         return dim * p / (dim - p)
     return p + 1.0
-
-
-def measure_sobolev_constant(domain, p, n_fields=40):
-    """Rayleigh-quotient estimate of the reference Sobolev constant
-    sup ||v||_{p*} / ||v||_{W^{1,p}} over a seeded random smooth family."""
-    rng = np.random.default_rng(np.random.Philox(11))
-    g = domain.grid
-    ps = sobolev_embedding_exponent(p, g.dim)
-    best = 0.0
-    vol = g.cell_volume
-    for _ in range(n_fields):
-        f = random_smooth_field(g, rng, mask=domain)
-        grad = gradient(f)
-        gp = sum(np.sum(np.abs(c) ** p) for c in grad.components) * vol
-        w1p = (lp_norm(f, p) ** p + gp) ** (1.0 / p)
-        if w1p > 0:
-            best = max(best, lp_norm(f, ps) / w1p)
-    return best
-
-
-def sobolev_transport_constant(p, family, domain, s_ref=None, jb=None):
-    """K_p = S_Omega * beta^{1/p*} * alpha^{-1/p} with the raw measured
-    Jacobian extremes; S_Omega declared or measured as a fallback."""
-    jb = jacobian_bounds(family) if jb is None else jb
-    if s_ref is None:
-        s_ref = measure_sobolev_constant(domain, p)
-    ps = sobolev_embedding_exponent(p, domain.grid.dim)
-    return float(s_ref * jb.raw_max ** (1.0 / ps) * jb.raw_min ** (-1.0 / p))

@@ -75,9 +75,6 @@ class StepTimeSeries:
     def map(self, fn):
         return StepTimeSeries(self.interval, tuple(fn(f) for f in self.fields))
 
-    def map_values(self, fn):
-        return self.map(lambda f: f.map(fn))
-
     def restricted(self, domains):
         """Slice k restricted to the raster domains[k]."""
         return StepTimeSeries(self.interval, tuple(

@@ -15,14 +15,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divfree import per_slice_project
-from .grid import (RasterDomain, ScalarField, _axis_slices, inner, lp_norm,
-                   signed_distance_transform, staggered_inner, staggered_l2)
+from .grid import (RasterDomain, _axis_slices, signed_distance_transform,
+                   staggered_inner, staggered_l2)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
-from .parabolic import limit_series, series_l2, time_derivative_tv
-from .productlimit import product_pipeline
+from .parabolic import series_l2
 from .synth import bump, generator, random_stream_velocity
-from .truncate import build_beta
 
 DECAY_RATIO = 0.6
 CAUCHY_RATIO = 0.35
@@ -136,123 +134,6 @@ def kruzhkov_probe(f_seq, nc, m_interior, ell_list):
 
 
 # ---------------------------------------------------------------------------
-# local-to-global peel probe
-
-
-@dataclass
-class PeelDecayReport:
-    eps_list: tuple
-    sup_direct: dict
-    mechanism_ok: bool
-    max_mechanism_slack: float
-    decayed: bool
-
-    @property
-    def verdict(self):
-        return self.mechanism_ok and self.decayed
-
-
-def local_to_global(f_seq, nc, eps_list, p=2):
-    """Peel norms ||f_n||_{L^p(Omega_hat minus Omega_hat_eps)} directly and via
-    the Holder/Sobolev mechanism; direct must not exceed the mechanism bound,
-    and the family sup must decay as eps shrinks."""
-    eps_list = sorted(float(e) for e in eps_list)
-    ps = sobolev_embedding_exponent(p, nc.grid.dim)
-    vol = nc.grid.cell_volume
-    slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    sup_direct = {}
-    worst_slack = 0.0
-    mechanism_ok = True
-    for eps in eps_list:
-        peels = [slice_domains[k].inside & ~nc.transported(k, eps).inside
-                 for k in range(nc.n_slices)]
-        best = 0.0
-        for s in f_seq:
-            direct_p = 0.0
-            mech_p = 0.0
-            for k, f in enumerate(s.fields):
-                vals = np.abs(f.values[peels[k]])
-                direct_p += float(np.sum(vals ** p)) * vol
-                mu_peel = float(np.count_nonzero(peels[k])) * vol
-                f_star = lp_norm(f, ps, slice_domains[k])
-                mech_p += (f_star ** p) * mu_peel ** (1.0 - p / ps)
-            direct = (direct_p * s.delta) ** (1.0 / p)
-            mech = (mech_p * s.delta) ** (1.0 / p)
-            worst_slack = max(worst_slack, (direct - mech) / (mech + 1e-300))
-            if direct - mech > 1e-9 * (mech + 1.0):
-                mechanism_ok = False
-            best = max(best, direct)
-        sup_direct[eps] = best
-    scale = max(sup_direct.values())
-    decayed = sup_direct[eps_list[0]] <= max(DECAY_RATIO * sup_direct[eps_list[-1]],
-                                             _floor(scale))
-    return PeelDecayReport(tuple(eps_list), sup_direct, mechanism_ok, worst_slack, decayed)
-
-
-# ---------------------------------------------------------------------------
-# lim-sup probe for the degenerate-parabolic theorem
-
-
-@dataclass
-class LimsupReport:
-    eps_rows: list          # (eps, c_meas, chain_bound, tail_lhs)
-    tv_per_member: list
-    pipeline_defect: float
-    verdict: bool
-    failures: list
-
-
-def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline=None):
-    """Execute the truncation lim-sup chain: build the truncation per eps, run
-    the product pipeline on (a_n, beta(a_n)) against theta = 1, verify the
-    measured deviation bounds, and compare the tail of ||a_n||^2 against
-    ||a||^2 + C_measured * eps."""
-    grid = domain.grid
-    theta = ScalarField.constant(grid, 1.0, mask=domain)
-    tv = [time_derivative_tv(s, m, domain) for s in a_seq]
-    failures = []
-    tv_arr = np.array(tv)
-    tv_floor = 1e-9 * (tv_arr.max() + 1.0)
-    if tv_arr.max() > max(4.0 * max(tv_arr.min(), tv_floor), tv_floor):
-        failures.append("time-derivative measure bound fails across the family "
-                        "(pipeline Step 2 hypothesis)")
-    a_lim_series = limit_series(a_limit, a_seq[0])
-    lim_l2 = series_l2(a_lim_series)
-    if k_pipeline is None:
-        k_pipeline = int(1.0 / (4.0 * max(grid.spacing)))
-    interval_measure = (a_seq[0].interval[1] - a_seq[0].interval[0]) * domain.measure
-    sup_norm = max(series_l2(s) for s in a_seq)
-    eps_rows = []
-    worst_defect = 0.0
-    for eps in sorted(eps_list):
-        beta = build_beta(phi, eps)
-        b_seq = [s.map_values(beta) for s in a_seq]
-        b_lim = a_lim_series.map_values(beta)
-        dev_bound = beta.deviation_constant * eps * np.sqrt(interval_measure) + 1e-12
-        for s, b in zip(a_seq, b_seq):
-            dev = series_l2(s - b, [domain] * s.n_steps)
-            if dev > dev_bound * (1.0 + 1e-9):
-                failures.append(f"truncation deviation exceeds C_meas*eps at eps={eps:g}")
-                break
-        report = product_pipeline(a_seq, b_seq, theta, [k_pipeline], a_lim_series, b_lim)
-        worst_defect = max(worst_defect, report.max_accounting_defect())
-        totals = [abs(t) for t in report.column("total", k=k_pipeline)]
-        if totals[-1] > max(DECAY_RATIO * totals[0], _floor(sup_norm ** 2)):
-            failures.append(f"product pairing does not settle in n at eps={eps:g} "
-                            "(pipeline Step 2)")
-        gap = totals[-1]
-        c_chain = (sup_norm + lim_l2) * beta.deviation_constant * np.sqrt(interval_measure)
-        tail = series_l2(a_seq[-1]) ** 2
-        bound = lim_l2 ** 2 + c_chain * eps + gap + 1e-9 * (lim_l2 ** 2 + 1.0)
-        eps_rows.append((eps, beta.deviation_constant, bound, tail))
-        if tail > bound:
-            failures.append(f"lim-sup chain violated at eps={eps:g}: "
-                            f"{tail:.6g} > {bound:.6g}")
-    failures = list(dict.fromkeys(failures))
-    return LimsupReport(eps_rows, tv, worst_defect, verdict=not failures, failures=failures)
-
-
-# ---------------------------------------------------------------------------
 # time-shift safety radius
 
 
@@ -288,7 +169,7 @@ def time_shift_safety(nc, delta, n_times=16):
 
 
 # ---------------------------------------------------------------------------
-# test battery and dual time estimates
+# test battery and the step-3 dual constant
 
 
 @dataclass
@@ -297,15 +178,14 @@ class Battery:
     (space, profile) pair.  A profile is (label, psi(t_k) at the interior jump
     times, time L^2 of psi); the pair's label is the profile's with the space
     index first inside the brackets, as in `alt[s0,p4,ph0]`."""
-    spaces: list               # ScalarField or StaggeredVectorField
+    spaces: list               # the spatial factors
     profiles: list
 
 
-def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
-    """Seeded space-time battery: tensor products of time profiles (smooth bumps
-    of widths 1/2, 1/4 and 1/8 of the interval at five positions, plus
-    sign-alternating profiles at periods 2 to 32 slices) with three curls of
-    random streams (or three scalar bumps).
+def time_profiles(interval, n_steps):
+    """The battery's time profiles: smooth bumps of widths 1/2, 1/4 and 1/8 of
+    the interval at five positions, plus sign-alternating profiles at periods
+    2 to 32 slices.
 
     The alternating profiles let the battery witness the dual-constant growth
     of time-oscillating families; smooth bumps alone cannot (a single captured
@@ -315,17 +195,6 @@ def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
     delta = (b - a) / n_steps
     jumps = a + np.arange(1, n_steps) * delta
     mids = a + (np.arange(n_steps) + 0.5) * delta
-    rng = generator(seed)
-    spaces = []
-    for _ in range(3):
-        if kind == "vector":
-            spaces.append(random_stream_velocity(grid, rng))
-        else:
-            pts = grid.cell_centers().reshape(-1, grid.dim)
-            c = np.array([rng.uniform(0.3, 0.7) * L for L in grid.extent])
-            w = 0.2 * min(grid.extent)
-            vals = bump(np.linalg.norm(pts - c, axis=1) / w).reshape(grid.shape)
-            spaces.append(ScalarField(grid, vals))
     profiles = []
     for w_frac in (0.5, 0.25, 0.125):
         w = w_frac * (b - a)
@@ -344,67 +213,34 @@ def make_battery(grid, interval, n_steps, seed=0, kind="vector"):
             slices[0] = slices[-1] = 0.0  # compact support in time
             tl2 = float(np.sqrt(np.sum(slices ** 2) * delta))
             profiles.append((f"alt[p{period},ph{phase}]", slices[1:], tl2))
-    return Battery(spaces, profiles)
+    return profiles
 
 
-def _pair_space(df, space):
-    if isinstance(space, ScalarField):
-        return inner(df, space)
-    return staggered_inner(df, space)
+def make_battery(grid, interval, n_steps, seed=0):
+    """Seeded space-time battery: the `time_profiles` times three curls of
+    random streams."""
+    rng = generator(seed)
+    return Battery([random_stream_velocity(grid, rng) for _ in range(3)],
+                   time_profiles(interval, n_steps))
 
 
-def _spatial_derivative_norms(space, n_order):
-    """Sum over multi-indices |alpha| <= N of finite-difference L^2 norms."""
-    arrays = [space.values] if isinstance(space, ScalarField) else list(space.components)
-    grid = space.grid
-    vol = grid.cell_volume
-
-    def level_norm(arrs):
-        return float(np.sqrt(sum(np.sum(x ** 2) for x in arrs) * vol))
-
-    total = level_norm(arrays)
-    current = [arrays]
-    for _ in range(n_order):
-        nxt = []
-        for arrs in current:
-            for axis in range(grid.dim):
-                h = grid.spacing[axis]
-                nxt.append([np.diff(x, axis=axis) / h for x in arrs])
-        total += sum(level_norm(arrs) for arrs in nxt)
-        current = nxt
-    return total
-
-
-def _best_dual_ratio(series, battery, space_norm):
-    """max over the battery of |<d_t u, psi>| / (time L^2 of psi x
-    space_norm(spatial factor of psi)), with the maximiser's label (the first
-    one on ties).  The jumps of `series` are formed once and each spatial factor
-    is paired and normed once; the time pairing is exact summation by parts
-    for step series."""
+def step3_dual_constant(series, battery):
+    """max over the battery of |<d_t v, psi>| / ||psi||_2 for the mollified
+    family (the measured C_delta of the proof's third step), with the
+    maximiser's label (the first one on ties).  The jumps of `series` are
+    formed once and each spatial factor is paired and normed once; the time
+    pairing is exact summation by parts for step series."""
     jumps = [series.fields[k] - series.fields[k - 1] for k in range(1, series.n_steps)]
     best, best_label = 0.0, None
     for si, space in enumerate(battery.spaces):
-        norm = space_norm(space)
-        pairings = np.asarray([_pair_space(df, space) for df in jumps])
+        norm = staggered_l2(space)
+        pairings = np.asarray([staggered_inner(df, space) for df in jumps])
         for label, time_values, time_l2 in battery.profiles:
             num = abs(float(np.dot(time_values, pairings)))
             denom = time_l2 * norm
             if denom > 0 and num / denom > best:
                 best, best_label = num / denom, label.replace("[", f"[s{si},", 1)
     return best, best_label
-
-
-def dual_time_estimate(series, battery, n_order=1):
-    """max over the battery of |<d_t u, psi>| / sum_{|alpha|<=N} ||d^alpha psi||."""
-    return _best_dual_ratio(series, battery,
-                            functools.partial(_spatial_derivative_norms, n_order=n_order))
-
-
-def step3_dual_constant(series, battery):
-    """max over the battery of |<d_t v, psi>| / ||psi||_2 for the mollified
-    family (the measured C_delta of the proof's third step)."""
-    return _best_dual_ratio(series, battery, lambda space: (
-        lp_norm(space, 2) if isinstance(space, ScalarField) else staggered_l2(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +295,7 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     members = [s.restricted(slice_domains) for s in u_seq]
     scale = max(series_l2(s) for s in members)
     r_norms = [series_lp(s, r) for s in members[1:]]
-    battery = make_battery(grid, members[0].interval, members[0].n_steps,
-                           seed=battery_seed, kind="vector")
+    battery = make_battery(grid, members[0].interval, members[0].n_steps, seed=battery_seed)
     delta_t = members[0].delta
     rows, failures = [], []
     step1_sup, xi_map, c3_map, moll_sup = {}, {}, {}, {}
@@ -547,14 +382,3 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     failures = list(dict.fromkeys(failures))
     return NsProbeReport(rows, step1_sup, xi_map, c3_map, budget_defect,
                          verdict=not failures, failures=failures)
-
-
-def interpolation_check(u_series, r, q_exp):
-    """Measured ||u||_r <= ||u||_2^{1-theta} ||u||_q^theta with
-    1/r = theta/q + (1-theta)/2 (discrete interpolation inequality)."""
-    theta = (0.5 - 1.0 / r) / (0.5 - 1.0 / q_exp)
-    lr = series_lp(u_series, r)
-    l2 = series_lp(u_series, 2)
-    lq = series_lp(u_series, q_exp)
-    bound = l2 ** (1.0 - theta) * lq ** theta
-    return lr, bound, bound - lr

@@ -1,6 +1,6 @@
 """Executable product-limit pipeline: the four-line decomposition of
-a b - a_n b_n paired against a test function, the Orlicz gauge machinery
-(Luxemburg gauge by bisection, generalized Holder), and cutoff localization.
+a b - a_n b_n paired against a test function, and the Orlicz gauge machinery
+(Luxemburg gauge by bisection, generalized Holder).
 
 The pipeline is a verifier for synthetic families with declared weak limits;
 estimating weak limits from data is out of scope.
@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import ScalarField, lp_norm
+from .grid import lp_norm
 from .mollify import convolve_space, make_mollifier
 from .parabolic import limit_series, series_inner
 
@@ -29,23 +29,6 @@ class OrliczPair:
     phi: object
     psi: object
     name: str = "exp"
-
-    def validate(self):
-        """Sampled convexity, vanishing value/slope at zero, and the Young
-        inequality x y <= phi(x) + psi(y) on a 200 x 200 lattice of [0, 5]^2."""
-        xs = np.linspace(0.0, 5.0, 200)
-        for fn in (self.phi, self.psi):
-            vals = fn(xs)
-            if abs(vals[0]) > 1e-12 or vals[1] / xs[1] > 0.1:
-                raise ValueError("Young function must vanish at 0 with derivative 0")
-            second = np.diff(vals, 2)
-            if np.any(second < -1e-10):
-                raise ValueError("Young function is not convex on the sample")
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        slack = self.phi(X) + self.psi(Y) - X * Y
-        if float(slack.min()) < -1e-12:
-            raise ValueError(f"Young inequality fails by {float(slack.min()):.3e}")
-        return True
 
 
 def exp_orlicz_pair():
@@ -114,10 +97,6 @@ class HolderReport:
     @property
     def rhs(self):
         return self.constant * self.gauge_f * self.gauge_g
-
-    @property
-    def ok(self):
-        return self.rhs - self.lhs >= -1e-9 * (self.lhs + 1.0)
 
 
 def orlicz_holder_check(f, g, pair=None):
@@ -202,39 +181,3 @@ def transposition_defect(series, theta, mol):
     theta_diff = convolve_space(theta, mol) - theta
     rhs = series_inner(series, theta_diff)
     return abs(lhs - rhs) / (abs(rhs) + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# localization
-
-
-def smoothstep(s):
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
-
-
-def build_cutoff(domain, k):
-    """Cutoff theta_k in [0,1], equal to 1 on the inner plateau {sd >= w} with
-    complement measure mu(Omega minus plateau) <= 1/k, built by smoothstepping
-    the signed distance."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    sd = domain.signed_distance
-    inside_sd = np.sort(sd[domain.inside])
-    vol = domain.grid.cell_volume
-    budget = int(np.floor((1.0 / k) / vol))
-    if budget >= inside_sd.size:
-        w = float(inside_sd[-1])
-    else:
-        w = float(inside_sd[budget])
-    w = max(w, float(inside_sd[0]))
-    vals = np.where(domain.inside, smoothstep(sd / w), 0.0)
-    complement = float(np.count_nonzero(domain.inside & (sd < w))) * vol
-    theta = ScalarField(domain.grid, vals, mask=domain)
-    return theta, complement
-
-
-def localize(f, k, domain):
-    """Multiply a step series by the k-th cutoff of the domain."""
-    theta, _ = build_cutoff(domain, k)
-    return f * theta

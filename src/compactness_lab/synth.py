@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, StaggeredVectorField, lp_norm
+from .grid import ScalarField, StaggeredVectorField
 from .parabolic import StepTimeSeries, constant_series
 
 
@@ -26,7 +26,7 @@ def bump(rho):
     return out
 
 
-def random_smooth_field(grid, rng, modes=4, mask=None):
+def random_smooth_field(grid, rng, modes=4):
     """Low-order random trigonometric polynomial on the box."""
     pts = grid.cell_centers().reshape(-1, grid.dim)
     out = np.zeros(len(pts))
@@ -36,7 +36,7 @@ def random_smooth_field(grid, rng, modes=4, mask=None):
         amp = rng.normal()
         arg = sum(2.0 * np.pi * kvec[a] * pts[:, a] / grid.extent[a] for a in range(grid.dim))
         out += amp * np.cos(arg + phase)
-    return ScalarField(grid, out.reshape(grid.shape), mask=mask)
+    return ScalarField(grid, out.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +107,6 @@ def oscillating_family(g, interval, n_slices, osc_list):
         coefs = np.sin(2.0 * np.pi * n * (mids - a) / (b - a))
         fields = tuple(g * float(c) for c in coefs)
         out.append(StepTimeSeries(interval, fields))
-    return out
-
-
-def boundary_bump_family(domain, interval, n_slices, n_members):
-    """Members of unit L^2 mass concentrating at distance 1/4n from the
-    boundary (width 1/8n): the peel norms of this family do not decay
-    uniformly, the adversarial case for the local-to-global step."""
-    g = domain.grid
-    sd = domain.signed_distance
-    out = []
-    for n in range(1, n_members + 1):
-        dist = 0.25 / n
-        width = max(dist / 2.0, 2.0 * max(g.spacing))
-        vals = bump((sd - dist) / width)
-        f = ScalarField(g, vals, mask=domain)
-        nrm = lp_norm(f, 2)
-        if nrm > 0:
-            f = f * (1.0 / nrm)
-        out.append(constant_series(f, interval, n_slices))
     return out
 
 

@@ -19,8 +19,7 @@ from .grid import _axis_slices, gradient
 class Nonlinearity:
     """Scalar map phi with derivative, anti-derivative and declared critical points.
 
-    Critical points are user-declared; `validate` checks the declaration instead
-    of root-finding.
+    Critical points are user-declared, not root-found.
     """
 
     phi: object
@@ -34,27 +33,6 @@ class Nonlinearity:
         object.__setattr__(self, "critical_points", tuple(sorted(self.critical_points)))
         if self.far_field_slope <= 0:
             raise ValueError("far-field slope bound must be positive")
-
-    def validate(self, span=(-3.0, 3.0)):
-        """Check dphi vanishes at the declared points, is nonzero between them,
-        and that psi' = phi by central differences (1e-6 relative)."""
-        for z in self.critical_points:
-            if abs(self.dphi(np.array([z]))[0]) > 1e-10:
-                raise ValueError(f"declared critical point {z} has dphi != 0")
-        knots = [span[0], *self.critical_points, span[1]]
-        for a, b in zip(knots[:-1], knots[1:]):
-            if b - a < 1e-12:
-                continue
-            zz = np.linspace(a, b, 64)[1:-1]
-            if zz.size and np.any(np.abs(self.dphi(zz)) < 1e-14):
-                raise ValueError(f"dphi vanishes between declared critical points in ({a}, {b})")
-        zz = np.linspace(span[0], span[1], 2001)
-        h = 1e-5
-        fd = (self.psi(zz + h) - self.psi(zz - h)) / (2 * h)
-        scale = np.max(np.abs(self.phi(zz))) + 1.0
-        if np.max(np.abs(fd - self.phi(zz))) / scale > 1e-6:
-            raise ValueError("psi is not an anti-derivative of phi (finite-difference check)")
-        return True
 
 
 def nonlinearity_preset(name):

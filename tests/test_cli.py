@@ -122,6 +122,10 @@ def test_commutator_experiment(tmp_path):
     ("nsprobe", "family = foo"),
     ("nsprobe", "delta_list = 0.07"),    # 1/delta is not an integer
     ("nsprobe", "delta_list = 0.001"),   # under-resolved kernel: delta < 2h
+    ("nsprobe", "n_slices = 2"),         # the shifts of 1, 2 and 4 slices need 5
+    ("nsprobe", "n_slices = 4"),
+    ("divfree", "grid = 1"),             # a Poincare constant needs two cells
+    ("movedom", "grid = 1"),
 ])
 def test_experiment_bad_values_exit_2(tmp_path, capsys, experiment, line):
     cfg = write_cfg(tmp_path, "bad.cfg", f"[{experiment}]\n{line}\n")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
+from compactness_lab import cli
 from compactness_lab.grid import Grid, ScalarField, StaggeredVectorField, inner, lp_norm
 from compactness_lab.mollify import (commutator, convolve_space, convolve_staggered,
-                                     make_mollifier, shift_space, shift_time)
+                                     make_mollifier, shift_space)
 from compactness_lab.parabolic import StepTimeSeries, constant_series
 from compactness_lab.grid import divergence
 from compactness_lab.synth import generator, random_stream_velocity
@@ -125,18 +126,6 @@ def test_shift_space_translation_modulus():
     assert err <= abs(h) * grad_norm * (1 + 1e-10)
 
 
-def test_shift_time_identity_and_lattice():
-    g = Grid((16,), (1.0,))
-    fields = tuple(ScalarField.constant(g, float(k)) for k in range(8))
-    s = StepTimeSeries((0.0, 1.0), fields)
-    assert shift_time(s, 0.0).fields == s.fields
-    shifted = shift_time(s, 2 * s.delta)
-    assert shifted.fields[2] is s.fields[0]
-    assert np.all(shifted.fields[0].values == 0.0)
-    with pytest.raises(ValueError):
-        shift_time(s, 0.4 * s.delta)
-
-
 def test_commutator_constant_a_vanishes():
     g = Grid((512,), (1.0,))
     x = g.axis_centers(0)
@@ -165,6 +154,34 @@ def test_commutator_matches_integral_form():
                            constant_series(fb, (0.0, 1.0), 1), mol)
     shifted = commutator_integral_form(fa, fb, mol)
     assert np.max(np.abs(direct.fields[0].values - shifted.values)) < 1e-13
+
+
+def test_commutator_report_recomputed_from_integral_form(tmp_path):
+    # oracle: the `commutator` run's sup_l1 column, the max over the family of
+    # delta sum_slices sum_x |S| h with S from the shifted-difference form
+    cells, n_slices = 64, 4
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[commutator]\ncells = {cells}\nmembers = 3\nn_slices = {n_slices}\n"
+                   "k_list = 4,8,16\ndecay_factor = 1.0\n")
+    assert cli.run("commutator", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "report.csv").read_text().splitlines()[1:]]
+    g = Grid((cells,), (1.0,))
+    x = g.axis_centers(0)
+    a_sp = ScalarField(g, np.sin(2 * np.pi * x))
+    b_sp = ScalarField(g, np.sign(np.sin(4 * np.pi * x)))
+    mids = (np.arange(n_slices) + 0.5) / n_slices
+
+    def slice_l1(c, mol):  # the slice of member n where both factors carry c
+        s = commutator_integral_form(a_sp * c, b_sp * c, mol)
+        return float(np.sum(np.abs(s.values))) * g.cell_volume
+
+    assert [int(k) for k, _ in rows] == [4, 8, 16]
+    for k, sup_l1 in rows:
+        mol = make_mollifier(int(k), g)
+        want = max(sum(slice_l1(float(c), mol) for c in np.sin(2 * np.pi * n * mids)) / n_slices
+                   for n in range(1, 4))
+        assert float(sup_l1) == pytest.approx(want, rel=1e-12)
 
 
 def test_commutator_decay_rate_smooth_a():

@@ -14,11 +14,9 @@ from compactness_lab.movedom import (DiffeoFamily, FramingReport,
                                      NonCylindricalDomain, bilipschitz,
                                      eps_exterior, eps_interior, framing_check,
                                      grad_sup_norm, jacobian_bounds,
-                                     make_domain, make_family,
-                                     measure_sobolev_constant, peel_measure,
+                                     make_domain, make_family, peel_measure,
                                      poincare_constant,
                                      sobolev_embedding_exponent,
-                                     sobolev_transport_constant,
                                      transported_poincare,
                                      uniform_poincare_sweep)
 from compactness_lab.synth import generator, random_smooth_field
@@ -401,9 +399,8 @@ def test_peel_measure_dilation_bound_sweep():
     disk = make_domain("disk:0.25", g)
     fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
     nc = NonCylindricalDomain(fam, disk, 16)
-    jb = jacobian_bounds(fam)
     for eps in (0.03, 0.06, 0.12):
-        rep = peel_measure(nc, eps, jb=jb)
+        rep = peel_measure(nc, eps)
         assert rep.measured_sup <= rep.bound * 1.02
 
 
@@ -490,7 +487,7 @@ def test_poincare_inequality_random_fields():
     c = poincare_constant(d)
     rng = generator(9)
     for _ in range(50):
-        v = mean_zero(random_smooth_field(g, rng, modes=4, mask=d))
+        v = mean_zero(random_smooth_field(g, rng, modes=4).restricted(d))
         grad_norm = staggered_l2(gradient(v))
         assert lp_norm(v, 2) <= c * grad_norm * (1 + 1e-6)
 
@@ -518,7 +515,7 @@ def test_transported_poincare_dilation_formula():
     fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
     sweep = uniform_poincare_sweep(disk, (0.0, 0.05))
     jb = jacobian_bounds(fam)
-    got = transported_poincare(fam, disk, 0.1, eps_list=(0.0, 0.05), jb=jb)
+    got = transported_poincare(fam, disk, 0.1, eps_list=(0.0, 0.05))
     expected = np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * grad_sup_norm(fam)
     assert got == pytest.approx(expected, rel=1e-9)
     # closed form: sup scale 1.25, alpha ~ 0.75^2, beta ~ 1.25^2 up to safety factors
@@ -533,16 +530,43 @@ def test_sobolev_exponents():
     assert sobolev_embedding_exponent(3, 2) == pytest.approx(4.0)
 
 
+# the Sobolev inequality that the local-to-global step transports by A_t,
+# which no run uses: the reference constant S_Omega by a Rayleigh quotient,
+# and K_p = S_Omega beta^{1/p*} alpha^{-1/p}
+
+def measure_sobolev_constant(domain, p, n_fields):
+    """sup ||v||_{p*} / ||v||_{W^{1,p}} over a seeded random smooth family."""
+    rng = np.random.default_rng(np.random.Philox(11))
+    g = domain.grid
+    ps = sobolev_embedding_exponent(p, g.dim)
+    best = 0.0
+    for _ in range(n_fields):
+        f = random_smooth_field(g, rng).restricted(domain)
+        gp = sum(np.sum(np.abs(c) ** p) for c in gradient(f).components) * g.cell_volume
+        w1p = (lp_norm(f, p) ** p + gp) ** (1.0 / p)
+        if w1p > 0:
+            best = max(best, lp_norm(f, ps) / w1p)
+    return best
+
+
+def sobolev_transport_constant(p, family, s_ref):
+    """K_p on a 2D domain, from the raw Jacobian extremes of the family."""
+    jb = jacobian_bounds(family)
+    ps = sobolev_embedding_exponent(p, 2)
+    return float(s_ref * jb.raw_max ** (1.0 / ps) * jb.raw_min ** (-1.0 / p))
+
+
 def test_sobolev_transport_identity_and_dilation():
     g = Grid((48, 48), (1.0, 1.0))
     sq = make_domain("square:0.9", g)
     fam_id = make_family("identity", (0.0, 1.0))
     s_ref = measure_sobolev_constant(sq, 2, n_fields=10)
-    assert sobolev_transport_constant(2, fam_id, sq, s_ref=s_ref) == pytest.approx(s_ref, rel=1e-12)
+    assert s_ref > 0
+    assert sobolev_transport_constant(2, fam_id, s_ref) == pytest.approx(s_ref, rel=1e-12)
     fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
     jb = jacobian_bounds(fam)
     # p=1 in 2D: K_1 = S beta^{1/2} alpha^{-1}
-    got = sobolev_transport_constant(1, fam, sq, s_ref=s_ref, jb=jb)
+    got = sobolev_transport_constant(1, fam, s_ref)
     assert got == pytest.approx(s_ref * jb.raw_max ** 0.5 / jb.raw_min, rel=1e-12)
 
 

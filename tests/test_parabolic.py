@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from compactness_lab import parabolic
+from compactness_lab import cli, parabolic
 from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, gradient,
@@ -380,6 +380,31 @@ def test_time_derivative_tv_refinement_bounded():
         run = run_scheme(u0, n, (0.1, 1.0), DiffusionTensor.identity(), phi)
         vals.append(time_derivative_tv(run.series, 1, d))
     assert max(vals) <= 2.0 * min(vals)
+
+
+def test_porous_grad_phi_column_recomputed_cell_by_cell(tmp_path):
+    # oracle: the `porous` run's grad_phi_l2 column, the square root of
+    # delta sum_steps sum_faces ((phi(u_{i+1}) - phi(u_i)) / h)^2 h over the
+    # interior faces, a loop over the states of the same scheme run
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[porous]\ngrid_cells = 64\nn_list = 4,8\nl1_tol = 1.0\n")
+    assert cli.run("porous", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "report.csv").read_text().splitlines()[1:]]
+    g = Grid((64,), (6.0,))
+    h = g.spacing[0]
+    phi = nonlinearity_preset("porous:2")
+    u0 = ScalarField(g, barenblatt_profile(2.0, 1.0)(g.axis_centers(0) - 3.0, 0.1))
+    assert [int(row[0]) for row in rows] == [4, 8]
+    for row in rows:
+        run = run_scheme(u0, int(row[0]), (0.1, 1.0), DiffusionTensor.identity(), phi)
+        total = 0.0
+        for f in run.series.fields:
+            v = phi.phi(f.values)
+            for i in range(g.shape[0] - 1):
+                total += ((v[i + 1] - v[i]) / h) ** 2 * h
+        assert total > 0
+        assert float(row[2]) == pytest.approx(np.sqrt(total * run.series.delta), rel=1e-12)
 
 
 def test_monitor_identical_series_zero_cauchy():

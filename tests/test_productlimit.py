@@ -9,15 +9,52 @@ from compactness_lab.grid import Grid, ScalarField, inner, lp_norm
 from compactness_lab.mollify import make_mollifier, shift_space
 from compactness_lab.movedom import make_domain
 from compactness_lab.parabolic import constant_series
-from compactness_lab.productlimit import (build_cutoff, exp_orlicz_pair,
-                                          localize, luxemburg_gauge,
+from compactness_lab.productlimit import (exp_orlicz_pair, luxemburg_gauge,
                                           orlicz_holder_check,
                                           product_pipeline,
                                           transposition_defect)
 
 
+# test-side statements of the criterion that no run needs: the declared Young
+# pair is one, and the cutoff theta_k of its localization step
+
+def validate_pair(pair):
+    """Sampled convexity, vanishing value/slope at zero, and the Young
+    inequality x y <= phi(x) + psi(y) on a 200 x 200 lattice of [0, 5]^2."""
+    xs = np.linspace(0.0, 5.0, 200)
+    for fn in (pair.phi, pair.psi):
+        vals = fn(xs)
+        if abs(vals[0]) > 1e-12 or vals[1] / xs[1] > 0.1:
+            raise ValueError("Young function must vanish at 0 with derivative 0")
+        if np.any(np.diff(vals, 2) < -1e-10):
+            raise ValueError("Young function is not convex on the sample")
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    slack = pair.phi(X) + pair.psi(Y) - X * Y
+    if float(slack.min()) < -1e-12:
+        raise ValueError(f"Young inequality fails by {float(slack.min()):.3e}")
+
+
+def build_cutoff(domain, k):
+    """Cutoff theta_k in [0,1], equal to 1 on the inner plateau {sd >= w} with
+    complement measure mu(Omega minus plateau) <= 1/k, built by smoothstepping
+    the signed distance; returns theta_k and that measure."""
+    sd = domain.signed_distance
+    inside_sd = np.sort(sd[domain.inside])
+    vol = domain.grid.cell_volume
+    budget = int(np.floor((1.0 / k) / vol))
+    w = max(float(inside_sd[min(budget, inside_sd.size - 1)]), float(inside_sd[0]))
+    s = np.clip(sd / w, 0.0, 1.0)
+    vals = np.where(domain.inside, s * s * (3.0 - 2.0 * s), 0.0)
+    complement = float(np.count_nonzero(domain.inside & (sd < w))) * vol
+    return ScalarField(domain.grid, vals, mask=domain), complement
+
+
+def holder_holds(rep):
+    return rep.rhs - rep.lhs >= -1e-9 * (rep.lhs + 1.0)
+
+
 def test_orlicz_pair_validates():
-    exp_orlicz_pair().validate()
+    validate_pair(exp_orlicz_pair())
 
 
 def test_young_inequality_on_lattice():
@@ -65,7 +102,7 @@ def test_gauge_normalizes_integral():
 def test_holder_trivial_zero():
     g = Grid((16, 16), (1.0, 1.0))
     rep = orlicz_holder_check(ScalarField.constant(g, 0.0), ScalarField.constant(g, 1.0))
-    assert rep.lhs == 0.0 and rep.ok
+    assert rep.lhs == 0.0 and holder_holds(rep)
 
 
 def test_holder_unit_constants_two_rootfinds():
@@ -79,7 +116,7 @@ def test_holder_unit_constants_two_rootfinds():
     assert rep.gauge_f == pytest.approx(1.0 / tstar, abs=1e-8)
     assert rep.gauge_g == pytest.approx(1.0 / sstar, abs=1e-8)
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-    assert rep.ok  # 2 * (1/t*) * (1/s*) ~ 1.0145 >= 1
+    assert holder_holds(rep)  # 2 * (1/t*) * (1/s*) ~ 1.0145 >= 1
 
 
 def test_holder_random_sweep():
@@ -88,8 +125,7 @@ def test_holder_random_sweep():
     for _ in range(100):
         f = ScalarField(g, rng.normal(size=g.shape))
         w = ScalarField(g, rng.normal(size=g.shape))
-        rep = orlicz_holder_check(f, w)
-        assert rep.ok
+        assert holder_holds(orlicz_holder_check(f, w))
 
 
 def test_gauge_duality_pairing():
@@ -206,7 +242,7 @@ def test_localize_l1_budget():
     f = ScalarField.constant(g, 1.0, mask=disk)
     s = constant_series(f, (0.0, 1.0), 2)
     theta, comp = build_cutoff(disk, 4)
-    loc = localize(s, 4, disk)
+    loc = s * theta
     l1 = lp_norm((f - loc.fields[0]).restricted(disk), 1)
     assert l1 <= comp + 1e-12
 
