@@ -21,7 +21,7 @@ from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,  # noq
                    divergence, gradient, h_minus_m_norm, inner, lp_norm,
                    staggered_inner, staggered_l2)
 from .mollify import (commutator, convolve_space, convolve_staggered,  # noqa: F401
-                      make_mollifier, shift_space)
+                      make_mollifier, separable_commutator_l1, shift_space)
 from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: F401
                       eps_exterior, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,

@@ -26,7 +26,7 @@ from .divfree import (dual_norm_check, neumann_factor, normal_trace,
                       project_divfree0)
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,
                    divergence, staggered_inner, staggered_l2, write_grid_file)
-from .mollify import commutator, make_mollifier, shift_space
+from .mollify import make_mollifier, separable_commutator_l1, shift_space
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
                       poincare_constant, symmetric_difference_band)
@@ -259,17 +259,12 @@ def _exp_commutator(cfg, seed, out_dir):
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
     interval = (0.0, 1.0)
     mids = (np.arange(n_slices) + 0.5) / n_slices
+    # member n's slice j is (c a, c b) with c = sin(2 pi n t_j)
+    coefs = [np.sin(2 * np.pi * n * mids) for n in range(1, members + 1)]
     sup_l1 = {}
     for k in cfg["k_list"]:
         mol = make_mollifier(k, grid)
-        worst = 0.0
-        for n in range(1, members + 1):
-            coefs = np.sin(2 * np.pi * n * mids)
-            a_n = StepTimeSeries(interval, tuple(a_space * float(c) for c in coefs))
-            b_n = StepTimeSeries(interval, tuple(b_space * float(c) for c in coefs))
-            _, l1 = commutator(a_n, b_n, mol)
-            worst = max(worst, l1)
-        sup_l1[k] = worst
+        sup_l1[k] = max(separable_commutator_l1(a_space, b_space, coefs, interval, mol))
     failures = []
     ks = sorted(cfg["k_list"])
     vals = [sup_l1[k] for k in ks]
@@ -324,12 +319,17 @@ def _exp_movedom(cfg, seed, out_dir):
         if not ok:
             failures.append(f"{check}:{name}")
 
+    # the eps = 0 interior is the square itself, whose constant is c_sq
+    interiors = [None if e == 0.0 else eps_interior(square, e) for e in cfg["eps_list"]]
+    for e, inner in zip(cfg["eps_list"], interiors):
+        if inner is not None and inner.n_inside < 2:
+            raise _bad("movedom", "eps_list", cfg["eps_list"],
+                       f"the {e:g}-interior of the unit square holds {inner.n_inside} "
+                       "cells; a Poincare constant needs two")
     c_sq = poincare_constant(square)
     ok = abs(c_sq - 1.0 / np.pi) <= cfg["poincare_tol"] / np.pi
     record("poincare", "unit_square", c_sq, 1.0 / np.pi, ok)
-    # the eps = 0 interior is the square itself, whose constant is c_sq
-    sweep = [c_sq if e == 0.0 else poincare_constant(eps_interior(square, e))
-             for e in cfg["eps_list"]]
+    sweep = [c_sq if inner is None else poincare_constant(inner) for inner in interiors]
     spread = (max(sweep) - min(sweep)) / max(sweep)
     record("poincare_sweep", "square_spread", spread, cfg["spread_tol"],
            spread <= cfg["spread_tol"])

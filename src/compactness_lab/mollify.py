@@ -121,6 +121,13 @@ def shift_space(f, h_vec):
     return ScalarField(g, out)
 
 
+def _commutator_slice(a_vals, b_vals, mol):
+    """S = a (b * phi_k) - (a b) * phi_k on one slice: two convolutions."""
+    conv_b = _convolve_values(b_vals, mol)
+    conv_ab = _convolve_values(a_vals * b_vals, mol)
+    return a_vals * conv_b - conv_ab
+
+
 def commutator(a, b, mol):
     """S = a (b * phi_k) - (a b) * phi_k per slice, plus its L^1(time x space) norm."""
     if a.interval != b.interval or a.n_steps != b.n_steps:
@@ -129,10 +136,43 @@ def commutator(a, b, mol):
     l1 = 0.0
     vol = a.grid.cell_volume
     for fa, fb in zip(a.fields, b.fields):
-        conv_b = _convolve_values(fb.values, mol)
-        conv_ab = _convolve_values(fa.values * fb.values, mol)
-        s_vals = fa.values * conv_b - conv_ab
+        s_vals = _commutator_slice(fa.values, fb.values, mol)
         fields.append(ScalarField(a.grid, s_vals))
         l1 += float(np.sum(np.abs(s_vals))) * vol
     series = StepTimeSeries(a.interval, tuple(fields))
     return series, float(l1 * a.delta)
+
+
+def separable_commutator_l1(a, b, coefs, interval, mol):
+    """L^1(interval x space) norm of the commutator S for each member of a
+    separable family: row n of `coefs` holds member n's slice coefficients, and
+    slice j of member n is the pair (c_nj a, c_nj b) of ScalarFields.  Member n's
+    value equals `commutator(a_n, b_n, mol)[1]` bit for bit.
+
+    S is evaluated once per distinct |c|, and its L^1 is kept as a float and
+    reused wherever the slice recurs.  This is exact.  A slice is a * c, one
+    IEEE multiply per cell, so equal c gives equal bytes.  Round-to-nearest is
+    symmetric under negation, so a (-c) = -(a c) and (-x)(-y) = x y; and every
+    partial sum of a convolution of -x is the negative of the same partial
+    sum of x, whatever the summation order or FMA use.  Hence
+    (-a) (-b * phi) = a (b * phi) and ((-a)(-b)) * phi = (a b) * phi, so
+    S(-a, -b) = S(a, b) bit for bit.  Each member's slice values are summed in
+    slice order and scaled by the step length, exactly as `commutator` does."""
+    coefs = np.asarray(coefs, dtype=float)
+    if coefs.ndim != 2 or coefs.shape[1] == 0:
+        raise ValueError("coefs must be a (members, slices) array with at least one slice")
+    t0, t1 = float(interval[0]), float(interval[1])
+    delta = (t1 - t0) / coefs.shape[1]
+    vol = a.grid.cell_volume
+    slice_l1 = {}  # |c| -> L^1 over space of S at that slice
+    out = []
+    for row in coefs:
+        l1 = 0.0
+        for c in row.tolist():
+            s_l1 = slice_l1.get(abs(c))
+            if s_l1 is None:
+                s_vals = _commutator_slice((a * c).values, (b * c).values, mol)
+                s_l1 = slice_l1[abs(c)] = float(np.sum(np.abs(s_vals))) * vol
+            l1 += s_l1
+        out.append(float(l1 * delta))
+    return out

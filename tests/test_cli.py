@@ -99,6 +99,7 @@ def test_commutator_experiment(tmp_path):
     ("movedom", "eps_list = 0.0,-0.05"),
     ("movedom", "eps_list = ,"),
     ("movedom", "eps_list = 0.0,x"),
+    ("movedom", "eps_list = 0.0,0.5"),   # the 0.5-interior of the unit square is empty
     ("movedom", "disk_radius = 0"),
     ("nsprobe", "members = 0"),
     ("nsprobe", "n_slices = 0"),

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from compactness_lab import cli
+from compactness_lab import cli, mollify
 from compactness_lab.grid import Grid, ScalarField, StaggeredVectorField, inner, lp_norm
 from compactness_lab.mollify import (commutator, convolve_space, convolve_staggered,
-                                     make_mollifier, shift_space)
+                                     make_mollifier, separable_commutator_l1, shift_space)
 from compactness_lab.parabolic import StepTimeSeries, constant_series
 from compactness_lab.grid import divergence
 from compactness_lab.synth import generator, random_stream_velocity
@@ -182,6 +182,72 @@ def test_commutator_report_recomputed_from_integral_form(tmp_path):
         want = max(sum(slice_l1(float(c), mol) for c in np.sin(2 * np.pi * n * mids)) / n_slices
                    for n in range(1, 4))
         assert float(sup_l1) == pytest.approx(want, rel=1e-12)
+
+
+def run_factors(cells):
+    """The `commutator` run's space factors a = sin 2 pi x, b = sign sin 4 pi x."""
+    g = Grid((cells,), (1.0,))
+    x = g.axis_centers(0)
+    return ScalarField(g, np.sin(2 * np.pi * x)), ScalarField(g, np.sign(np.sin(4 * np.pi * x)))
+
+
+def test_separable_commutator_l1_equals_per_member_commutator():
+    # rows repeat c, pair c with -c, and hold both signed zeros; each member's
+    # value must be commutator's bit for bit
+    a_sp, b_sp = run_factors(256)
+    coefs = np.array([[0.3, -0.3, 0.3, 0.0, -0.0, 0.7],
+                      [-0.7, 1.0, -0.0, -1.0, 0.3, 0.3],
+                      [0.0, 0.0, -0.3, 0.7, -0.7, 1.0]])
+    interval = (0.0, 1.0)
+    for k in (4, 16):
+        mol = make_mollifier(k, a_sp.grid)
+        got = separable_commutator_l1(a_sp, b_sp, coefs, interval, mol)
+        want = []
+        for row in coefs:
+            a_n = StepTimeSeries(interval, tuple(a_sp * float(c) for c in row))
+            b_n = StepTimeSeries(interval, tuple(b_sp * float(c) for c in row))
+            want.append(commutator(a_n, b_n, mol)[1])
+        assert got == want
+        assert got[0] > 0.0
+
+
+def test_commutator_slice_is_even_in_the_coefficient():
+    # S(-c a, -c b) = S(c a, c b) bit for bit at every default k of the run
+    a_sp, b_sp = run_factors(2048)
+    mids = (np.arange(32) + 0.5) / 32
+    cs = np.concatenate([np.sin(2 * np.pi * n * mids) for n in (1, 5)]).tolist()
+    interval = (0.0, 1.0)
+    plus_a = StepTimeSeries(interval, tuple(a_sp * c for c in cs))
+    plus_b = StepTimeSeries(interval, tuple(b_sp * c for c in cs))
+    minus_a = StepTimeSeries(interval, tuple(a_sp * -c for c in cs))
+    minus_b = StepTimeSeries(interval, tuple(b_sp * -c for c in cs))
+    for k in (4, 8, 16, 32, 64):
+        mol = make_mollifier(k, a_sp.grid)
+        plus, _ = commutator(plus_a, plus_b, mol)
+        minus, _ = commutator(minus_a, minus_b, mol)
+        for fp, fm in zip(plus.fields, minus.fields):
+            assert np.array_equal(fp.values, fm.values)
+
+
+def test_commutator_run_convolves_each_distinct_slice_once(tmp_path, monkeypatch):
+    # 16 members x 32 slices hold 291 distinct |c|: two convolutions each per
+    # k, 2910 over the five default k instead of 5120
+    mids = (np.arange(32) + 0.5) / 32
+    distinct = {abs(c) for n in range(1, 17) for c in np.sin(2 * np.pi * n * mids).tolist()}
+    assert len(distinct) == 291
+    calls = []
+    convolve = mollify._convolve_values
+
+    def counted(values, mol):
+        calls.append(mol.k)
+        return convolve(values, mol)
+
+    monkeypatch.setattr(mollify, "_convolve_values", counted)
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("")
+    assert cli.run("commutator", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert len(calls) == 2910
+    assert all(calls.count(k) == 2 * 291 for k in (4, 8, 16, 32, 64))
 
 
 def test_commutator_decay_rate_smooth_a():
