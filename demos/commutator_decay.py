@@ -7,16 +7,16 @@ import numpy as np
 from compactness_lab import (Grid, ScalarField, commutator, make_mollifier,
                              separable_commutator_l1)
 from compactness_lab.parabolic import StepTimeSeries
+from compactness_lab.synth import oscillation_coefficients
 
 grid = Grid((2048,), (1.0,))
 x = grid.axis_centers(0)
 a_sp = ScalarField(grid, np.sin(2 * np.pi * x))           # smooth factor
 b_sp = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))  # bounded rough factor
-n_slices = 32
-mids = (np.arange(n_slices) + 0.5) / n_slices
 
-# member n's slice j is (c a, c b) with c = sin(2 pi n t_j)
-coefs = [np.sin(2 * np.pi * n * mids) for n in range(1, 17)]
+# member n's slice j is (c a, c b) with c = sin(2 pi n t_j), t_j the midpoint
+# of slice j of 32
+coefs = oscillation_coefficients(16, 32)
 
 print("sup over 16 oscillatory members of ||S_{n,k}||_L1(t,x):")
 prev = None

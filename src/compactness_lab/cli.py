@@ -35,8 +35,8 @@ from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
 from .probe import check_ell_list, kruzhkov_probe, ns_probe
 from .productlimit import product_pipeline, transposition_defect
 from .synth import (disk_bump_velocity, generator, oscillating_family,
-                    perturbation_scalar_family, random_smooth_field,
-                    random_stream_velocity, translating_disk_ns_family)
+                    oscillation_coefficients, perturbation_scalar_family,
+                    random_smooth_field, random_stream_velocity, translating_disk_ns_family)
 from .truncate import nonlinearity_preset
 
 
@@ -51,11 +51,13 @@ def _bad(experiment, key, value, why):
 @dataclass(frozen=True)
 class Rule:
     """How a key's text becomes a value: `cast` each entry (the whole text, or
-    each comma-separated entry of a list) and accept it only when `ok` holds."""
+    each comma-separated entry of a list) and accept it only when `ok` holds
+    and, for a `distinct` list, no entry repeats."""
     text: str
     cast: type
     ok: Callable
     is_list: bool = False
+    distinct: bool = False
 
     def parse(self, experiment, key, raw):
         entries = [tok for tok in (raw.split(",") if self.is_list else [raw]) if tok.strip()]
@@ -63,7 +65,8 @@ class Rule:
             values = [self.cast(tok) for tok in entries]
         except ValueError:
             values = []
-        if not values or not all(map(self.ok, values)):
+        if (not values or not all(map(self.ok, values))
+                or (self.distinct and len(set(values)) < len(values))):
             finite = ", finite" if self.cast is float else ""
             raise _bad(experiment, key, raw, f"must be {self.text}{finite}")
         return values if self.is_list else values[0]
@@ -82,6 +85,8 @@ POS_FLOAT = Rule("float > 0", float, lambda v: math.isfinite(v) and v > 0)
 FLOAT_GE0 = Rule("float >= 0", float, lambda v: math.isfinite(v) and v >= 0)
 FLOAT_GT1 = Rule("float > 1", float, lambda v: math.isfinite(v) and v > 1)
 POS_INTS = Rule("list of int > 0", int, POS_INT.ok, is_list=True)
+DISTINCT_POS_INTS = Rule("list of distinct int > 0", int, POS_INT.ok, is_list=True,
+                         distinct=True)
 POS_FLOATS = Rule("list of float > 0", float, POS_FLOAT.ok, is_list=True)
 FLOATS_GE0 = Rule("list of float >= 0", float, FLOAT_GE0.ok, is_list=True)
 
@@ -96,10 +101,10 @@ KEYS = {
         "energy_rel_tol": ("1e-8", FLOAT_GE0)},
     "commutator": {
         "cells": ("2048", POS_INT), "members": ("16", POS_INT), "n_slices": ("32", POS_INT),
-        "k_list": ("4,8,16,32,64", POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
+        "k_list": ("4,8,16,32,64", DISTINCT_POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
     "productlimit": {
         "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", POS_INT),
-        "k_list": ("4,8,16,32", POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
+        "k_list": ("4,8,16,32", DISTINCT_POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
     "movedom": {
         "grid": ("128", INT_GE2), "eps": ("0.1", FLOAT_GE0),
         "eps_list": ("0.0,0.05,0.1", FLOATS_GE0), "disk_radius": ("0.4", POS_FLOAT),
@@ -251,20 +256,17 @@ def _exp_porous(cfg, seed, out_dir):
 
 
 def _exp_commutator(cfg, seed, out_dir):
-    members, n_slices = cfg["members"], cfg["n_slices"]
     grid = Grid((cfg["cells"],), (1.0,))
     _check_kernels(cfg, grid, "k_list", cfg["k_list"])
     x = grid.axis_centers(0)
     a_space = ScalarField(grid, np.sin(2 * np.pi * x))
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
-    interval = (0.0, 1.0)
-    mids = (np.arange(n_slices) + 0.5) / n_slices
     # member n's slice j is (c a, c b) with c = sin(2 pi n t_j)
-    coefs = [np.sin(2 * np.pi * n * mids) for n in range(1, members + 1)]
+    coefs = oscillation_coefficients(cfg["members"], cfg["n_slices"])
     sup_l1 = {}
     for k in cfg["k_list"]:
         mol = make_mollifier(k, grid)
-        sup_l1[k] = max(separable_commutator_l1(a_space, b_space, coefs, interval, mol))
+        sup_l1[k] = max(separable_commutator_l1(a_space, b_space, coefs, (0.0, 1.0), mol))
     failures = []
     ks = sorted(cfg["k_list"])
     vals = [sup_l1[k] for k in ks]

@@ -35,6 +35,9 @@ MUTANTS = {
                            "gphi = grad_phi_l2(s, phi) * 1.01"),
     "commutator.sup_l1": ("mollify.py", "out.append(float(l1 * delta))",
                           "out.append(float(l1 * delta) * 1.01)"),
+    "commutator.coefficients": (
+        "synth.py", "return np.where(m < N, 1.0, -1.0) * np.sin(np.pi * folded / N)",
+        "return np.where(m < N, 1.0, -1.0) * np.sin(np.pi * folded / N) * 1.01"),
     "kruzhkov.term2": ("probe.py", "t2 = series_l2(middle, inner_domains)",
                        "t2 = series_l2(middle, inner_domains) * 1.01"),
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),

@@ -72,11 +72,23 @@ def test_commutator_experiment(tmp_path):
     assert lines[0] == "k,sup_l1"
 
 
+def test_commutator_zero_family_reports_exact_zeros(tmp_path):
+    # one slice: every coefficient is sin(pi n) = 0, so every slice is (0, 0)
+    # and S vanishes exactly, not up to the rounding of sin(2 pi n / 2)
+    cfg = write_cfg(tmp_path, "z.cfg", "[commutator]\ncells = 512\nn_slices = 1\n")
+    out = tmp_path / "out"
+    assert run("commutator", cfg, str(out)) == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines == ["k,sup_l1"] + [f"{k},0.0" for k in (4, 8, 16, 32, 64)]
+
+
 @pytest.mark.parametrize("experiment,line", [
     ("commutator", "k_list = 4096"),   # under-resolved kernel: 1/k < 2h
     ("commutator", "k_list = ,"),      # empty list
     ("commutator", "n_slices = 0"),
     ("commutator", "cells = 0"),
+    ("commutator", "k_list = 4,8,4"),  # a repeated scale
+    ("productlimit", "k_list = 4,4,8"),
     ("productlimit", "k_list = 512"),
     ("productlimit", "members = -1"),
     ("porous", "grid_cells = 0"),

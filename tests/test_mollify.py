@@ -8,7 +8,8 @@ from compactness_lab.mollify import (commutator, convolve_space, convolve_stagge
                                      make_mollifier, separable_commutator_l1, shift_space)
 from compactness_lab.parabolic import StepTimeSeries, constant_series
 from compactness_lab.grid import divergence
-from compactness_lab.synth import generator, random_stream_velocity
+from compactness_lab.synth import (generator, oscillation_coefficients,
+                                   random_stream_velocity)
 
 
 def discrete_integral(mol):
@@ -230,11 +231,10 @@ def test_commutator_slice_is_even_in_the_coefficient():
 
 
 def test_commutator_run_convolves_each_distinct_slice_once(tmp_path, monkeypatch):
-    # 16 members x 32 slices hold 291 distinct |c|: two convolutions each per
-    # k, 2910 over the five default k instead of 5120
-    mids = (np.arange(32) + 0.5) / 32
-    distinct = {abs(c) for n in range(1, 17) for c in np.sin(2 * np.pi * n * mids).tolist()}
-    assert len(distinct) == 291
+    # 16 members x 32 slices hold 16 distinct |c|: two convolutions each per
+    # k, 160 over the five default k instead of 5120
+    distinct = {abs(c) for c in oscillation_coefficients(16, 32).ravel().tolist()}
+    assert len(distinct) == 16
     calls = []
     convolve = mollify._convolve_values
 
@@ -246,8 +246,61 @@ def test_commutator_run_convolves_each_distinct_slice_once(tmp_path, monkeypatch
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("")
     assert cli.run("commutator", str(cfg), str(tmp_path / "out"), seed=0) == 0
-    assert len(calls) == 2910
-    assert all(calls.count(k) == 2 * 291 for k in (4, 8, 16, 32, 64))
+    assert len(calls) == 160
+    assert all(calls.count(k) == 2 * 16 for k in (4, 8, 16, 32, 64))
+
+
+def folded_residues(members, n_slices):
+    """m = n (2j + 1) mod 2N and its residue mod N folded into [0, N/2]."""
+    m = np.array([[n * (2 * j + 1) % (2 * n_slices) for j in range(n_slices)]
+                  for n in range(1, members + 1)])
+    r = m % n_slices
+    return m, np.minimum(r, n_slices - r)
+
+
+def ulps_from_exact(c, m, n_slices):
+    """|c - sin(pi m / N)| in units of the spacing of floats at the exact value,
+    the exact value from mpmath at 50 digits; entries where it is 0 give 0."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.zeros(c.shape)
+    with mpmath.workdps(50):
+        for idx in np.ndindex(c.shape):
+            if m[idx] % n_slices:
+                exact = mpmath.sin(mpmath.pi * int(m[idx]) / n_slices)
+                out[idx] = float(abs(mpmath.mpf(float(c[idx])) - exact)
+                                 / np.spacing(abs(float(exact))))
+    return out
+
+
+@pytest.mark.parametrize("members,n_slices", [(16, 32), (8, 16), (4, 8), (3, 4), (16, 1)])
+def test_oscillation_coefficients_reduce_the_phase_exactly(members, n_slices):
+    # the run's family and the smaller ones the tests run it at: within 1 ulp
+    # of the exact sine, equal to the unreduced formula up to its rounding,
+    # equal |c| for an equal folded residue, and +-0.0 at multiples of pi
+    c = oscillation_coefficients(members, n_slices)
+    m, folded = folded_residues(members, n_slices)
+    assert c.shape == (members, n_slices)
+    assert np.max(ulps_from_exact(c, m, n_slices)) <= 1.0
+    mids = (np.arange(n_slices) + 0.5) / n_slices
+    naive = np.array([np.sin(2 * np.pi * n * mids) for n in range(1, members + 1)])
+    assert np.max(np.abs(c - naive)) <= 1e-13
+    for r in np.unique(folded):
+        assert len(set(np.abs(c[folded == r]).tolist())) == 1
+    zero = m % n_slices == 0
+    assert np.all(c[zero] == 0.0)
+    assert np.array_equal(np.signbit(c[zero]), m[zero] == n_slices)
+    assert np.all((c[~zero] > 0) == (m[~zero] < n_slices))
+
+
+def test_oscillation_coefficients_error_over_every_residue():
+    # member n = 1..2N of slice 0 meets every residue m of 2N once; only the
+    # argument pi r' / N and its sine are rounded, so no entry is 2 ulp off
+    worst = 0.0
+    for n_slices in range(1, 129):
+        c = oscillation_coefficients(2 * n_slices, n_slices)[:, :1]
+        m = np.arange(1, 2 * n_slices + 1)[:, None] % (2 * n_slices)
+        worst = max(worst, np.max(ulps_from_exact(c, m, n_slices)))
+    assert worst < 2.0
 
 
 def test_commutator_decay_rate_smooth_a():
