@@ -51,13 +51,15 @@ def _bad(experiment, key, value, why):
 @dataclass(frozen=True)
 class Rule:
     """How a key's text becomes a value: `cast` each entry (the whole text, or
-    each comma-separated entry of a list) and accept it only when `ok` holds
-    and, for a `distinct` list, no entry repeats."""
+    each comma-separated entry of a list) and accept it only when `ok` holds,
+    for a `distinct` list no entry repeats, and the entries hold at least
+    `min_distinct` distinct values."""
     text: str
     cast: type
     ok: Callable
     is_list: bool = False
     distinct: bool = False
+    min_distinct: int = 1
 
     def parse(self, experiment, key, raw):
         entries = [tok for tok in (raw.split(",") if self.is_list else [raw]) if tok.strip()]
@@ -66,7 +68,8 @@ class Rule:
         except ValueError:
             values = []
         if (not values or not all(map(self.ok, values))
-                or (self.distinct and len(set(values)) < len(values))):
+                or (self.distinct and len(set(values)) < len(values))
+                or len(set(values)) < self.min_distinct):
             finite = ", finite" if self.cast is float else ""
             raise _bad(experiment, key, raw, f"must be {self.text}{finite}")
         return values if self.is_list else values[0]
@@ -87,7 +90,11 @@ FLOAT_GT1 = Rule("float > 1", float, lambda v: math.isfinite(v) and v > 1)
 POS_INTS = Rule("list of int > 0", int, POS_INT.ok, is_list=True)
 DISTINCT_POS_INTS = Rule("list of distinct int > 0", int, POS_INT.ok, is_list=True,
                          distinct=True)
-POS_FLOATS = Rule("list of float > 0", float, POS_FLOAT.ok, is_list=True)
+# a list whose first and last entries the run compares for decay
+TWO_POS_INTS = Rule("list of int > 0, two distinct at least", int, POS_INT.ok, is_list=True,
+                    min_distinct=2)
+TWO_POS_FLOATS = Rule("list of float > 0, two distinct at least", float, POS_FLOAT.ok,
+                      is_list=True, min_distinct=2)
 FLOATS_GE0 = Rule("list of float >= 0", float, FLOAT_GE0.ok, is_list=True)
 
 # every key of every experiment: its default, as text, and its rule
@@ -103,7 +110,7 @@ KEYS = {
         "cells": ("2048", POS_INT), "members": ("16", POS_INT), "n_slices": ("32", POS_INT),
         "k_list": ("4,8,16,32,64", DISTINCT_POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
     "productlimit": {
-        "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", POS_INT),
+        "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", INT_GE2),
         "k_list": ("4,8,16,32", DISTINCT_POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
     "movedom": {
         "grid": ("128", INT_GE2), "eps": ("0.1", FLOAT_GE0),
@@ -116,13 +123,13 @@ KEYS = {
     "nsprobe": {
         "family": ("convergent", _one_of("convergent", "oscillating")),
         "grid": ("64", POS_INT), "n_slices": ("16", INT_GE5), "members": ("4", POS_INT),
-        "osc_list": ("2,4,8", POS_INTS), "delta_list": ("0.0625,0.03125", POS_FLOATS),
+        "osc_list": ("2,4,8", POS_INTS), "delta_list": ("0.0625,0.03125", TWO_POS_FLOATS),
         "disk_radius": ("0.3", POS_FLOAT), "speed": ("0.15", FLOAT)},
     "kruzhkov": {
         "family": ("perturbation", _one_of("perturbation", "oscillating")),
         "grid": ("64", POS_INT), "n_slices": ("8", POS_INT), "members": ("6", POS_INT),
         "osc_list": ("1,2,4", POS_INTS), "m_interior": ("8", POS_INT),
-        "ell_list": ("16,24,32", POS_INTS), "speed": ("0.1", FLOAT),
+        "ell_list": ("16,24,32", TWO_POS_INTS), "speed": ("0.1", FLOAT),
         "disk_radius": ("0.35", POS_FLOAT), "budget_tol": ("1e-10", FLOAT_GE0)},
 }
 
@@ -359,21 +366,28 @@ def _exp_movedom(cfg, seed, out_dir):
 
 
 def _exp_divfree(cfg, seed, out_dir):
+    """Each field is drawn, checked and dropped in turn; only the fields and
+    projections that the pair checks read are kept.  The Poincare constant
+    and the Neumann factor draw nothing from `rng`, so field i is its i-th
+    draw."""
     n, n_fields, tol = cfg["grid"], cfg["n_fields"], cfg["residual_tol"]
+    n_pairs = min(cfg["pair_checks"], n_fields - 1)
     grid = Grid((n, n), (1.0, 1.0))
     domain = RasterDomain.full(grid)
     rng = generator(seed)
     rows = []
     failures = []
-    fields = [random_stream_velocity(grid, rng) for _ in range(n_fields)]
-    projected = []
+    fields, projected = [], []
     # every projection runs on this one raster: one constant and one factor
     c_poincare = poincare_constant(domain)
     factor = neumann_factor(domain)
-    for i, u in enumerate(fields):
+    for i in range(n_fields):
+        u = random_stream_velocity(grid, rng)
         rep = dual_norm_check(u, domain, c_poincare, factor)
         pu = rep.projected
-        projected.append(pu)
+        if i <= n_pairs:
+            fields.append(u)
+            projected.append(pu)
         div_res = float(np.max(np.abs(divergence(pu).values)))
         tr = normal_trace(pu, domain)
         tr_res = max(float(np.max(np.abs(v))) for v in tr.values)
@@ -384,7 +398,7 @@ def _exp_divfree(cfg, seed, out_dir):
         rows.append((i, rep.l2, rep.seminorm, rep.surrogate, div_res, tr_res, pyth, rep.slack))
         if not ok:
             failures.append(f"projection residuals out of tolerance at field {i}")
-    for j in range(min(cfg["pair_checks"], n_fields - 1)):
+    for j in range(n_pairs):
         u, w = fields[j], fields[j + 1]
         lhs = staggered_inner(projected[j], w)
         rhs = staggered_inner(u, projected[j + 1])
@@ -422,12 +436,17 @@ def _exp_nsprobe(cfg, seed, out_dir):
         raise _bad("nsprobe", "delta_list", delta_list,
                    "the compact core is empty; shrink delta_list or speed")
     if convergent:
-        members = translating_disk_ns_family(
+        family = translating_disk_ns_family(
             grid, interval, n_slices, cfg["members"], center, disk_r,
             (speed, 0.0), stream_fraction=0.55)
     else:
-        members = oscillating_family(disk_bump_velocity(grid, center, 0.55 * disk_r),
-                                     interval, n_slices, cfg["osc_list"])
+        family = oscillating_family(disk_bump_velocity(grid, center, 0.55 * disk_r),
+                                    interval, n_slices, cfg["osc_list"])
+    # restricted here, the probe's own restriction copies nothing, and the
+    # unrestricted family is freed before the probe starts
+    slices = [nc.slice_raster(k) for k in range(n_slices)]
+    members = [s.restricted(slices) for s in family]
+    del family
     dt = (interval[1] - interval[0]) / n_slices
     report = ns_probe(members, nc, delta_list, [dt, 2 * dt, 4 * dt], compact,
                       battery_seed=seed)

@@ -285,7 +285,10 @@ class ScalarField:
         return self.with_values(fn(self.values))
 
     def restricted(self, domain):
-        """The same values on `domain`: the cells outside it zeroed."""
+        """The same values on `domain`: the cells outside it zeroed.  On its
+        own mask a field is already that, and is returned as it is."""
+        if domain is self.mask:
+            return self
         return ScalarField(self.grid, self.values, mask=domain)
 
     def __add__(self, other):
@@ -341,7 +344,11 @@ class StaggeredVectorField:
         return StaggeredVectorField(self.grid, tuple(comps), mask=self.mask)
 
     def restricted(self, domain):
-        """The same components on `domain`: the faces next to no inside cell zeroed."""
+        """The same components on `domain`: the faces next to no inside cell
+        zeroed.  On its own mask a field is already that, and is returned as
+        it is."""
+        if domain is self.mask:
+            return self
         return StaggeredVectorField(self.grid, self.components, mask=domain)
 
     def __add__(self, other):

@@ -80,14 +80,6 @@ class StepTimeSeries:
         return StepTimeSeries(self.interval, tuple(
             f.restricted(d) for f, d in zip(self.fields, domains, strict=True)))
 
-    def shifted(self, j):
-        """lambda_{j delta}: shift by j steps (f(t - j delta)), zero-filled; the
-        kept slices are the same objects."""
-        zero = self.fields[0] * 0.0
-        n = self.n_steps
-        return StepTimeSeries(self.interval, tuple(
-            self.fields[k - j] if 0 <= k - j < n else zero for k in range(n)))
-
     def _zip(self, other, op):
         if other.interval != self.interval or other.n_steps != self.n_steps:
             raise ValueError("series partitions differ")

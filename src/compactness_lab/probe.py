@@ -9,6 +9,7 @@ families).  Budget decompositions are algebraic identities and are asserted to
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, fields
 
@@ -147,13 +148,18 @@ def time_shift_safety(nc, delta, n_times=16):
     d2 = nc.eroded_reference(2.0 * delta)
     band = 1.5 * max(grid.spacing)
 
+    # the sample times of one sigma recur, shifted or not, at the others
+    @functools.cache
+    def pulled(base, t):
+        return _pull_back(family, base, t)
+
     # one level down, the dyadic search asks again about xi/2 and xi/4
     @functools.cache
     def inclusion_holds(sigma):
         tt = np.linspace(a, max(a, b - sigma), n_times)
         for t in tt:
-            m1 = _pull_back(family, d1, t)
-            viol = _pull_back(family, d2, t + sigma) & ~m1
+            m1 = pulled(d1, t)
+            viol = pulled(d2, t + sigma) & ~m1
             if np.any(viol):
                 sd1 = signed_distance_transform(grid, m1, side="outside")
                 if np.any(viol & (sd1 < -band)):
@@ -227,16 +233,20 @@ def make_battery(grid, interval, n_steps, seed=0):
 def step3_dual_constant(series, battery):
     """max over the battery of |<d_t v, psi>| / ||psi||_2 for the mollified
     family (the measured C_delta of the proof's third step), with the
-    maximiser's label (the first one on ties).  The jumps of `series` are
-    formed once and each spatial factor is paired and normed once; the time
-    pairing is exact summation by parts for step series."""
-    jumps = [series.fields[k] - series.fields[k - 1] for k in range(1, series.n_steps)]
+    maximiser's label (the first one on ties).  Each jump of `series` is
+    formed once, paired with every spatial factor and dropped, and each
+    spatial factor is normed once; the time pairing is exact summation by
+    parts for step series."""
+    pairings = [[] for _ in battery.spaces]
+    for k in range(1, series.n_steps):
+        jump = series.fields[k] - series.fields[k - 1]
+        for out, space in zip(pairings, battery.spaces):
+            out.append(staggered_inner(jump, space))
     best, best_label = 0.0, None
     for si, space in enumerate(battery.spaces):
         norm = staggered_l2(space)
-        pairings = np.asarray([staggered_inner(df, space) for df in jumps])
         for label, time_values, time_l2 in battery.profiles:
-            num = abs(float(np.dot(time_values, pairings)))
+            num = abs(float(np.dot(time_values, pairings[si])))
             denom = time_l2 * norm
             if denom > 0 and num / denom > best:
                 best, best_label = num / denom, label.replace("[", f"[s{si},", 1)
@@ -273,6 +283,43 @@ class NsProbeReport:
     columns = tuple(f.name for f in fields(NsProbeRow))
 
 
+def _window_l2(slices, window, delta):
+    """`series_l2` of the face series with these slices over the rasters
+    `window`, on partition step `delta`, reading one slice at a time."""
+    total = 0.0
+    for f, d in zip(slices, window, strict=True):
+        total += staggered_l2(f, d) ** 2
+    return float(np.sqrt(total * delta))
+
+
+def shift_budget_lines(u, v, pu, j, window):
+    """Window norms of lambda_s d - d, s = j slices, for d = u - v, v - pu
+    and pu (lines 1-3), for d = u (the total) and for the re-summed defect
+    line1 + line2 + line3 - total, bitwise as `series_l2` of the shifted
+    series, streamed slice by slice.
+
+    lambda_s d - d on slice k is d_{k-j} - d_k, with d_{k-j} the zero field
+    `d_0 * 0.0` for k < j.  Each slice's parts u_k - v_k and v_k - pu_k are
+    formed once and held until slice k + j has read them, so about j + 1
+    slices of each part are alive at a time, not whole series; the squared
+    norms add up in slice order, as in `series_l2`."""
+    n = u.n_steps
+    held = collections.deque()
+    sums = [0.0] * 5
+    for k, (uk, vk, pk) in enumerate(zip(u.fields, v.fields, pu.fields, strict=True)):
+        parts = (uk - vk, vk - pk, pk, uk)
+        if k == 0:
+            zeros = tuple(f * 0.0 for f in parts)
+        earlier = held.popleft() if k >= j else zeros
+        if k + j < n:
+            held.append(parts)
+        diffs = [a - b for a, b in zip(earlier, parts)]
+        diffs.append(diffs[0] + diffs[1] + diffs[2] - diffs[3])
+        for m, d in enumerate(diffs):
+            sums[m] += staggered_l2(d, window[k]) ** 2
+    return [float(np.sqrt(total * u.delta)) for total in sums]
+
+
 def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     """Equicontinuity budget for per-slice div-free families on a moving domain.
 
@@ -285,6 +332,12 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     three-line translation budget on the compact raster.  Verdict: the budget
     lines vanish in the proof's order (delta first, then s) and the dual
     constants stay bounded across the family.
+
+    Per delta the mollified and projected members are held whole; every
+    field derived from them (the mollification line, the jumps of step 3,
+    the shifted differences of the budget) is formed one slice at a time
+    and dropped once read (`shift_budget_lines`).  Members already on the
+    slice rasters are not copied.
     """
     grid = nc.grid
     delta_list = sorted((float(d) for d in delta_list), reverse=True)
@@ -312,14 +365,20 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
                   for k in range(nc.n_slices)]
         mu_strip = nc.delta * sum(float(np.count_nonzero(m)) * grid.cell_volume
                                   for m in strips)
-        # free the previous delta's mollified family first: holding two at once
-        # raised the peak RSS of `run nsprobe` by about 7 MB
-        convolved = projected = None
+        # free the previous delta's mollified family first, with the last
+        # member's pair that the budget loop below still names: holding two
+        # families at once raised the peak RSS of `run nsprobe` by about 7 MB
+        convolved = projected = v = proj = None
+        # the search holds its pull-backs until it returns: run it while no
+        # mollified family is alive
+        xi = time_shift_safety(nc, delta)
+        xi_map[delta] = xi
         convolved = [u_series.map(lambda u: convolve_staggered(u, mol)) for u_series in members]
         projected = list(zip(convolved, per_slice_project(convolved, nc, 2.0 * delta)))
         defects = [proj.spacetime_trace_norm for _, proj in projected]
         c3s = [step3_dual_constant(v, battery)[0] for v, _ in projected]
-        molls = [series_l2(u_series - v, [compact] * nc.n_slices)
+        molls = [_window_l2((a - b for a, b in zip(u_series.fields, v.fields)),
+                            [compact] * nc.n_slices, u_series.delta)
                  for u_series, (v, _) in zip(members, projected)]
         # the trace-equivalence factor, measured on the first member
         strip_mass = float(np.sqrt(members[0].delta * sum(
@@ -335,8 +394,6 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
         step1_sup[delta] = max(defects)
         c3_map[delta] = c3s
         moll_sup[delta] = max(molls)
-        xi = time_shift_safety(nc, delta)
-        xi_map[delta] = xi
         # the compact subset of space-time: `compact` on the slices from the
         # largest shift on, nothing before it
         j_window = max((round(s / delta_t) for s in s_list), default=0)
@@ -349,12 +406,8 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
                 continue
             for i, u_series in enumerate(members):
                 v, proj = projected[i]
-                pu = proj.projected
-                diffs = [f.shifted(j) - f for f in (u_series - v, v - pu, pu)]
-                total_field = u_series.shifted(j) - u_series
-                l1, l2v, l3 = (series_l2(dv, window) for dv in diffs)
-                tot = series_l2(total_field, window)
-                defect = series_l2(diffs[0] + diffs[1] + diffs[2] - total_field, window)
+                l1, l2v, l3, tot, defect = shift_budget_lines(u_series, v, proj.projected,
+                                                              j, window)
                 budget_defect = max(budget_defect, defect / (tot + 1e-300))
                 rows.append(NsProbeRow(i + 1, delta, s, defects[i], c3s[i],
                                        l1, l2v, l3, tot))

@@ -43,8 +43,9 @@ MUTANTS = {
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),
     "divfree.seminorm": ("divfree.py", "seminorm = staggered_l2(pu)",
                          "seminorm = staggered_l2(pu) * 1.01"),
-    "nsprobe.line1-3": ("probe.py", "(series_l2(dv, window) for dv in diffs)",
-                        "(series_l2(dv, window) * 1.01 for dv in diffs)"),
+    "nsprobe.line1-3": ("probe.py", "return [float(np.sqrt(total * u.delta)) for total in sums]",
+                        "return [float(np.sqrt(total * u.delta)) * (1.01 if m < 3 else 1.0)"
+                        " for m, total in enumerate(sums)]"),
     "nsprobe.line1": ("probe.py", "l1, l2v, l3, tot))", "l1 * 1.01, l2v, l3, tot))"),
     "nsprobe.line2": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v * 1.01, l3, tot))"),
     "nsprobe.line3": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v, l3 * 1.01, tot))"),

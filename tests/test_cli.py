@@ -91,6 +91,7 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("productlimit", "k_list = 4,4,8"),
     ("productlimit", "k_list = 512"),
     ("productlimit", "members = -1"),
+    ("productlimit", "members = 1"),     # the verdict compares the first member with the last
     ("porous", "grid_cells = 0"),
     ("porous", "n_list = 16,0"),
     ("porous", "n_list = ,"),
@@ -121,6 +122,8 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("kruzhkov", "m_interior = 0"),
     ("kruzhkov", "ell_list = ,"),
     ("kruzhkov", "ell_list = 4"),
+    ("kruzhkov", "ell_list = 16"),       # the decay check needs two distinct scales
+    ("kruzhkov", "ell_list = 16,16"),
     ("kruzhkov", "ell_list = 16,24,64"),  # under-resolved kernel: 1/ell < 2h
     ("divfree", "pair_checks = -1"),
     ("porous", "grid_cell = 64"),        # unknown key: a typo for grid_cells
@@ -134,6 +137,8 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("nsprobe", "speed = nan"),
     ("nsprobe", "family = foo"),
     ("nsprobe", "delta_list = 0.07"),    # 1/delta is not an integer
+    ("nsprobe", "delta_list = 0.0625"),  # the decay check needs two distinct radii
+    ("nsprobe", "delta_list = 0.0625,0.0625"),
     ("nsprobe", "delta_list = 0.001"),   # under-resolved kernel: delta < 2h
     ("nsprobe", "n_slices = 2"),         # the shifts of 1, 2 and 4 slices need 5
     ("nsprobe", "n_slices = 4"),

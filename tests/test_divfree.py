@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from compactness_lab import divfree
+from compactness_lab import cli, divfree
 from compactness_lab.divfree import (BoundaryData, dual_norm_check,
                                      dual_seminorm, face_measure,
                                      harmonic_gradient, neumann_factor,
@@ -463,3 +465,22 @@ def test_face_series_l2_masked():
     full_norm = series_l2(s)
     masked = series_l2(s, [disk, disk])
     assert masked < full_norm
+
+
+def test_divfree_run_traced_peak_does_not_grow_with_n_fields():
+    # each field is drawn, checked and dropped; only the pair_checks + 1
+    # fields and projections the pair checks read are kept
+    field_bytes = sum(c.nbytes for c in random_stream_velocity(Grid((16, 16), (1.0, 1.0)),
+                                                               generator(0)).components)
+    peaks = {}
+    for n_fields in (10, 40, 10, 40):
+        cfg = {"grid": 16, "n_fields": n_fields, "residual_tol": 1e-8, "pair_checks": 2}
+        tracemalloc.start()
+        try:
+            _, rows, failures = cli._exp_divfree(cfg, 0, None)
+            peaks[n_fields] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n_fields + 1 and not failures
+    # holding every field and projection grew the peak by about 68 fields
+    assert peaks[40] < peaks[10] + 10 * field_bytes, (peaks, field_bytes)

@@ -56,8 +56,8 @@ SMALL = {
     "porous": "grid_cells = 64\nn_list = 16,32",
     "movedom": "grid = 24\nn_slices = 4\neps_list = 0.0,0.1",
     "divfree": "grid = 16\nn_fields = 2\npair_checks = 1",
-    "nsprobe": "grid = 32\nn_slices = 5\nmembers = 2\nosc_list = 2\ndelta_list = 0.0625",
-    "kruzhkov": "grid = 32\nn_slices = 4\nmembers = 2\nosc_list = 1\nm_interior = 4\nell_list = 16",
+    "nsprobe": "grid = 40\nn_slices = 5\nmembers = 2\nosc_list = 2\ndelta_list = 0.0625,0.05",
+    "kruzhkov": "grid = 32\nn_slices = 4\nmembers = 2\nosc_list = 1\nm_interior = 4\nell_list = 8,16",
 }
 # in a fresh interpreter: the scipy modules loaded after the import of
 # `cli`, after `load_config` and after `run` of argv[1] with config argv[2]

@@ -1,22 +1,19 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from compactness_lab import cli, parabolic
 from compactness_lab.cli import _csv_text
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, gradient,
-                                  h_minus_m_norm, lp_norm, staggered_l2)
+                                  h_minus_m_norm)
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        _backward_euler, _flux_operator,
                                        _newton_step, StepTimeSeries,
                                        barenblatt_profile, constant_series,
                                        energy_report, mass, oscillating_series,
-                                       run_scheme, series_distance, series_l2,
+                                       run_scheme, series_distance,
                                        hypothesis_monitor, time_derivative_tv)
 from compactness_lab.truncate import Nonlinearity, nonlinearity_preset
 
@@ -471,45 +468,6 @@ def test_series_distance_piecewise_constant():
     for f in (a, u):
         with pytest.raises(ValueError):
             StepTimeSeries((0.0, 1.0), (f,) * 4) - StepTimeSeries((0.0, 2.0), (f,) * 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_step_series_shift_and_restriction(data):
-    dim = data.draw(st.integers(1, 2))
-    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
-    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
-    n = data.draw(st.integers(1, 6))
-    g = Grid(shape, extent)
-
-    def values(array_shape):
-        return data.draw(hnp.arrays(float, array_shape, elements=st.floats(-1e3, 1e3)))
-
-    if data.draw(st.booleans()):
-        fields = [ScalarField(g, values(shape)) for _ in range(n)]
-        norm = functools.partial(lp_norm, p=2)
-    else:
-        face_shapes = [tuple(m + (b == a) for b, m in enumerate(shape)) for a in range(dim)]
-        fields = [StaggeredVectorField(g, tuple(values(fs) for fs in face_shapes))
-                  for _ in range(n)]
-        norm = staggered_l2
-    s = StepTimeSeries((0.0, data.draw(st.floats(0.5, 4.0))), fields)
-    assert all(a is b for a, b in zip(s.shifted(0).fields, s.fields))
-    j = data.draw(st.integers(0, n))
-    shifted = s.shifted(j)
-    for k, f in enumerate(shifted.fields):
-        if k < j:
-            assert norm(f) == 0.0
-        else:
-            assert f is s.fields[k - j]
-    kept = np.sqrt(s.delta * sum(norm(f) ** 2 for f in s.fields[:n - j]))
-    assert series_l2(shifted) == pytest.approx(kept, rel=1e-12, abs=0.0)
-    domains = [RasterDomain(g, data.draw(hnp.arrays(bool, shape)))
-               for _ in range(n)]
-    on_slices = np.sqrt(s.delta * sum(norm(f.restricted(d)) ** 2
-                                      for f, d in zip(s.fields, domains)))
-    assert series_l2(s, domains) == pytest.approx(on_slices, rel=1e-12, abs=0.0)
-    assert series_l2(s, domains) == series_l2(s.restricted(domains))
 
 
 def test_oscillating_series_alternates():

@@ -1,3 +1,5 @@
+import functools
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compactness_lab import cli, probe
 from compactness_lab.cli import _csv_text
 from compactness_lab.divfree import per_slice_project
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
@@ -21,8 +24,8 @@ from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        series_l2, time_derivative_tv)
 from compactness_lab.probe import (DECAY_RATIO, Battery, _floor, kruzhkov_probe,
                                    make_battery, ns_probe, series_lp,
-                                   step3_dual_constant, time_profiles,
-                                   time_shift_safety)
+                                   shift_budget_lines, step3_dual_constant,
+                                   time_profiles, time_shift_safety)
 from compactness_lab.productlimit import product_pipeline
 from compactness_lab.synth import (bump, disk_bump_velocity, generator,
                                    oscillating_family,
@@ -333,6 +336,30 @@ def test_time_shift_safety_translation_scale():
     assert predicted / 2 <= xi <= predicted * 2
 
 
+def test_nsprobe_pulls_each_raster_and_time_back_once(tmp_path, monkeypatch):
+    # the dyadic search samples t and t + sigma for sigma in {xi/4, xi/2, xi}:
+    # 98 pull-backs per delta without the memo, 79 and 82 distinct (raster, t)
+    # in the two calls; 12 of them recur across the calls (the 2 delta-erosion
+    # at delta = 1/32 is the delta-erosion at 1/16) and are pulled back again
+    calls = []
+    pull_back, safety = probe._pull_back, probe.time_shift_safety
+
+    def counted(family, base, t):
+        calls[-1].append((base, t))
+        return pull_back(family, base, t)
+
+    def one_call(*args):
+        calls.append([])
+        return safety(*args)
+
+    monkeypatch.setattr(probe, "_pull_back", counted)
+    monkeypatch.setattr(probe, "time_shift_safety", one_call)
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("")
+    assert cli.run("nsprobe", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert [len(c) for c in calls] == [len(set(c)) for c in calls] == [79, 82]
+
+
 def test_time_shift_safety_dilation_found():
     ref = make_domain("disk:0.3", GRID)
     fam = make_family("dilation", INTERVAL, amplitude=0.25, center=(0.5, 0.5))
@@ -486,6 +513,101 @@ def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent):
     np.testing.assert_allclose([g[5:] for g in got], [w[3:] for w in want], rtol=1e-12, atol=0)
 
 
+def shifted(series, j):
+    """lambda_{j delta}: the series shifted by j steps (f(t - j delta)),
+    zero-filled with `fields[0] * 0.0`; the kept slices are the same objects.
+    The series form of the shift that `shift_budget_lines` streams."""
+    zero = series.fields[0] * 0.0
+    n = series.n_steps
+    return StepTimeSeries(series.interval, tuple(
+        series.fields[k - j] if 0 <= k - j < n else zero for k in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_step_series_shift_and_restriction(data):
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
+    extent = tuple(data.draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    n = data.draw(st.integers(1, 6))
+    g = Grid(shape, extent)
+
+    def values(array_shape):
+        return data.draw(hnp.arrays(float, array_shape, elements=st.floats(-1e3, 1e3)))
+
+    if data.draw(st.booleans()):
+        fields = [ScalarField(g, values(shape)) for _ in range(n)]
+        norm = functools.partial(lp_norm, p=2)
+    else:
+        face_shapes = [tuple(m + (b == a) for b, m in enumerate(shape)) for a in range(dim)]
+        fields = [StaggeredVectorField(g, tuple(values(fs) for fs in face_shapes))
+                  for _ in range(n)]
+        norm = staggered_l2
+    s = StepTimeSeries((0.0, data.draw(st.floats(0.5, 4.0))), fields)
+    assert all(a is b for a, b in zip(shifted(s, 0).fields, s.fields))
+    j = data.draw(st.integers(0, n))
+    lagged = shifted(s, j)
+    for k, f in enumerate(lagged.fields):
+        if k < j:
+            assert norm(f) == 0.0
+        else:
+            assert f is s.fields[k - j]
+    kept = np.sqrt(s.delta * sum(norm(f) ** 2 for f in s.fields[:n - j]))
+    assert series_l2(lagged) == pytest.approx(kept, rel=1e-12, abs=0.0)
+    domains = [RasterDomain(g, data.draw(hnp.arrays(bool, shape)))
+               for _ in range(n)]
+    on_slices = np.sqrt(s.delta * sum(norm(f.restricted(d)) ** 2
+                                      for f, d in zip(s.fields, domains)))
+    assert series_l2(s, domains) == pytest.approx(on_slices, rel=1e-12, abs=0.0)
+    assert series_l2(s, domains) == series_l2(s.restricted(domains))
+
+
+def test_streamed_budget_lines_equal_series_form(ns_setup):
+    # oracle: every shifted difference as a whole series, then `series_l2`
+    # over the window; the streamed lines must be the same floats
+    nc, members, delta_list, _, compact = ns_setup
+    n = nc.n_slices
+    u = members[0].restricted([nc.slice_raster(k) for k in range(n)])
+    delta = delta_list[0]
+    mol = make_mollifier(round(1.0 / delta), GRID)
+    v = u.map(lambda f: convolve_staggered(f, mol))
+    pu = per_slice_project([v], nc, 2.0 * delta)[0].projected
+    nowhere = RasterDomain(GRID, np.zeros(GRID.shape, dtype=bool))
+    for j, j_window in ((1, 4), (2, 4), (4, 4), (4, 0), (n, 4), (n + 3, 0)):
+        window = [nowhere] * j_window + [compact] * (n - j_window)
+        diffs = [shifted(f, j) - f for f in (u - v, v - pu, pu)]
+        total = shifted(u, j) - u
+        want = [series_l2(d, window) for d in (*diffs, total)]
+        want.append(series_l2(diffs[0] + diffs[1] + diffs[2] - total, window))
+        got = shift_budget_lines(u, v, pu, j, window)
+        assert got == want, (j, j_window)
+        assert min(got[:4]) > 0 and got[4] < 1e-12 * got[3]
+
+
+def test_ns_probe_traced_peak_holds_few_series():
+    # the second call, with the rasters already cached in `nc`: the members'
+    # restricted copies and the mollified and projected families are held
+    # whole (9 series), every field derived from them one slice at a time
+    radius, cx, cy = 0.41, 0.48, 0.75
+    nc = _moving_disk((radius, cx, cy), 8)
+    members = translating_disk_ns_family(BUDGET_GRID, INTERVAL, 8, 3, (cx, cy), radius,
+                                         BUDGET_VELOCITY, stream_fraction=0.55)
+    series_bytes = sum(c.nbytes for f in members[0].fields for c in f.components)
+    delta_list = [1 / 8, 1 / 16]
+    compact = nc.compact_core(2 * max(delta_list))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            rep = ns_probe(members, nc, delta_list, [1 / 8, 2 / 8], compact)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert rep.rows
+    # whole shifted series in the budget loop took about 19 series
+    assert peaks[1] < 16 * series_bytes, peaks[1] / series_bytes
+
+
 @settings(max_examples=6, deadline=None)
 @given(DISKS)
 def test_ns_budget_adds_up_on_random_disks(disk):
@@ -625,3 +747,5 @@ def test_series_norms_on_slice_rasters_equal_restricted_copies(data):
     domains = [raster() for _ in range(n)]
     copy = s.restricted(domains)
     assert series_l2(s, domains) == series_l2(copy)
+    # a field on its own raster is not copied again
+    assert all(f.restricted(d) is f for f, d in zip(copy.fields, domains))
