@@ -41,4 +41,5 @@ print(f"  gauge of 1 on the unit square: {luxemburg_gauge(one, pair):.6f}"
       f"  (1/t* = {1 / tstar:.6f})")
 rep = orlicz_holder_check(one, one)
 print(f"  Holder check f = g = 1: ||fg||_1 = {rep.lhs:.4f} <= "
-      f"{rep.constant:g} * {rep.gauge_f:.4f} * {rep.gauge_g:.4f} = {rep.rhs:.4f}")
+      f"{rep.constant:g} * {rep.gauge_f:.4f} * {rep.gauge_g:.4f} = "
+      f"{rep.constant * rep.gauge_f * rep.gauge_g:.4f}")

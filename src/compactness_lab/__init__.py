@@ -10,7 +10,8 @@ The package is organized by mechanism:
   degenerate-parabolic scheme and its monitor
 - `productlimit`: the four-line product-limit pipeline and Orlicz machinery
 - `movedom`: diffeomorphism families, epsilon-interiors, uniform constants
-- `divfree`: normal traces, Neumann-harmonic projection, dual seminorm
+- `divfree`: normal traces, Neumann-harmonic projection, the dual seminorm
+  and the trace surrogate (both from `dual_norm_check`)
 - `probe`: the compactness proofs executed as diagnostics
 - `cli`: the `compactness-lab` experiment runner
 """
@@ -25,15 +26,13 @@ from .mollify import (commutator, convolve_space, convolve_staggered,  # noqa: F
 from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: F401
                       eps_exterior, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
-                      poincare_constant, transported_poincare,
-                      uniform_poincare_sweep)
+                      poincare_constant, transported_poincare)
 from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F401
                         barenblatt_profile, energy_report, run_scheme,
                         hypothesis_monitor, time_derivative_tv)
 from .productlimit import (exp_orlicz_pair, luxemburg_gauge,  # noqa: F401
                            orlicz_holder_check, product_pipeline)
-from .divfree import (dual_norm_check, dual_seminorm, neumann_factor,  # noqa: F401
-                      neumann_harmonic, normal_trace, per_slice_project,
-                      project_divfree0, trace_norm_surrogate)
+from .divfree import (dual_norm_check, neumann_factor, neumann_harmonic,  # noqa: F401
+                      normal_trace, per_slice_project, project_divfree0)
 from .probe import kruzhkov_probe, ns_probe, time_shift_safety  # noqa: F401
 from .truncate import build_beta, chain_gradient_check, nonlinearity_preset  # noqa: F401

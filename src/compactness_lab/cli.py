@@ -90,7 +90,9 @@ FLOAT_GT1 = Rule("float > 1", float, lambda v: math.isfinite(v) and v > 1)
 POS_INTS = Rule("list of int > 0", int, POS_INT.ok, is_list=True)
 DISTINCT_POS_INTS = Rule("list of distinct int > 0", int, POS_INT.ok, is_list=True,
                          distinct=True)
-# a list whose first and last entries the run compares for decay
+# a list whose smallest and largest entries the run compares for decay
+DISTINCT_TWO_POS_INTS = Rule("list of distinct int > 0, two at least", int, POS_INT.ok,
+                             is_list=True, distinct=True, min_distinct=2)
 TWO_POS_INTS = Rule("list of int > 0, two distinct at least", int, POS_INT.ok, is_list=True,
                     min_distinct=2)
 TWO_POS_FLOATS = Rule("list of float > 0, two distinct at least", float, POS_FLOAT.ok,
@@ -108,7 +110,7 @@ KEYS = {
         "energy_rel_tol": ("1e-8", FLOAT_GE0)},
     "commutator": {
         "cells": ("2048", POS_INT), "members": ("16", POS_INT), "n_slices": ("32", POS_INT),
-        "k_list": ("4,8,16,32,64", DISTINCT_POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
+        "k_list": ("4,8,16,32,64", DISTINCT_TWO_POS_INTS), "decay_factor": ("8.0", POS_FLOAT)},
     "productlimit": {
         "cells": ("256", POS_INT), "n_slices": ("8", POS_INT), "members": ("8", INT_GE2),
         "k_list": ("4,8,16,32", DISTINCT_POS_INTS), "accounting_tol": ("1e-10", FLOAT_GE0)},
@@ -269,7 +271,7 @@ def _exp_commutator(cfg, seed, out_dir):
     a_space = ScalarField(grid, np.sin(2 * np.pi * x))
     b_space = ScalarField(grid, np.sign(np.sin(4 * np.pi * x)))
     # member n's slice j is (c a, c b) with c = sin(2 pi n t_j)
-    coefs = oscillation_coefficients(cfg["members"], cfg["n_slices"])
+    coefs = oscillation_coefficients(range(1, cfg["members"] + 1), cfg["n_slices"])
     sup_l1 = {}
     for k in cfg["k_list"]:
         mol = make_mollifier(k, grid)

@@ -110,13 +110,6 @@ def harmonic_gradient(v, domain, g_data=None):
                                  in zip(domain.face_masks, g_data.values, grad.components)])
 
 
-def trace_norm_surrogate(g_data, domain):
-    """||grad v||_2 with v the Neumann-harmonic extension; equivalent to the
-    H^{-1/2} boundary norm up to domain constants, not equal to it."""
-    v = neumann_harmonic(g_data, domain)
-    return staggered_l2(harmonic_gradient(v, domain, g_data))
-
-
 DIV_RESIDUAL_TOL = 1e-10
 
 
@@ -154,14 +147,13 @@ def project_divfree0(u, domain, factor=None):
     return pu
 
 
-def dual_seminorm(u, domain):
-    """N(u) = sup <u, psi> over zero-trace div-free psi with ||psi|| <= 1,
-    realized as ||P u||_2."""
-    return staggered_l2(project_divfree0(u, domain))
-
-
 @dataclass
 class DualNormReport:
+    """`seminorm` is N(u) = sup <u, psi> over zero-trace div-free psi with
+    ||psi||_2 <= 1, realized as ||P u||_2; `surrogate` is ||grad v||_2, v the
+    Neumann-harmonic extension of the normal trace of u, equivalent to the
+    H^{-1/2} norm of that trace up to domain constants, not equal to it."""
+
     l2: float
     seminorm: float
     surrogate: float

@@ -360,22 +360,18 @@ def poincare_constant(domain):
     return 1.0 / float(np.sqrt(positive[0]))
 
 
-def uniform_poincare_sweep(domain, eps_list):
-    """Poincare constants of the eps-interiors, one per eps; their max is the
-    empirical common constant over the sweep."""
-    return tuple(poincare_constant(eps_interior(domain, e)) for e in eps_list)
-
-
 def transported_poincare(family, domain, gamma, eps_list=None):
     """Closed-form transported constant sqrt(beta/alpha) * C_{Omega,gamma} *
     sup|grad A_t| from the measured ingredients (raw sampled Jacobian extremes,
-    so the identity family reproduces C_{Omega,gamma} exactly)."""
+    so the identity family reproduces C_{Omega,gamma} exactly), with
+    C_{Omega,gamma} the largest Poincare constant of the eps-interiors over
+    `eps_list`."""
     if eps_list is None:
         eps_list = (0.0, gamma / 4, gamma / 2)
-    sweep = uniform_poincare_sweep(domain, eps_list)
+    c_common = max(poincare_constant(eps_interior(domain, e)) for e in eps_list)
     jb = jacobian_bounds(family)
     sup_grad = grad_sup_norm(family)
-    return float(np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * sup_grad)
+    return float(np.sqrt(jb.raw_max / jb.raw_min) * c_common * sup_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -112,14 +112,6 @@ def limit_series(limit, template):
     return constant_series(limit, template.interval, template.n_steps)
 
 
-def oscillating_series(g, interval, n_osc):
-    """Step reconstruction of sin(2*pi*n t) * g sampled at slice midpoints:
-    2n slices alternating +/- g (midpoint sampling avoids aliasing the sine to
-    zero at the partition points)."""
-    fields = tuple(g if k % 2 == 0 else g * (-1.0) for k in range(2 * int(n_osc)))
-    return StepTimeSeries(interval, fields)
-
-
 def series_l2(s, domains=None):
     """L^2(I x Omega) norm of a step series, optionally on per-slice rasters
     (slice k measured over domains[k], bitwise as on `s.restricted(domains)`);
@@ -161,10 +153,9 @@ class DiffusionTensor:
     the scheme only accepts diagonal tensors.
     """
 
-    def __init__(self, entries, coercivity, name="custom"):
+    def __init__(self, entries, coercivity):
         self._entries = entries
         self.coercivity = float(coercivity)
-        self.name = name
         if self.coercivity <= 0:
             raise ValueError("coercivity must be positive")
 
@@ -173,7 +164,7 @@ class DiffusionTensor:
         def entries(t, grid):
             return tuple(np.full(grid.shape, float(scale)) for _ in range(grid.dim))
 
-        return cls(entries, coercivity=2.0 * scale, name=f"identity*{scale:g}")
+        return cls(entries, coercivity=2.0 * scale)
 
     def entries(self, t, grid):
         out = self._entries(t, grid)
@@ -267,10 +258,6 @@ class SchemeRun:
     states: tuple
     newton_iters: list
     final_residuals: list
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 def run_scheme(u0, n_steps, interval, A, phi, bc="noflux"):
@@ -379,11 +366,6 @@ class MonitorReport:
     failures: list
 
     columns = ("N", "l2_norm", "grad_phi_l2", "tv_hminus_m", "cauchy_to_prev")
-
-    @property
-    def verdict_text(self):
-        return ("consistent with strong L2 compactness" if self.verdict
-                else "inconsistent: " + "; ".join(self.failures))
 
 
 def hypothesis_monitor(series_list, phi, m, domain):

@@ -28,7 +28,6 @@ class OrliczPair:
 
     phi: object
     psi: object
-    name: str = "exp"
 
 
 def exp_orlicz_pair():
@@ -93,10 +92,6 @@ class HolderReport:
     gauge_f: float
     gauge_g: float
     constant: float = HOLDER_CONSTANT
-
-    @property
-    def rhs(self):
-        return self.constant * self.gauge_f * self.gauge_g
 
 
 def orlicz_holder_check(f, g, pair=None):

@@ -7,6 +7,8 @@ counter-based generator keyed by an explicit seed.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .grid import ScalarField, StaggeredVectorField
@@ -96,37 +98,39 @@ def perturbation_scalar_family(base, pert, interval, n_slices, n_members):
             for n in range(1, n_members + 1)]
 
 
-def oscillation_coefficients(members, n_slices):
-    """The (members, n_slices) array c_nj = sin(2 pi n t_j), n = 1..members, at
-    the midpoints t_j = (j + 1/2)/N of N = n_slices equal slices of [0, 1].
+def oscillation_coefficients(ns, n_slices):
+    """The (len(ns), n_slices) array c_nj = sin(2 pi n t_j), one row per
+    frequency n of `ns`, at the midpoints t_j = (j + 1/2)/N of N = n_slices
+    equal slices of [0, 1].
 
     The phase is reduced exactly in integers: c_nj = sin(pi m / N) with
-    m = n (2j + 1) mod 2N.  With r = m mod N folded to r' = min(r, N - r), the
-    entry is +sin(pi r' / N) for m < N and -sin(pi r' / N) otherwise.  So
-    mathematically equal |c| are equal bit for bit, and c is exactly +-0.0
-    where n (2j + 1) is a multiple of N.  Only the argument pi r' / N <= pi/2
-    and its sine are rounded: at (16, 32) every entry is within 0.83 ulp of
-    the exact value, against up to 982 ulp for np.sin(2 pi n t_j); over every
-    residue of every N <= 128 the error stays below 2 ulp."""
+    m = n (2j + 1) mod 2N, and each n is first reduced mod 2N in Python
+    integers, so any integer n is taken, past int64 too (a non-integer n is a
+    TypeError), and equal n mod 2N give equal rows.  With r = m mod N folded
+    to r' = min(r, N - r), the entry is +sin(pi r' / N) for m < N and
+    -sin(pi r' / N) otherwise.  So mathematically equal |c| are equal bit for
+    bit, c is exactly +-0.0 where n (2j + 1) is a multiple of N, and a row
+    repeats bit for bit after every whole period of its sine.  Only the
+    argument pi r' / N <= pi/2 and its sine are rounded: at (1..16, 32) every
+    entry is within 0.83 ulp of the exact value, against up to 982 ulp for
+    np.sin(2 pi n t_j); over every residue of every N <= 128 the error stays
+    below 2 ulp."""
     N = n_slices
-    m = np.arange(1, members + 1)[:, None] * (2 * np.arange(N) + 1) % (2 * N)
+    reduced = np.array([operator.index(n) % (2 * N) for n in ns], dtype=np.int64).reshape(-1, 1)
+    m = reduced * (2 * np.arange(N) + 1) % (2 * N)
     r = m % N
     folded = np.minimum(r, N - r)
     return np.where(m < N, 1.0, -1.0) * np.sin(np.pi * folded / N)
 
 
 def oscillating_family(g, interval, n_slices, osc_list):
-    """f_n = sin(2 pi n t) g(x), g a cell or a face field, sampled at slice
-    midpoints on a shared partition (with g = curl psi, the adversarial
-    div-free family on a static domain)."""
-    a, b = interval
-    mids = a + (np.arange(n_slices) + 0.5) * (b - a) / n_slices
-    out = []
-    for n in osc_list:
-        coefs = np.sin(2.0 * np.pi * n * (mids - a) / (b - a))
-        fields = tuple(g * float(c) for c in coefs)
-        out.append(StepTimeSeries(interval, fields))
-    return out
+    """f_n = sin(2 pi n t) g(x) for each n of `osc_list`, g a cell or a face
+    field, sampled at the midpoints of n_slices equal slices of the interval
+    with the exactly reduced `oscillation_coefficients` (with g = curl psi, the
+    adversarial div-free family on a static domain; with n_slices = 2n, the
+    member is +g, -g, +g, ... exactly)."""
+    return [StepTimeSeries(interval, tuple(g * c for c in row.tolist()))
+            for row in oscillation_coefficients(osc_list, n_slices)]
 
 
 def translating_disk_ns_family(grid, interval, n_slices, n_members, center,

@@ -26,13 +26,9 @@ class Nonlinearity:
     dphi: object
     psi: object
     critical_points: tuple
-    far_field_slope: float
-    name: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "critical_points", tuple(sorted(self.critical_points)))
-        if self.far_field_slope <= 0:
-            raise ValueError("far-field slope bound must be positive")
 
 
 def nonlinearity_preset(name):
@@ -43,8 +39,6 @@ def nonlinearity_preset(name):
             dphi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: np.asarray(z, dtype=float) ** 2 / 2,
             critical_points=(),
-            far_field_slope=1.0,
-            name="identity",
         )
     if name == "cubic":
         return Nonlinearity(
@@ -52,8 +46,6 @@ def nonlinearity_preset(name):
             dphi=lambda z: 3.0 * np.asarray(z, dtype=float) ** 2,
             psi=lambda z: np.asarray(z, dtype=float) ** 4 / 4,
             critical_points=(0.0,),
-            far_field_slope=3.0,
-            name="cubic",
         )
     if name.startswith("porous:"):
         m = float(name.split(":", 1)[1])
@@ -72,7 +64,7 @@ def nonlinearity_preset(name):
             z = np.asarray(z, dtype=float)
             return np.abs(z) ** (m + 1) / (m + 1)
 
-        return Nonlinearity(phi, dphi, psi, (0.0,), far_field_slope=m, name=f"porous:{m:g}")
+        return Nonlinearity(phi, dphi, psi, (0.0,))
     raise ValueError(f"unknown nonlinearity preset {name!r}")
 
 

@@ -1,7 +1,8 @@
 """Session-wide runs shared by several test files: every experiment at its
-defaults (seed 0) and every demo script, each run once per session, in
-process, under one profiler that records which functions of
-`compactness_lab` they call.  Their expected outputs are in `GOLDEN`."""
+defaults (seed 0), the adversarial runs of the two probes and every demo
+script, each run once per session, in process, under a profiler that records
+which functions of `compactness_lab` they call: the runs into one record,
+each demo into its own.  Their expected outputs are in `GOLDEN`."""
 
 import contextlib
 import io
@@ -21,14 +22,16 @@ GOLDEN = ROOT / "tests" / "golden"
 
 class Reach:
     """Runs callables under `sys.setprofile` and keeps the code object of
-    every Python function they call."""
+    every Python function they call: in `codes` for runs and commands, in
+    `demo_codes[path]` for each demo."""
 
     def __init__(self):
         self.codes = set()
+        self.demo_codes = {}
         self.demo_output = {}
 
-    def record(self, fn, *args):
-        add = self.codes.add
+    def record(self, fn, *args, codes=None):
+        add = (self.codes if codes is None else codes).add
 
         def profile(frame, event, arg):
             if event == "call":
@@ -45,15 +48,19 @@ class Reach:
         """The demo's printed output; the script runs on the first request only."""
         if path not in self.demo_output:
             out = io.StringIO()
+            self.demo_codes[path] = set()
             with contextlib.redirect_stdout(out):
-                self.record(runpy.run_path, str(path), None, "__main__")
+                self.record(runpy.run_path, str(path), None, "__main__",
+                            codes=self.demo_codes[path])
             self.demo_output[path] = out.getvalue()
         return self.demo_output[path]
 
-    def package_functions(self):
-        """(module, first line, name) of every package function called so far;
-        the first line is that of the first decorator, if any."""
-        return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in self.codes
+    def package_functions(self, codes=None):
+        """(module, first line, name) of every package function in `codes`
+        (default: every run and command recorded so far); the first line is
+        that of the first decorator, if any."""
+        codes = self.codes if codes is None else codes
+        return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in codes
                 if Path(c.co_filename).resolve().parent == PACKAGE}
 
 
@@ -76,3 +83,27 @@ def default_runs(reach, tmp_path_factory):
     """The output directory and exit codes of `run_defaults`, made once."""
     out = tmp_path_factory.mktemp("defaults")
     return out, run_defaults(out, reach.record)
+
+
+ADVERSARIAL = ("nsprobe", "kruzhkov")
+
+
+def run_adversarial(out, record=lambda fn, *args: fn(*args)):
+    """Run each ADVERSARIAL experiment with `family = oscillating`, seed 0, into
+    `out/adversarial/<experiment>`; returns the exit codes."""
+    out = out / "adversarial"
+    out.mkdir(parents=True)
+    codes = {}
+    for exp in ADVERSARIAL:
+        cfg = out / f"{exp}.cfg"
+        cfg.write_text(f"[{exp}]\nfamily = oscillating\n")
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes[exp] = record(cli.run, exp, str(cfg), str(out / exp), 0)
+    return codes
+
+
+@pytest.fixture(scope="session")
+def adversarial_runs(reach, tmp_path_factory):
+    """The output directory and exit codes of `run_adversarial`, made once."""
+    out = tmp_path_factory.mktemp("adversarial")
+    return out, run_adversarial(out, reach.record)

@@ -1,9 +1,11 @@
 """Mutation check of the reported columns.
 
-Each mutant scales one number that goes into a `report.csv` by 1.01.  It must
-fail some tier-1 test other than the byte compares of `tests/test_golden.py`
-and `tests/test_demos.py`: a column whose mutant passes every other test has
-no independent check.
+Each mutant changes numbers that go into a `report.csv`: most scale one
+number by 1.01, and `oscillating.unreduced_phase` takes the oscillating
+family's coefficients from the unreduced np.sin(2 pi n t_j), off by a few
+ulp.  It must fail some tier-1 test other than the byte compares of
+`tests/test_golden.py` and `tests/test_demos.py`: a column whose mutant
+passes every other test has no independent check.
 
 Run it by hand from any directory; pytest does not collect it:
 
@@ -38,6 +40,9 @@ MUTANTS = {
     "commutator.coefficients": (
         "synth.py", "return np.where(m < N, 1.0, -1.0) * np.sin(np.pi * folded / N)",
         "return np.where(m < N, 1.0, -1.0) * np.sin(np.pi * folded / N) * 1.01"),
+    "oscillating.unreduced_phase": (
+        "synth.py", "for row in oscillation_coefficients(osc_list, n_slices)]",
+        "for row in np.sin(2 * np.pi * np.outer(osc_list, (np.arange(n_slices) + 0.5) / n_slices))]"),
     "kruzhkov.term2": ("probe.py", "t2 = series_l2(middle, inner_domains)",
                        "t2 = series_l2(middle, inner_domains) * 1.01"),
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),

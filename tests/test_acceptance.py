@@ -23,8 +23,7 @@ from compactness_lab.movedom import (NonCylindricalDomain, eps_interior,
                                      poincare_constant)
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        barenblatt_profile, energy_report, mass,
-                                       oscillating_series, run_scheme,
-                                       hypothesis_monitor)
+                                       run_scheme, hypothesis_monitor)
 from compactness_lab.probe import kruzhkov_probe, ns_probe
 from compactness_lab.synth import (disk_bump_velocity, generator,
                                    oscillating_family,
@@ -115,7 +114,7 @@ def test_criterion_04_hypothesis_monitor():
     strictly = all(b < a for a, b in zip(cauchy[:-1], cauchy[1:]))
     # adversarial family
     bump = ScalarField(g, np.exp(-(g.axis_centers(0) - 3.0) ** 2))
-    adv = [oscillating_series(bump, (0.1, 1.0), n) for n in (8, 16, 32, 64)]
+    adv = [oscillating_family(bump, (0.1, 1.0), 2 * n, [n])[0] for n in (8, 16, 32, 64)]
     mon2 = hypothesis_monitor(adv, phi, 1, dom)
     tvs = [r[3] for r in mon2.rows]
     growth = min(b / a for a, b in zip(tvs[:-1], tvs[1:]))

@@ -88,6 +88,7 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("commutator", "n_slices = 0"),
     ("commutator", "cells = 0"),
     ("commutator", "k_list = 4,8,4"),  # a repeated scale
+    ("commutator", "k_list = 8"),      # the decay check needs two scales
     ("productlimit", "k_list = 4,4,8"),
     ("productlimit", "k_list = 512"),
     ("productlimit", "members = -1"),

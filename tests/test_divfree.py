@@ -9,11 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab import cli, divfree
 from compactness_lab.divfree import (BoundaryData, dual_norm_check,
-                                     dual_seminorm, face_measure,
-                                     harmonic_gradient, neumann_factor,
-                                     neumann_harmonic, normal_trace,
-                                     per_slice_project, project_divfree0,
-                                     read_sgrid_file, trace_norm_surrogate,
+                                     face_measure, harmonic_gradient,
+                                     neumann_factor, neumann_harmonic,
+                                     normal_trace, per_slice_project,
+                                     project_divfree0, read_sgrid_file,
                                      write_sgrid_file)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence,
@@ -315,10 +314,12 @@ def test_projection_with_a_non_harmonic_extension_raises(monkeypatch):
 
 
 def test_dual_seminorm_witness():
+    c = poincare_constant(FULL)
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    assert dual_seminorm(u, FULL) <= 1e-8
+    assert dual_norm_check(u, FULL, c_poincare=c).seminorm <= 1e-8
     z = disk_bump_velocity(GRID, (0.5, 0.5), 0.3)
-    assert dual_seminorm(z, FULL) == pytest.approx(staggered_l2(z), rel=1e-10)
+    assert dual_norm_check(z, FULL, c_poincare=c).seminorm == pytest.approx(
+        staggered_l2(z), rel=1e-10)
 
 
 def test_dual_norm_check_sweep():
@@ -338,19 +339,19 @@ def test_trace_continuity_surrogate():
     rng = generator(23)
     for _ in range(10):
         u = random_stream_velocity(GRID, rng)
-        g = normal_trace(u, FULL)
-        assert trace_norm_surrogate(g, FULL) <= (1.0 + c) * staggered_l2(u) * (1 + 1e-12)
+        surrogate = dual_norm_check(u, FULL, c_poincare=c).surrogate
+        assert surrogate <= (1.0 + c) * staggered_l2(u) * (1 + 1e-12)
 
 
 def test_trace_surrogate_cases():
-    zero = BoundaryData(FULL, (np.zeros((65, 64)), np.zeros((64, 65))))
-    assert trace_norm_surrogate(zero, FULL) == 0.0
+    c = poincare_constant(FULL)
+    zero = StaggeredVectorField.constant(GRID, (0.0, 0.0))
+    assert dual_norm_check(zero, FULL, c_poincare=c).surrogate == 0.0
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    g = normal_trace(u, FULL)
-    val = trace_norm_surrogate(g, FULL)
+    val = dual_norm_check(u, FULL, c_poincare=c).surrogate
     assert val == pytest.approx(1.0, abs=0.02)  # ||grad(x - 1/2)|| = 1 + O(h)
-    double = BoundaryData(FULL, tuple(2.0 * v for v in g.values))
-    assert trace_norm_surrogate(double, FULL) == pytest.approx(2.0 * val, rel=1e-10)
+    double = dual_norm_check(u * 2.0, FULL, c_poincare=c).surrogate
+    assert double == pytest.approx(2.0 * val, rel=1e-10)
 
 
 def _pythagoras_defect(series, out, nc, eps):

@@ -14,8 +14,6 @@ that moves a default output on purpose regenerates all of these files with
 and states why, with the largest relative change per column.
 """
 
-import contextlib
-import io
 import shutil
 import sys
 import tempfile
@@ -26,10 +24,9 @@ import pytest
 import scipy
 
 from compactness_lab import cli
-from conftest import DEMOS, GOLDEN, Reach
+from conftest import ADVERSARIAL, DEMOS, GOLDEN, Reach, run_adversarial
 
 FILES = [f"{exp}/report.csv" for exp in cli.EXPERIMENTS] + ["porous/final_state.grid"]
-ADVERSARIAL = ("nsprobe", "kruzhkov")
 ADVERSARIAL_FILES = [f"adversarial/{exp}/report.csv" for exp in ADVERSARIAL]
 
 
@@ -40,26 +37,6 @@ def _versions():
 def test_default_runs_pass(default_runs):
     _, codes = default_runs
     assert codes == dict.fromkeys(cli.EXPERIMENTS, 0)
-
-
-def run_adversarial(out):
-    """Run each ADVERSARIAL experiment with `family = oscillating`, seed 0, into
-    `out/adversarial/<experiment>`; returns the exit codes."""
-    out = out / "adversarial"
-    out.mkdir(parents=True)
-    codes = {}
-    for exp in ADVERSARIAL:
-        cfg = out / f"{exp}.cfg"
-        cfg.write_text(f"[{exp}]\nfamily = oscillating\n")
-        with contextlib.redirect_stderr(io.StringIO()):
-            codes[exp] = cli.run(exp, str(cfg), str(out / exp), 0)
-    return codes
-
-
-@pytest.fixture(scope="module")
-def adversarial_runs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("adversarial")
-    return out, run_adversarial(out)
 
 
 def test_adversarial_runs_fail_their_verdicts(adversarial_runs):

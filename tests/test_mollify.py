@@ -233,7 +233,7 @@ def test_commutator_slice_is_even_in_the_coefficient():
 def test_commutator_run_convolves_each_distinct_slice_once(tmp_path, monkeypatch):
     # 16 members x 32 slices hold 16 distinct |c|: two convolutions each per
     # k, 160 over the five default k instead of 5120
-    distinct = {abs(c) for c in oscillation_coefficients(16, 32).ravel().tolist()}
+    distinct = {abs(c) for c in oscillation_coefficients(range(1, 17), 32).ravel().tolist()}
     assert len(distinct) == 16
     calls = []
     convolve = mollify._convolve_values
@@ -277,7 +277,7 @@ def test_oscillation_coefficients_reduce_the_phase_exactly(members, n_slices):
     # the run's family and the smaller ones the tests run it at: within 1 ulp
     # of the exact sine, equal to the unreduced formula up to its rounding,
     # equal |c| for an equal folded residue, and +-0.0 at multiples of pi
-    c = oscillation_coefficients(members, n_slices)
+    c = oscillation_coefficients(range(1, members + 1), n_slices)
     m, folded = folded_residues(members, n_slices)
     assert c.shape == (members, n_slices)
     assert np.max(ulps_from_exact(c, m, n_slices)) <= 1.0
@@ -297,10 +297,25 @@ def test_oscillation_coefficients_error_over_every_residue():
     # argument pi r' / N and its sine are rounded, so no entry is 2 ulp off
     worst = 0.0
     for n_slices in range(1, 129):
-        c = oscillation_coefficients(2 * n_slices, n_slices)[:, :1]
+        c = oscillation_coefficients(range(1, 2 * n_slices + 1), n_slices)[:, :1]
         m = np.arange(1, 2 * n_slices + 1)[:, None] % (2 * n_slices)
         worst = max(worst, np.max(ulps_from_exact(c, m, n_slices)))
     assert worst < 2.0
+
+
+@pytest.mark.parametrize("n_slices", [1, 4, 16, 32, 48])
+def test_oscillation_coefficients_take_any_integer_frequency(n_slices):
+    # each n is reduced mod 2N in Python integers before numpy: n + 2N q gives
+    # the row of n bit for bit, for q that puts the entry past int64 too
+    ns = list(range(-3, 2 * n_slices + 3))
+    base = oscillation_coefficients(ns, n_slices)
+    for q in (1, 7, 2 ** 62 // n_slices, 3 ** 45):
+        far = [n + 2 * n_slices * q for n in ns]
+        assert oscillation_coefficients(far, n_slices).tobytes() == base.tobytes(), q
+    assert 2 * n_slices * 3 ** 45 > 2 ** 63
+    assert oscillation_coefficients([], n_slices).shape == (0, n_slices)
+    with pytest.raises(TypeError):
+        oscillation_coefficients([2.5], n_slices)
 
 
 def test_commutator_decay_rate_smooth_a():

@@ -12,9 +12,10 @@ from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        _backward_euler, _flux_operator,
                                        _newton_step, StepTimeSeries,
                                        barenblatt_profile, constant_series,
-                                       energy_report, mass, oscillating_series,
-                                       run_scheme, series_distance,
+                                       energy_report, mass, run_scheme,
+                                       series_distance,
                                        hypothesis_monitor, time_derivative_tv)
+from compactness_lab.synth import oscillating_family
 from compactness_lab.truncate import Nonlinearity, nonlinearity_preset
 
 
@@ -34,7 +35,7 @@ def diagonal_tensor(fns, coercivity):
         pts = grid.cell_centers().reshape(-1, grid.dim)
         return tuple(np.asarray(fn(t, pts), dtype=float).reshape(grid.shape) for fn in fns)
 
-    return DiffusionTensor(entries, coercivity=coercivity, name="diagonal")
+    return DiffusionTensor(entries, coercivity=coercivity)
 
 
 def test_constants_are_steady_states():
@@ -55,7 +56,7 @@ def _affine_phi(slope=2.0, offset=0.5):
     return Nonlinearity(phi=lambda z: slope * np.asarray(z, dtype=float) + offset,
                         dphi=lambda z: np.full_like(np.asarray(z, dtype=float), slope),
                         psi=lambda z: slope * np.asarray(z, dtype=float) ** 2 / 2 + offset * z,
-                        critical_points=(), far_field_slope=slope, name="affine")
+                        critical_points=())
 
 
 def _dense_flux_operator(g, entries, bc):
@@ -87,20 +88,22 @@ def test_heat_step_matches_dense_solve_oracle():
     rng = np.random.default_rng(0)
     for g in (Grid((64,), (1.0,)), Grid((5, 4), (1.0, 0.8))):
         u0 = rng.normal(size=g.shape)
-        for A in (DiffusionTensor.identity(), _variable_tensor(g.dim)):
+        for tensor, A in (("identity", DiffusionTensor.identity()),
+                          ("variable", _variable_tensor(g.dim))):
             for bc in ("noflux", "dirichlet0"):
                 L = _dense_flux_operator(g, A.entries(t, g), bc)
-                for phi, slope in ((nonlinearity_preset("identity"), 1.0), (_affine_phi(), 2.0)):
+                for name, phi, slope in (("identity", nonlinearity_preset("identity"), 1.0),
+                                         ("affine", _affine_phi(), 2.0)):
                     oracle = np.linalg.solve(np.eye(g.n_cells) + delta * slope * L, u0.reshape(-1))
                     out = semi_implicit_step(ScalarField(g, u0), delta, A, phi, bc=bc, t=t)
                     err = np.max(np.abs(out.values.reshape(-1) - oracle))
-                    assert err < 1e-10 * (np.max(np.abs(u0)) + 1), (g.shape, A.name, bc, phi.name)
+                    assert err < 1e-10 * (np.max(np.abs(u0)) + 1), (g.shape, tensor, bc, name)
 
 
 def test_newton_matrix_is_derivative_of_residual():
     phi = Nonlinearity(phi=lambda z: z ** 3 + z + 0.5, dphi=lambda z: 3 * z ** 2 + 1,
                        psi=lambda z: z ** 4 / 4 + z ** 2 / 2 + 0.5 * z,
-                       critical_points=(), far_field_slope=1.0, name="cubic+affine")
+                       critical_points=())
     rng = np.random.default_rng(1)
     eps = 1e-6
     for g in (Grid((5, 4), (1.0, 0.8)), Grid((7,), (1.3,))):
@@ -260,8 +263,7 @@ def test_newton_failure_reported():
         phi=lambda z: np.sin(5 * np.asarray(z, dtype=float)),
         dphi=lambda z: 5 * np.cos(5 * np.asarray(z, dtype=float)),
         psi=lambda z: -np.cos(5 * np.asarray(z, dtype=float)) / 5,
-        critical_points=(np.pi / 10, 3 * np.pi / 10),
-        far_field_slope=1.0, name="wavy")
+        critical_points=(np.pi / 10, 3 * np.pi / 10))
     g = Grid((64,), (1.0,))
     u0 = ScalarField(g, 0.5 + 0.45 * np.sin(2 * np.pi * g.axis_centers(0)))
     with pytest.raises(NewtonFailure):
@@ -432,7 +434,7 @@ def test_monitor_adversarial_negative():
     d = RasterDomain.full(g)
     phi = nonlinearity_preset("identity")
     bump = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
-    fam = [oscillating_series(bump, (0.0, 1.0), n) for n in (8, 16, 32, 64)]
+    fam = [oscillating_family(bump, (0.0, 1.0), 2 * n, [n])[0] for n in (8, 16, 32, 64)]
     rep = hypothesis_monitor(fam, phi, 1, d)
     assert not rep.verdict
     assert any("tv" in f for f in rep.failures)
@@ -470,13 +472,16 @@ def test_series_distance_piecewise_constant():
             StepTimeSeries((0.0, 1.0), (f,) * 4) - StepTimeSeries((0.0, 2.0), (f,) * 2)
 
 
-def test_oscillating_series_alternates():
-    g = Grid((8,), (1.0,))
-    f = ScalarField.constant(g, 1.0)
-    s = oscillating_series(f, (0.0, 1.0), 4)
-    assert s.n_steps == 8
-    vals = [float(fl.values[0]) for fl in s.fields]
-    assert vals == [1.0, -1.0] * 4
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 33, 64])
+def test_oscillating_family_on_2n_slices_is_exactly_plus_minus_g(n):
+    # sin(2 pi n t) at the midpoints of 2n slices is +1, -1, +1, ... exactly,
+    # so the member is +g and -g alternating, bit for bit
+    g = Grid((16,), (1.0,))
+    f = ScalarField(g, np.random.default_rng(n).normal(size=16))
+    s = oscillating_family(f, (0.1, 1.0), 2 * n, [n])[0]
+    assert s.n_steps == 2 * n and s.interval == (0.1, 1.0)
+    for k, fk in enumerate(s.fields):
+        assert np.array_equal(fk.values, f.values if k % 2 == 0 else -f.values)
 
 
 def test_diffusion_tensor_coercivity_check():

@@ -20,8 +20,8 @@ from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, sobolev_embedding_exponent)
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
                                        constant_series, limit_series,
-                                       oscillating_series, run_scheme,
-                                       series_l2, time_derivative_tv)
+                                       run_scheme, series_l2,
+                                       time_derivative_tv)
 from compactness_lab.probe import (DECAY_RATIO, Battery, _floor, kruzhkov_probe,
                                    make_battery, ns_probe, series_lp,
                                    shift_budget_lines, step3_dual_constant,
@@ -30,7 +30,7 @@ from compactness_lab.productlimit import product_pipeline
 from compactness_lab.synth import (bump, disk_bump_velocity, generator,
                                    oscillating_family,
                                    perturbation_scalar_family,
-                                   random_smooth_field,
+                                   random_smooth_field, random_stream_velocity,
                                    translating_disk_ns_family)
 from compactness_lab.truncate import build_beta, nonlinearity_preset
 
@@ -315,7 +315,7 @@ def test_limsup_oscillating_family_negative(scalar_fields):
     base, _ = scalar_fields
     dom = RasterDomain.full(GRID)
     phi = nonlinearity_preset("porous:2")
-    fam = [oscillating_series(base, INTERVAL, n) for n in (4, 8, 16)]
+    fam = [oscillating_family(base, INTERVAL, 2 * n, [n])[0] for n in (4, 8, 16)]
     _, tv, _, failures = limsup_probe(fam, phi, [0.2], 1, dom, base * 0.0, 8)
     assert any("Step 2" in f for f in failures)
     assert tv[-1] >= 3.0 * tv[0]
@@ -582,6 +582,22 @@ def test_streamed_budget_lines_equal_series_form(ns_setup):
         got = shift_budget_lines(u, v, pu, j, window)
         assert got == want, (j, j_window)
         assert min(got[:4]) > 0 and got[4] < 1e-12 * got[3]
+
+
+@pytest.mark.parametrize("n_slices,n", [(16, 2), (16, 4), (24, 3), (48, 4)])
+def test_shift_by_a_whole_period_of_the_oscillating_family_is_exactly_zero(n_slices, n):
+    # sin(2 pi n t) repeats after N/n slices, and so do its reduced
+    # coefficients, bit for bit: every shifted difference inside the window
+    # (no slice before the shift) is exact zero
+    g = Grid((16, 16), (1.0, 1.0))
+    rng = generator(n_slices + n)
+    u, v, pu = (oscillating_family(random_stream_velocity(g, rng), INTERVAL, n_slices, [n])[0]
+                for _ in range(3))
+    j = n_slices // n
+    nowhere = RasterDomain(g, np.zeros(g.shape, dtype=bool))
+    window = [nowhere] * j + [RasterDomain.full(g)] * (n_slices - j)
+    assert shift_budget_lines(u, v, pu, j, window) == [0.0] * 5
+    assert min(shift_budget_lines(u, v, pu, j // 2, window)[:4]) > 0
 
 
 def test_ns_probe_traced_peak_holds_few_series():

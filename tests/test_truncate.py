@@ -41,7 +41,7 @@ def two_well():
         z = np.asarray(z, dtype=float)
         return z ** 6 / 30 - 0.03 * z ** 5 + 0.0075 * z ** 4
 
-    return Nonlinearity(phi, dphi, psi, (0.0, 0.3), far_field_slope=0.2, name="two-well")
+    return Nonlinearity(phi, dphi, psi, (0.0, 0.3))
 
 
 def test_presets_validate():
@@ -60,7 +60,7 @@ def test_declared_critical_point_checked():
     bad = Nonlinearity(lambda z: np.asarray(z, float),
                        lambda z: np.ones_like(np.asarray(z, float)),
                        lambda z: np.asarray(z, float) ** 2 / 2,
-                       (0.0,), far_field_slope=1.0)
+                       (0.0,))
     with pytest.raises(ValueError):
         validate(bad)
 
