@@ -19,8 +19,8 @@ The package is organized by mechanism:
 __version__ = "0.1.0"
 
 from .grid import (Grid, RasterDomain, ScalarField, StaggeredVectorField,  # noqa: F401
-                   divergence, gradient, h_minus_m_norm, inner, lp_norm,
-                   staggered_inner, staggered_l2)
+                   dirichlet_factor, divergence, gradient, h_minus_m_norm,
+                   inner, lp_norm, staggered_inner, staggered_l2)
 from .mollify import (commutator, convolve_space, convolve_staggered,  # noqa: F401
                       make_mollifier, separable_commutator_l1, shift_space)
 from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: F401

@@ -93,10 +93,8 @@ DISTINCT_POS_INTS = Rule("list of distinct int > 0", int, POS_INT.ok, is_list=Tr
 # a list whose smallest and largest entries the run compares for decay
 DISTINCT_TWO_POS_INTS = Rule("list of distinct int > 0, two at least", int, POS_INT.ok,
                              is_list=True, distinct=True, min_distinct=2)
-TWO_POS_INTS = Rule("list of int > 0, two distinct at least", int, POS_INT.ok, is_list=True,
-                    min_distinct=2)
-TWO_POS_FLOATS = Rule("list of float > 0, two distinct at least", float, POS_FLOAT.ok,
-                      is_list=True, min_distinct=2)
+DISTINCT_TWO_POS_FLOATS = Rule("list of distinct float > 0, two at least", float, POS_FLOAT.ok,
+                               is_list=True, distinct=True, min_distinct=2)
 FLOATS_GE0 = Rule("list of float >= 0", float, FLOAT_GE0.ok, is_list=True)
 
 # every key of every experiment: its default, as text, and its rule
@@ -104,7 +102,7 @@ KEYS = {
     "porous": {
         "grid_cells": ("512", POS_INT), "halfwidth": ("3.0", POS_FLOAT),
         "m": ("2.0", FLOAT_GT1), "t0": ("0.1", POS_FLOAT), "t1": ("1.0", POS_FLOAT),
-        "mass": ("1.0", POS_FLOAT), "n_list": ("16,32,64,128,256", POS_INTS),
+        "mass": ("1.0", POS_FLOAT), "n_list": ("16,32,64,128,256", DISTINCT_POS_INTS),
         "hminus_m": ("1", INT_GE0), "bc": ("noflux", _one_of("noflux", "dirichlet0")),
         "l1_tol": ("0.02", FLOAT_GE0), "mass_drift_tol": ("1e-12", FLOAT_GE0),
         "energy_rel_tol": ("1e-8", FLOAT_GE0)},
@@ -125,13 +123,14 @@ KEYS = {
     "nsprobe": {
         "family": ("convergent", _one_of("convergent", "oscillating")),
         "grid": ("64", POS_INT), "n_slices": ("16", INT_GE5), "members": ("4", POS_INT),
-        "osc_list": ("2,4,8", POS_INTS), "delta_list": ("0.0625,0.03125", TWO_POS_FLOATS),
+        "osc_list": ("2,4,8", POS_INTS),
+        "delta_list": ("0.0625,0.03125", DISTINCT_TWO_POS_FLOATS),
         "disk_radius": ("0.3", POS_FLOAT), "speed": ("0.15", FLOAT)},
     "kruzhkov": {
         "family": ("perturbation", _one_of("perturbation", "oscillating")),
         "grid": ("64", POS_INT), "n_slices": ("8", POS_INT), "members": ("6", POS_INT),
         "osc_list": ("1,2,4", POS_INTS), "m_interior": ("8", POS_INT),
-        "ell_list": ("16,24,32", TWO_POS_INTS), "speed": ("0.1", FLOAT),
+        "ell_list": ("16,24,32", DISTINCT_TWO_POS_INTS), "speed": ("0.1", FLOAT),
         "disk_radius": ("0.35", POS_FLOAT), "budget_tol": ("1e-10", FLOAT_GE0)},
 }
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (RasterDomain, RasterFactor, ScalarField,
-                   StaggeredVectorField, _axis_slices, _read_header_and_values,
-                   divergence, gradient, neumann_laplacian, staggered_l2)
+                   StaggeredVectorField, _axis_slices, divergence, gradient,
+                   neumann_laplacian, staggered_l2)
 from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
 
@@ -100,12 +100,10 @@ def neumann_harmonic(g_data, domain, factor=None):
     return ScalarField(grid, vals, mask=domain)
 
 
-def harmonic_gradient(v, domain, g_data=None):
+def harmonic_gradient(v, domain, g_data):
     """Face gradient of the harmonic extension: interior differences plus the
     prescribed flux on boundary faces (signed back to face components)."""
     grad = gradient(v.restricted(domain))
-    if g_data is None:
-        return grad
     return grad.with_components([np.where(boundary, sign * gd, c) for (_, boundary, sign), gd, c
                                  in zip(domain.face_masks, g_data.values, grad.components)])
 
@@ -218,29 +216,3 @@ def per_slice_project(series_list, nc, eps):
     return [PerSliceProjection(StepTimeSeries(s.interval, tuple(out)), surr,
                                float(np.sqrt(s.delta * sum(x ** 2 for x in surr))))
             for s, out, surr in zip(series_list, projected, surrs)]
-
-
-# ---------------------------------------------------------------------------
-# .sgrid text format: `dim nx [ny]`, `Lx [Ly]`, then x-face values row-major,
-# then y-face values
-
-
-def write_sgrid_file(path, u):
-    g = u.grid
-    with open(path, "w") as fh:
-        fh.write(f"{g.dim} " + " ".join(str(n) for n in g.shape) + "\n")
-        fh.write(" ".join(repr(L) for L in g.extent) + "\n")
-        for comp in u.components:
-            for v in comp.reshape(-1):
-                fh.write(f"{v:.17e}\n")
-
-
-def _face_counts(grid):
-    """Number of a-normal faces for each axis a: one more than cells along a."""
-    return [grid.n_cells // n * (n + 1) for n in grid.shape]
-
-
-def read_sgrid_file(path):
-    grid, vals = _read_header_and_values(path, lambda g: sum(_face_counts(g)))
-    comps = np.split(vals, np.cumsum(_face_counts(grid))[:-1])
-    return StaggeredVectorField(grid, tuple(comps))

@@ -33,7 +33,6 @@ scheme's Newton matrix is built from the same operator.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -560,7 +559,6 @@ class RasterFactor:
     ValueError for any other raster."""
 
     def __init__(self, domain, matrix):
-        # the cells, not the domain: a weak cache keyed by the domain can drop it
         self.grid = domain.grid
         self.inside = domain.inside
         self.matrix = matrix.tocsc()
@@ -577,40 +575,32 @@ class RasterFactor:
         return self._lu.solve(b)
 
 
-_factor_cache = weakref.WeakKeyDictionary()
+def dirichlet_factor(domain):
+    """The factor of I+L, L the Dirichlet Laplacian of a raster, for
+    `h_minus_m_norm`.  Build it once per raster and pass it to every norm on
+    that raster."""
+    L, _ = dirichlet_laplacian(domain)
+    return RasterFactor(domain, scipy.sparse.identity(L.shape[0], format="csr") + L)
 
 
-def _shifted_dirichlet(domain):
-    """The factor of I+L for the Dirichlet Laplacian L of a raster, built once
-    per domain object."""
-    factor = _factor_cache.get(domain)
-    if factor is None:
-        L, _ = dirichlet_laplacian(domain)
-        factor = RasterFactor(domain, scipy.sparse.identity(L.shape[0], format="csr") + L)
-        _factor_cache[domain] = factor
-    return factor
-
-
-def _check_order(m, domain):
+def _check_order(m):
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m!r}")
-    if domain.n_inside == 0:
-        raise ValueError("empty domain")
 
 
-def h_minus_m_norm(f, m, domain):
-    """Discrete H^{-m} norm for an integer m >= 0, exact (no truncation):
+def h_minus_m_norm(f, m, factor):
+    """Discrete H^{-m} norm for an integer m >= 0, exact (no truncation), on
+    the raster of `factor`, its `dirichlet_factor`:
     ||f||_{-m}^2 = vol f^T (I+L)^{-m} f = sum_k (1+lambda_k)^{-m} |<f,e_k>|^2
-    over all Dirichlet eigenpairs of the domain.  With w = (I+L)^{-ceil(m/2)} f
+    over all Dirichlet eigenpairs of the raster.  With w = (I+L)^{-ceil(m/2)} f
     that is vol |w|^2 for even m and vol w^T (I+L) w for odd m.
     """
-    _check_order(m, domain)
-    factor = _shifted_dirichlet(domain)
-    w = f.values[domain.inside]
+    _check_order(m)
+    w = f.values[factor.inside]
     for _ in range((m + 1) // 2):
         w = factor.solve(w)
     s = w @ (factor.matrix @ w) if m % 2 else w @ w
-    return float(np.sqrt(s * domain.grid.cell_volume))
+    return float(np.sqrt(s * factor.grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +617,8 @@ def write_grid_file(path, f):
             fh.write(f"{v:.17e}\n")
 
 
-def _read_header_and_values(path, count):
-    """(grid, values) of a .grid or .sgrid file, where `count(grid)` is the
-    number of values its format holds; a truncated or overlong file raises."""
+def read_grid_file(path):
+    """The cell field of a .grid file; a truncated or overlong file raises."""
     with open(path) as fh:
         head = fh.readline().split()
         dim = int(head[0])
@@ -637,12 +626,7 @@ def _read_header_and_values(path, count):
         extent = tuple(float(x) for x in fh.readline().split())
         tokens = fh.read().split()
     grid = Grid(shape, extent)
-    n = count(grid)
-    if len(tokens) != n:
-        raise ValueError(f"{path}: expected {n} values after the header, found {len(tokens)}")
-    return grid, np.array([float(t) for t in tokens])
-
-
-def read_grid_file(path):
-    grid, vals = _read_header_and_values(path, lambda g: g.n_cells)
-    return ScalarField(grid, vals.reshape(grid.shape))
+    if len(tokens) != grid.n_cells:
+        raise ValueError(f"{path}: expected {grid.n_cells} values after the header, "
+                         f"found {len(tokens)}")
+    return ScalarField(grid, np.array([float(t) for t in tokens]).reshape(grid.shape))

@@ -59,11 +59,9 @@ def symmetric_difference_band(d1, d2, reference_sd, level):
 
 
 def make_domain(name, grid, center=None):
-    """Presets: `disk:r`, `square:L`, `full`; centered in the box unless
-    `center` is given."""
+    """Presets: `disk:r`, `square:L`; centered in the box unless `center` is
+    given."""
     c = np.array([e / 2 for e in grid.extent]) if center is None else np.asarray(center, dtype=float)
-    if name == "full":
-        return RasterDomain.full(grid)
     parts = name.split(":")
     kind = parts[0]
     if kind == "disk":
@@ -360,14 +358,12 @@ def poincare_constant(domain):
     return 1.0 / float(np.sqrt(positive[0]))
 
 
-def transported_poincare(family, domain, gamma, eps_list=None):
+def transported_poincare(family, domain, eps_list):
     """Closed-form transported constant sqrt(beta/alpha) * C_{Omega,gamma} *
     sup|grad A_t| from the measured ingredients (raw sampled Jacobian extremes,
     so the identity family reproduces C_{Omega,gamma} exactly), with
     C_{Omega,gamma} the largest Poincare constant of the eps-interiors over
     `eps_list`."""
-    if eps_list is None:
-        eps_list = (0.0, gamma / 4, gamma / 2)
     c_common = max(poincare_constant(eps_interior(domain, e)) for e in eps_list)
     jb = jacobian_bounds(family)
     sup_grad = grad_sup_norm(family)

@@ -25,8 +25,8 @@ import numpy as np
 import scipy
 
 from .grid import (RasterDomain, ScalarField, StaggeredVectorField,
-                   _axis_slices, face_laplacian, gradient, h_minus_m_norm,
-                   inner, lp_norm, staggered_l2)
+                   _axis_slices, dirichlet_factor, face_laplacian, gradient,
+                   h_minus_m_norm, inner, lp_norm, staggered_l2)
 
 NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-10
@@ -112,16 +112,21 @@ def limit_series(limit, template):
     return constant_series(limit, template.interval, template.n_steps)
 
 
+def slices_l2(slices, domains, delta):
+    """L^2(I x Omega) norm of the step series with these slices on partition
+    step `delta`, slice k measured over domains[k] (None: its mask, or the
+    whole box), reading one slice at a time; face slices are measured by
+    `staggered_l2` (boundary faces half-weighted)."""
+    total = 0.0
+    for f, d in zip(slices, domains, strict=True):
+        total += (lp_norm(f, 2, d) if isinstance(f, ScalarField) else staggered_l2(f, d)) ** 2
+    return float(np.sqrt(total * delta))
+
+
 def series_l2(s, domains=None):
     """L^2(I x Omega) norm of a step series, optionally on per-slice rasters
-    (slice k measured over domains[k], bitwise as on `s.restricted(domains)`);
-    face slices are measured by `staggered_l2` (boundary faces half-weighted)."""
-    if domains is None:
-        domains = [None] * s.n_steps
-    total = 0.0
-    for f, d in zip(s.fields, domains, strict=True):
-        total += (lp_norm(f, 2, d) if isinstance(f, ScalarField) else staggered_l2(f, d)) ** 2
-    return float(np.sqrt(total * s.delta))
+    (slice k measured over domains[k], bitwise as on `s.restricted(domains)`)."""
+    return slices_l2(s.fields, [None] * s.n_steps if domains is None else domains, s.delta)
 
 
 def series_inner(s, theta):
@@ -340,12 +345,13 @@ def energy_report(s, A, phi, rel_tol=1e-8):
     return report
 
 
-def time_derivative_tv(s, m, domain):
+def time_derivative_tv(s, m, factor):
     """Total variation of the jump measure d_t u in H^{-m}: the sum of the jump
-    norms at the interior partition points."""
+    norms at the interior partition points, on the raster of `factor`, its
+    `dirichlet_factor`."""
     total = 0.0
     for k in range(1, s.n_steps):
-        total += h_minus_m_norm(s.fields[k] - s.fields[k - 1], m, domain)
+        total += h_minus_m_norm(s.fields[k] - s.fields[k - 1], m, factor)
     return float(total)
 
 
@@ -371,13 +377,15 @@ class MonitorReport:
 def hypothesis_monitor(series_list, phi, m, domain):
     """Tabulate the three hypothesis norms and the cross-refinement Cauchy
     column; positive verdict iff the norms are uniformly bounded (max/min <= 2)
-    and the Cauchy column strictly decreases."""
+    and the Cauchy column strictly decreases.  The H^{-m} norms of every
+    series share one `dirichlet_factor` of `domain`."""
+    factor = dirichlet_factor(domain)
     rows = []
     prev = None
     for s in series_list:
         l2 = series_l2(s)
         gphi = grad_phi_l2(s, phi)
-        tv = time_derivative_tv(s, m, domain)
+        tv = time_derivative_tv(s, m, factor)
         cauchy = np.nan if prev is None else series_distance(s, prev)
         rows.append((s.n_steps, l2, gphi, tv, cauchy))
         prev = s

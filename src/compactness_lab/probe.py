@@ -20,7 +20,7 @@ from .grid import (RasterDomain, _axis_slices, signed_distance_transform,
                    staggered_inner, staggered_l2)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
-from .parabolic import series_l2
+from .parabolic import series_l2, slices_l2
 from .synth import bump, generator, random_stream_velocity
 
 DECAY_RATIO = 0.6
@@ -283,15 +283,6 @@ class NsProbeReport:
     columns = tuple(f.name for f in fields(NsProbeRow))
 
 
-def _window_l2(slices, window, delta):
-    """`series_l2` of the face series with these slices over the rasters
-    `window`, on partition step `delta`, reading one slice at a time."""
-    total = 0.0
-    for f, d in zip(slices, window, strict=True):
-        total += staggered_l2(f, d) ** 2
-    return float(np.sqrt(total * delta))
-
-
 def shift_budget_lines(u, v, pu, j, window):
     """Window norms of lambda_s d - d, s = j slices, for d = u - v, v - pu
     and pu (lines 1-3), for d = u (the total) and for the re-summed defect
@@ -377,8 +368,8 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
         projected = list(zip(convolved, per_slice_project(convolved, nc, 2.0 * delta)))
         defects = [proj.spacetime_trace_norm for _, proj in projected]
         c3s = [step3_dual_constant(v, battery)[0] for v, _ in projected]
-        molls = [_window_l2((a - b for a, b in zip(u_series.fields, v.fields)),
-                            [compact] * nc.n_slices, u_series.delta)
+        molls = [slices_l2((a - b for a, b in zip(u_series.fields, v.fields)),
+                           [compact] * nc.n_slices, u_series.delta)
                  for u_series, (v, _) in zip(members, projected)]
         # the trace-equivalence factor, measured on the first member
         strip_mass = float(np.sqrt(members[0].delta * sum(

@@ -35,6 +35,8 @@ SKIPPED = ("tests/test_golden.py", "tests/test_demos.py")
 MUTANTS = {
     "porous.grad_phi_l2": ("parabolic.py", "gphi = grad_phi_l2(s, phi)",
                            "gphi = grad_phi_l2(s, phi) * 1.01"),
+    "porous.tv_hminus_m": ("parabolic.py", "tv = time_derivative_tv(s, m, factor)",
+                           "tv = time_derivative_tv(s, m, factor) * 1.01"),
     "commutator.sup_l1": ("mollify.py", "out.append(float(l1 * delta))",
                           "out.append(float(l1 * delta) * 1.01)"),
     "commutator.coefficients": (

@@ -200,7 +200,7 @@ def test_criterion_07_dual_inequalities(projection_suite):
     members = translating_disk_ns_family(g, (0.0, 1.0), 8, 2, (0.45, 0.5), 0.3,
                                          (speed, 0.0), stream_fraction=0.7)
     from compactness_lab.movedom import transported_poincare
-    c_a = transported_poincare(fam, disk, 0.1, eps_list=(0.0, 0.04))
+    c_a = transported_poincare(fam, disk, (0.0, 0.04))
     ok_slices = True
     worst_slice_slack = np.inf
     for s, out in zip(members, per_slice_project(members, nc, 0.04)):

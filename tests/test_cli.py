@@ -97,6 +97,7 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("porous", "n_list = 16,0"),
     ("porous", "n_list = ,"),
     ("porous", "n_list = 16,abc"),
+    ("porous", "n_list = 16,32,32,64"),  # a repeated refinement
     ("porous", "hminus_m = -1"),
     ("porous", "bc = foo"),
     ("porous", "m = 1.0"),
@@ -125,6 +126,7 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("kruzhkov", "ell_list = 4"),
     ("kruzhkov", "ell_list = 16"),       # the decay check needs two distinct scales
     ("kruzhkov", "ell_list = 16,16"),
+    ("kruzhkov", "ell_list = 16,16,24"),  # a repeated scale
     ("kruzhkov", "ell_list = 16,24,64"),  # under-resolved kernel: 1/ell < 2h
     ("divfree", "pair_checks = -1"),
     ("porous", "grid_cell = 64"),        # unknown key: a typo for grid_cells
@@ -140,6 +142,7 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("nsprobe", "delta_list = 0.07"),    # 1/delta is not an integer
     ("nsprobe", "delta_list = 0.0625"),  # the decay check needs two distinct radii
     ("nsprobe", "delta_list = 0.0625,0.0625"),
+    ("nsprobe", "delta_list = 0.0625,0.0625,0.03125"),  # a repeated radius
     ("nsprobe", "delta_list = 0.001"),   # under-resolved kernel: delta < 2h
     ("nsprobe", "n_slices = 2"),         # the shifts of 1, 2 and 4 slices need 5
     ("nsprobe", "n_slices = 4"),

@@ -9,13 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab import cli, divfree
 from compactness_lab.divfree import (BoundaryData, dual_norm_check,
-                                     face_measure, harmonic_gradient,
-                                     neumann_factor, neumann_harmonic,
-                                     normal_trace, per_slice_project,
-                                     project_divfree0, read_sgrid_file,
-                                     write_sgrid_file)
+                                     face_measure, neumann_factor,
+                                     neumann_harmonic, normal_trace,
+                                     per_slice_project, project_divfree0)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, divergence,
+                                  StaggeredVectorField, divergence, gradient,
                                   neumann_laplacian, staggered_inner,
                                   staggered_l2)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
@@ -50,7 +48,7 @@ def _domain(spec):
 
 def interior_dirichlet_energy(v, domain):
     """Interior-face Dirichlet energy <grad v, grad v> (the variational one)."""
-    g = harmonic_gradient(v, domain, g_data=None)
+    g = gradient(v.restricted(domain))
     return staggered_inner(g, g)
 
 
@@ -432,31 +430,6 @@ def test_per_slice_grouped_equals_single_series(monkeypatch):
     short = StepTimeSeries((0.0, 1.0), members[0].fields[:2])
     with pytest.raises(ValueError, match="slice counts differ"):
         per_slice_project([members[0], short], nc, 0.04)
-
-
-def test_sgrid_roundtrip(tmp_path):
-    rng = generator(19)
-    u = random_stream_velocity(Grid((16, 12), (2.0, 1.5)), rng)
-    path = tmp_path / "field.sgrid"
-    write_sgrid_file(path, u)
-    back = read_sgrid_file(path)
-    assert back.grid == u.grid
-    for a, b in zip(back.components, u.components):
-        assert np.array_equal(a, b)
-
-
-def test_sgrid_reader_names_wrong_value_count(tmp_path):
-    u = random_stream_velocity(Grid((4, 3), (1.0, 1.0)), generator(19))
-    path = tmp_path / "field.sgrid"
-    write_sgrid_file(path, u)
-    lines = path.read_text().splitlines(keepends=True)
-    expected = 5 * 3 + 4 * 4
-    path.write_text("".join(lines[:-1]))
-    with pytest.raises(ValueError, match=f"field.sgrid: expected {expected} values.*found {expected - 1}"):
-        read_sgrid_file(path)
-    path.write_text("".join(lines) + "0.5\n")
-    with pytest.raises(ValueError, match=f"field.sgrid: expected {expected} values.*found {expected + 1}"):
-        read_sgrid_file(path)
 
 
 def test_face_series_l2_masked():

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab.grid import (DirichletEigenbasis, Grid, RasterDomain,
                                   ScalarField, StaggeredVectorField,
-                                  _check_order, _shifted_dirichlet,
+                                  _check_order, dirichlet_factor,
                                   dirichlet_laplacian, divergence, face_masks,
                                   gradient, h_minus_m_norm, inner, lp_norm,
                                   neumann_laplacian, read_grid_file,
@@ -16,16 +16,17 @@ from compactness_lab.grid import (DirichletEigenbasis, Grid, RasterDomain,
 from compactness_lab.movedom import make_domain
 
 
-def h_m_norm_dual_weight(phi, m, domain):
+def h_m_norm_dual_weight(phi, m, factor):
     """Oracle: (vol phi^T (I+L)^m phi)^{1/2} = (sum_k (1+lambda_k)^m |<phi,e_k>|^2)^{1/2},
-    the dual side of the H^{-m} pairing bound, by matrix-vector products."""
-    _check_order(m, domain)
-    A = _shifted_dirichlet(domain).matrix
-    w = phi.values[domain.inside]
+    the dual side of the H^{-m} pairing bound, by matrix-vector products with
+    the matrix of the raster's `dirichlet_factor`."""
+    _check_order(m)
+    A = factor.matrix
+    w = phi.values[factor.inside]
     for _ in range(m // 2):
         w = A @ w
     s = w @ (A @ w) if m % 2 else w @ w
-    return float(np.sqrt(s * domain.grid.cell_volume))
+    return float(np.sqrt(s * factor.grid.cell_volume))
 
 
 def test_grid_invariants():
@@ -265,7 +266,7 @@ def test_masked_cells_hold_exact_zero(data):
 def test_h_minus_m_zero_field():
     g = Grid((64,), (1.0,))
     d = RasterDomain.full(g)
-    assert h_minus_m_norm(ScalarField.constant(g, 0.0), 2, d) == 0.0
+    assert h_minus_m_norm(ScalarField.constant(g, 0.0), 2, dirichlet_factor(d)) == 0.0
 
 
 def test_h_minus_m_m0_equals_l2():
@@ -273,7 +274,7 @@ def test_h_minus_m_m0_equals_l2():
     d = make_domain("disk:0.35", g)
     rng = np.random.default_rng(1)
     f = ScalarField(g, rng.normal(size=g.shape), mask=d)
-    assert h_minus_m_norm(f, 0, d) == pytest.approx(lp_norm(f, 2), rel=1e-10)
+    assert h_minus_m_norm(f, 0, dirichlet_factor(d)) == pytest.approx(lp_norm(f, 2), rel=1e-10)
 
 
 def test_h_minus_m_first_eigenfunction():
@@ -286,11 +287,12 @@ def test_h_minus_m_first_eigenfunction():
     e1 = vec[:, 0] / np.sqrt(vol)
     f = ScalarField(g, e1)
     expected = lp_norm(f, 2) / np.sqrt(1.0 + lam[0])
-    assert h_minus_m_norm(f, 1, d) == pytest.approx(expected, rel=1e-10)
+    factor = dirichlet_factor(d)
+    assert h_minus_m_norm(f, 1, factor) == pytest.approx(expected, rel=1e-10)
     # the analytic eigenfunction sin(pi x) against the analytic eigenvalue pi^2
     f_sin = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     target = lp_norm(f_sin, 2) / np.sqrt(1.0 + np.pi ** 2)
-    assert h_minus_m_norm(f_sin, 1, d) == pytest.approx(target, rel=0.01)
+    assert h_minus_m_norm(f_sin, 1, factor) == pytest.approx(target, rel=0.01)
 
 
 def test_h_minus_m_monotone_in_m():
@@ -298,20 +300,22 @@ def test_h_minus_m_monotone_in_m():
     d = make_domain("disk:0.4", g)
     rng = np.random.default_rng(3)
     f = ScalarField(g, rng.normal(size=g.shape), mask=d)
-    vals = [h_minus_m_norm(f, m, d) for m in range(4)]
+    factor = dirichlet_factor(d)
+    vals = [h_minus_m_norm(f, m, factor) for m in range(4)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(vals[:-1], vals[1:]))
 
 
 def test_h_minus_m_duality_bound():
     g = Grid((32, 32), (1.0, 1.0))
     d = make_domain("disk:0.4", g)
+    factor = dirichlet_factor(d)
     rng = np.random.default_rng(4)
     for _ in range(10):
         f = ScalarField(g, rng.normal(size=g.shape), mask=d)
         phi = ScalarField(g, rng.normal(size=g.shape), mask=d)
         lhs = abs(inner(f, phi))
         m = 2
-        rhs = h_minus_m_norm(f, m, d) * h_m_norm_dual_weight(phi, m, d)
+        rhs = h_minus_m_norm(f, m, factor) * h_m_norm_dual_weight(phi, m, factor)
         assert rhs - lhs >= -1e-9 * (rhs + 1.0)
 
 
@@ -331,10 +335,11 @@ def test_h_minus_m_norm_matches_dense_eigenbasis(data):
     f = ScalarField(g, rng.normal(size=shape), mask=d)
     phi = ScalarField(g, rng.normal(size=shape), mask=d)
     basis = DirichletEigenbasis(d)
+    factor = dirichlet_factor(d)
     shifted = 1.0 + basis.eigenvalues
     cf, cphi = basis.coefficients(f), basis.coefficients(phi)
     for m in range(4):
-        norm, weight = h_minus_m_norm(f, m, d), h_m_norm_dual_weight(phi, m, d)
+        norm, weight = h_minus_m_norm(f, m, factor), h_m_norm_dual_weight(phi, m, factor)
         assert norm == pytest.approx(np.sqrt(np.sum(shifted ** -m * cf ** 2)), rel=1e-10)
         assert weight == pytest.approx(np.sqrt(np.sum(shifted ** m * cphi ** 2)), rel=1e-10)
         assert abs(inner(f, phi)) <= norm * weight * (1 + 1e-12)
@@ -343,14 +348,14 @@ def test_h_minus_m_norm_matches_dense_eigenbasis(data):
 @pytest.mark.parametrize("norm", [h_minus_m_norm, h_m_norm_dual_weight])
 def test_h_minus_m_rejects_bad_order_and_empty_domain(norm):
     g = Grid((8, 8), (1.0, 1.0))
-    d = RasterDomain.full(g)
+    factor = dirichlet_factor(RasterDomain.full(g))
     f = ScalarField.constant(g, 1.0)
     for m in (1.5, -1):
         with pytest.raises(ValueError, match="integer"):
-            norm(f, m, d)
+            norm(f, m, factor)
     empty = RasterDomain(g, np.zeros(g.shape, dtype=bool))
     with pytest.raises(ValueError, match="empty"):
-        norm(f, 1, empty)
+        norm(f, 1, dirichlet_factor(empty))
 
 
 def test_grid_file_roundtrip(tmp_path):

@@ -35,7 +35,6 @@ def demo(stem, test):
     return ("demo", stem, test)
 
 
-SGRID = ("format", "the `.sgrid` face-field format (README, File formats)")
 GRID = ("format", "the `.grid` cell-field format (README, File formats)")
 EIGENBASIS = ("deferred", "dense Dirichlet eigenbasis, the reference test_grid checks "
               "h_minus_m_norm against; perfbench/spans.py still names it")
@@ -47,17 +46,13 @@ JUNCTION = demo("truncation_chain", "test_truncate.py::test_beta_junction_smooth
 
 LEDGER = {
     "cli._one_of": ("import", "builds the `one of` rules of cli.KEYS"),
-    "divfree._face_counts": SGRID,
-    "divfree.read_sgrid_file": SGRID,
-    "divfree.write_sgrid_file": SGRID,
     "grid.DirichletEigenbasis.__init__": EIGENBASIS,
     "grid.DirichletEigenbasis.coefficients": EIGENBASIS,
-    "grid.Grid.n_cells": ("format", "the value count of the `.grid` and `.sgrid` readers"),
+    "grid.Grid.n_cells": ("format", "the value count of the `.grid` reader"),
     "grid.ScalarField.constant": demo(
         "product_limit", "test_grid.py::test_lp_norm_unit_constant_unit_square"),
     "grid.ScalarField.from_function": demo(
         "truncation_chain", "test_grid.py::test_gradient_linear_exact"),
-    "grid._read_header_and_values": GRID,
     "grid.read_grid_file": GRID,
     "mollify.commutator": ("deferred", "the per-series commutator, the reference test_mollify "
                            "checks separable_commutator_l1 against; perfbench/spans.py "

@@ -510,7 +510,7 @@ def test_transported_poincare_identity():
     sq = make_domain("square:0.8", g)
     fam = make_family("identity", (0.0, 1.0))
     sweep = poincare_sweep(sq, (0.0, 0.05, 0.1))
-    assert transported_poincare(fam, sq, 0.2, eps_list=(0.0, 0.05, 0.1)) == pytest.approx(
+    assert transported_poincare(fam, sq, (0.0, 0.05, 0.1)) == pytest.approx(
         max(sweep), rel=1e-9)
 
 
@@ -520,7 +520,7 @@ def test_transported_poincare_dilation_formula():
     fam = make_family("dilation", (0.0, 2 * np.pi), amplitude=0.25, center=(0.5, 0.5))
     sweep = poincare_sweep(disk, (0.0, 0.05))
     jb = jacobian_bounds(fam)
-    got = transported_poincare(fam, disk, 0.1, eps_list=(0.0, 0.05))
+    got = transported_poincare(fam, disk, (0.0, 0.05))
     expected = np.sqrt(jb.raw_max / jb.raw_min) * max(sweep) * grad_sup_norm(fam)
     assert got == pytest.approx(expected, rel=1e-9)
     # closed form: sup scale 1.25, alpha ~ 0.75^2, beta ~ 1.25^2 up to safety factors

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from compactness_lab import cli, parabolic
 from compactness_lab.cli import _csv_text
-from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, gradient,
-                                  h_minus_m_norm)
+from compactness_lab.grid import (Grid, RasterDomain, RasterFactor,
+                                  ScalarField, StaggeredVectorField,
+                                  dirichlet_factor, dirichlet_laplacian,
+                                  gradient, h_minus_m_norm)
 from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        _backward_euler, _flux_operator,
                                        _newton_step, StepTimeSeries,
@@ -358,26 +359,27 @@ def test_energy_report_rows_equal_per_step_recompute(monkeypatch, tensor, g):
 
 def test_time_derivative_tv_cases():
     g = Grid((64,), (1.0,))
-    d = RasterDomain.full(g)
+    factor = dirichlet_factor(RasterDomain.full(g))
     f = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     s = constant_series(f, (0.0, 1.0), 8)
-    assert time_derivative_tv(s, 1, d) == 0.0
+    assert time_derivative_tv(s, 1, factor) == 0.0
     # one jump of a fixed field: exactly its H^{-m} norm
     zero = f * 0.0
     s2 = StepTimeSeries((0.0, 1.0), (zero, zero, f, f))
-    assert time_derivative_tv(s2, 1, d) == pytest.approx(h_minus_m_norm(f, 1, d), rel=1e-12)
+    assert time_derivative_tv(s2, 1, factor) == pytest.approx(h_minus_m_norm(f, 1, factor),
+                                                             rel=1e-12)
 
 
 def test_time_derivative_tv_refinement_bounded():
     g = Grid((256,), (6.0,))
-    d = RasterDomain.full(g)
+    factor = dirichlet_factor(RasterDomain.full(g))
     phi = nonlinearity_preset("porous:2")
     prof = barenblatt_profile(2.0, 1.0)
     u0 = ScalarField(g, prof(g.axis_centers(0) - 3.0, 0.1))
     vals = []
     for n in (16, 32, 64, 128):
         run = run_scheme(u0, n, (0.1, 1.0), DiffusionTensor.identity(), phi)
-        vals.append(time_derivative_tv(run.series, 1, d))
+        vals.append(time_derivative_tv(run.series, 1, factor))
     assert max(vals) <= 2.0 * min(vals)
 
 
@@ -404,6 +406,56 @@ def test_porous_grad_phi_column_recomputed_cell_by_cell(tmp_path):
                 total += ((v[i + 1] - v[i]) / h) ** 2 * h
         assert total > 0
         assert float(row[2]) == pytest.approx(np.sqrt(total * run.series.delta), rel=1e-12)
+
+
+def test_porous_tv_hminus_m_column_by_dense_solves(default_runs):
+    # oracle: the default `porous` run's tv_hminus_m column (m = 1), the sum
+    # over the jumps f of each series of sqrt(vol f^T (I+L)^{-1} f), with
+    # I+L the dense 3-point Dirichlet matrix and one dense solve per series
+    out, codes = default_runs
+    assert codes["porous"] == 0
+    rows = [line.split(",") for line in
+            (out / "porous" / "report.csv").read_text().splitlines()[1:]]
+    g = Grid((512,), (6.0,))
+    h = g.spacing[0]
+    shifted = (np.eye(512) * (1.0 + 2.0 / h ** 2)
+               - (np.eye(512, k=1) + np.eye(512, k=-1)) / h ** 2)
+    phi = nonlinearity_preset("porous:2")
+    u0 = ScalarField(g, barenblatt_profile(2.0, 1.0)(g.axis_centers(0) - 3.0, 0.1))
+    assert [int(row[0]) for row in rows] == [16, 32, 64, 128, 256]
+    for row in rows:
+        states = run_scheme(u0, int(row[0]), (0.1, 1.0), DiffusionTensor.identity(),
+                            phi).series.fields
+        jumps = np.stack([b.values - a.values for a, b in zip(states[:-1], states[1:])],
+                         axis=1)
+        squares = np.sum(jumps * np.linalg.solve(shifted, jumps), axis=0) * g.cell_volume
+        assert float(row[3]) == pytest.approx(np.sum(np.sqrt(squares)), rel=1e-10)
+
+
+def test_porous_monitor_builds_one_dirichlet_factor(tmp_path, monkeypatch):
+    # the H^{-1} norms of the 15 + 31 + 63 + 127 + 255 jumps of the default
+    # n_list all solve with one factor of I+L, built by the monitor
+    builds, norms = [], []
+
+    class Counted(RasterFactor):
+        def __init__(self, domain, matrix):
+            builds.append(matrix)
+            super().__init__(domain, matrix)
+
+    def counted_norm(f, m, factor):
+        norms.append(factor)
+        return h_minus_m_norm(f, m, factor)
+
+    monkeypatch.setattr("compactness_lab.grid.RasterFactor", Counted)
+    monkeypatch.setattr(parabolic, "h_minus_m_norm", counted_norm)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("")
+    assert cli.run("porous", str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert len(builds) == 1
+    L, _ = dirichlet_laplacian(RasterDomain.full(Grid((512,), (6.0,))))
+    assert np.array_equal(builds[0].toarray(), np.eye(512) + L.toarray())
+    assert len(norms) == 491
+    assert all(isinstance(f, Counted) and f is norms[0] for f in norms)
 
 
 def test_monitor_identical_series_zero_cauchy():

@@ -12,8 +12,9 @@ from compactness_lab import cli, probe
 from compactness_lab.cli import _csv_text
 from compactness_lab.divfree import per_slice_project
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, h_minus_m_norm, inner,
-                                  lp_norm, staggered_inner, staggered_l2)
+                                  StaggeredVectorField, dirichlet_factor,
+                                  h_minus_m_norm, inner, lp_norm,
+                                  staggered_inner, staggered_l2)
 from compactness_lab.mollify import (convolve_space, convolve_staggered,
                                      make_mollifier)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
@@ -252,7 +253,8 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline):
     Returns rows (eps, C_meas, chain bound, tail), the time-derivative TV per
     member, the worst pipeline defect and the failures."""
     theta = ScalarField.constant(domain.grid, 1.0, mask=domain)
-    tv = [time_derivative_tv(s, m, domain) for s in a_seq]
+    factor = dirichlet_factor(domain)
+    tv = [time_derivative_tv(s, m, factor) for s in a_seq]
     failures = []
     tv_floor = 1e-9 * (max(tv) + 1.0)
     if max(tv) > max(4.0 * max(min(tv), tv_floor), tv_floor):
@@ -410,7 +412,7 @@ def test_battery_and_dual_estimate_cases():
     zero = base * 0.0
     single = StepTimeSeries(INTERVAL, (zero,) * 8 + (base,) * 8)
     c1, _ = dual_time_estimate(single, battery)
-    assert c1 <= h_minus_m_norm(base, 1, dom) * (1 + 1e-9)
+    assert c1 <= h_minus_m_norm(base, 1, dirichlet_factor(dom)) * (1 + 1e-9)
     assert c1 > 0
 
 
