@@ -30,8 +30,9 @@ from .mollify import make_mollifier, separable_commutator_l1, shift_space
 from .movedom import (NonCylindricalDomain, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
                       poincare_constant, symmetric_difference_band)
-from .parabolic import (DiffusionTensor, StepTimeSeries, barenblatt_profile,
-                        energy_report, mass, run_scheme, hypothesis_monitor)
+from .parabolic import (DiffusionTensor, NewtonFailure, StepTimeSeries,
+                        barenblatt_profile, energy_report, mass, run_scheme,
+                        hypothesis_monitor)
 from .probe import check_ell_list, kruzhkov_probe, ns_probe
 from .productlimit import product_pipeline, transposition_defect
 from .synth import (disk_bump_velocity, generator, oscillating_family,
@@ -229,7 +230,7 @@ def _exp_porous(cfg, seed, out_dir):
         raise _bad("porous", "t1", cfg["t1"], f"must exceed t0 = {cfg['t0']!r}")
     m, t0, t1, half = cfg["m"], cfg["t0"], cfg["t1"], cfg["halfwidth"]
     grid = Grid((cfg["grid_cells"],), (2 * half,))
-    phi = nonlinearity_preset(f"porous:{m:g}")
+    phi = nonlinearity_preset(f"porous:{m!r}")
     profile = barenblatt_profile(m, cfg["mass"])
     x = grid.axis_centers(0) - half
     u0 = ScalarField(grid, profile(x, t0))
@@ -496,7 +497,8 @@ EXPERIMENTS = {
 
 
 def run(experiment, config_path, out_dir, seed=None):
-    """Run one named experiment; returns the process exit code."""
+    """Run one named experiment; returns the process exit code.  A Newton
+    breakdown is a failed run: a FAIL manifest naming it, and no report."""
     if experiment not in EXPERIMENTS:
         print(f"unknown experiment {experiment!r}; try `compactness-lab list`",
               file=sys.stderr)
@@ -514,8 +516,11 @@ def run(experiment, config_path, out_dir, seed=None):
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except NewtonFailure as e:
+        rows, failures = None, [f"NewtonFailure: {e}"]
     wall = time.perf_counter() - t_start
-    (out / "report.csv").write_text(_csv_text(columns, rows))
+    if rows is not None:
+        (out / "report.csv").write_text(_csv_text(columns, rows))
     manifest = [
         f"experiment = {experiment}",
         f"seed = {seed}",

@@ -19,7 +19,6 @@ import numpy as np
 from .grid import (RasterDomain, RasterFactor, ScalarField,
                    StaggeredVectorField, _axis_slices, divergence, gradient,
                    neumann_laplacian, staggered_l2)
-from .movedom import poincare_constant
 from .parabolic import StepTimeSeries
 
 
@@ -71,16 +70,14 @@ def neumann_factor(domain):
     return RasterFactor(domain, L)
 
 
-def neumann_harmonic(g_data, domain, factor=None):
+def neumann_harmonic(g_data, domain, factor):
     """Solve Delta v = 0 on the raster with prescribed outward normal flux and
     zero mean.
 
     One solve of (L + e_0 e_0^T) v = b - mean(b) with the raster's
-    `neumann_factor`, built here unless given; the matrix is nonsingular on a
-    connected raster.  The columns of the Neumann Laplacian L sum to zero, so
-    summing the rows gives v_0 = 0, and v also solves L v = b - mean(b)."""
-    if factor is None:
-        factor = neumann_factor(domain)
+    `neumann_factor`; the matrix is nonsingular on a connected raster.  The
+    columns of the Neumann Laplacian L sum to zero, so summing the rows gives
+    v_0 = 0, and v also solves L v = b - mean(b)."""
     factor.check(domain)
     g_data.check_compatibility()
     grid = domain.grid
@@ -111,9 +108,9 @@ def harmonic_gradient(v, domain, g_data):
 DIV_RESIDUAL_TOL = 1e-10
 
 
-def _helmholtz_split(u, domain, factor=None):
+def _helmholtz_split(u, domain, factor):
     """(u on the raster, grad v, P u = u - grad v), v the harmonic extension of
-    the normal trace of u (with the raster's `neumann_factor` when given)."""
+    the normal trace of u, with the raster's `neumann_factor`."""
     u = u.restricted(domain)
     g = normal_trace(u, domain)
     gv = harmonic_gradient(neumann_harmonic(g, domain, factor), domain, g)
@@ -134,12 +131,12 @@ def _check_residuals(u, pu, domain):
         raise RuntimeError(f"projected field divergence residual {div_res:.3e} out of tolerance")
 
 
-def project_divfree0(u, domain, factor=None):
+def project_divfree0(u, domain, factor):
     """Orthogonal projection of a div-free field onto the zero-normal-trace
     subspace: P u = u - grad v, v the harmonic extension of the trace.
 
     Checks the divergence residual.  `factor` is the raster's
-    `neumann_factor`, built here unless given."""
+    `neumann_factor`."""
     u, _, pu = _helmholtz_split(u, domain, factor)
     _check_residuals(u, pu, domain)
     return pu
@@ -155,7 +152,6 @@ class DualNormReport:
     l2: float
     seminorm: float
     surrogate: float
-    c_poincare: float
     slack: float
     projected: StaggeredVectorField  # P u, residual-checked as in project_divfree0
 
@@ -164,22 +160,19 @@ class DualNormReport:
         return self.slack >= -1e-8 * (self.l2 + 1e-300)
 
 
-def dual_norm_check(u, domain, c_poincare=None, factor=None):
-    """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u).
+def dual_norm_check(u, domain, c_poincare, factor):
+    """Check ||u||_2 <= N(u) + (1 + C_Omega) * surrogate-trace-norm(gamma_n u),
+    with the raster's Poincare constant C_Omega and `neumann_factor`.
 
     One Helmholtz split serves the check and the report's P u, which passes the
-    same residual checks as `project_divfree0`.  C_Omega and the raster's
-    `neumann_factor` are computed on the domain unless given; pass both when
-    checking many fields on one domain."""
-    if c_poincare is None:
-        c_poincare = poincare_constant(domain)
+    same residual checks as `project_divfree0`."""
     u, gv, pu = _helmholtz_split(u, domain, factor)
     _check_residuals(u, pu, domain)
     l2 = staggered_l2(u)
     seminorm = staggered_l2(pu)
     surrogate = staggered_l2(gv)
     slack = seminorm + (1.0 + c_poincare) * surrogate - l2
-    return DualNormReport(l2, seminorm, surrogate, c_poincare, slack, pu)
+    return DualNormReport(l2, seminorm, surrogate, slack, pu)
 
 
 # ---------------------------------------------------------------------------

@@ -203,8 +203,8 @@ def _sample(grid, sdf):
     return np.asarray(sdf(pts)).reshape(grid.shape)
 
 
-def signed_distance_transform(grid, inside, side=None):
-    """Exact Euclidean distance transform, positive inside.
+def signed_distance_transform(grid, inside, side):
+    """One side of the exact Euclidean signed distance, positive inside.
 
     EDT distances are center-to-center; half a cell is subtracted on both sides
     as the center-to-boundary estimate (inside cells stay >= h/2 > 0, outside
@@ -213,16 +213,9 @@ def signed_distance_transform(grid, inside, side=None):
     them and -h/2 on the others.  `side="outside"` runs only the EDT of the
     complement: the signed distance on the outside cells and +h/2 on the
     others.  Either side thresholds like the whole transform at any level on
-    its own side of 0; `side=None` returns the two sides assembled.
+    its own side of 0.
     """
     inside = np.asarray(inside, dtype=bool)
-    if side is None:
-        return np.where(inside, _edt_side(grid, inside, "inside"),
-                        _edt_side(grid, inside, "outside"))
-    return _edt_side(grid, inside, side)
-
-
-def _edt_side(grid, inside, side):
     h = grid.spacing
     half = 0.5 * min(h)
     if side == "inside":
@@ -238,7 +231,7 @@ def _edt_side(grid, inside, side):
         if inside.all():
             return np.full(grid.shape, half)
         return -(scipy.ndimage.distance_transform_edt(~inside, sampling=h) - half)
-    raise ValueError(f"side must be 'inside', 'outside' or None, got {side!r}")
+    raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
 
 
 def _check_mask(field):

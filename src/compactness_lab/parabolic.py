@@ -92,24 +92,11 @@ class StepTimeSeries:
         return self._zip(other, operator.sub)
 
     def __mul__(self, other):
-        """Slice by slice with a series; with a field or a number, every slice."""
-        if isinstance(other, StepTimeSeries):
-            return self._zip(other, operator.mul)
-        return self.map(lambda f: f * other)
-
-    __rmul__ = __mul__
+        return self._zip(other, operator.mul)
 
 
 def constant_series(f, interval, n_steps):
     return StepTimeSeries(interval, (f,) * n_steps)
-
-
-def limit_series(limit, template):
-    """A declared limit on `template`'s partition: a series as it is, a single
-    field as the constant series."""
-    if isinstance(limit, StepTimeSeries):
-        return limit
-    return constant_series(limit, template.interval, template.n_steps)
 
 
 def slices_l2(slices, domains, delta):
@@ -308,7 +295,6 @@ def mass(f):
 class EnergyReport:
     rows: list = field(default_factory=list)  # (k, lhs, rhs, dissipation)
     violations: list = field(default_factory=list)
-    rel_tol: float = 1e-8
 
     @property
     def ok(self):
@@ -321,7 +307,7 @@ def energy_report(s, A, phi, rel_tol=1e-8):
     psi is integrated once per state, and A's face coefficients are rebuilt
     only at a step whose `A.entries` differ from the ones they were built
     from."""
-    report = EnergyReport(rel_tol=rel_tol)
+    report = EnergyReport()
     delta = s.delta
     grid = s.grid
     vol = grid.cell_volume

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import lp_norm
 from .mollify import convolve_space, make_mollifier
-from .parabolic import limit_series, series_inner
+from .parabolic import constant_series, series_inner
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,8 @@ class PipelineReport:
 
 def product_pipeline(a_seq, b_seq, theta, k_list, a_limit, b_limit):
     """Pair the four decomposition lines of a b - a_n b_n against theta for each
-    member n and mollifier scale k.
+    member n and mollifier scale k; the limits a, b are fields, constant in
+    time on the members' partition.
 
     step1 = <ab - a(b*phi_k), theta>              (limit mollification)
     step2 = <a(b*phi_k) - a_n(b_n*phi_k), theta>  (weak convergence line)
@@ -149,8 +150,8 @@ def product_pipeline(a_seq, b_seq, theta, k_list, a_limit, b_limit):
     if len(a_seq) != len(b_seq):
         raise ValueError("family sizes differ")
     grid = theta.grid
-    a_lim = limit_series(a_limit, a_seq[0])
-    b_lim = limit_series(b_limit, b_seq[0])
+    a_lim = constant_series(a_limit, a_seq[0].interval, a_seq[0].n_steps)
+    b_lim = constant_series(b_limit, a_seq[0].interval, a_seq[0].n_steps)
     ab = a_lim * b_lim
     rows = []
     for k in k_list:

@@ -32,14 +32,8 @@ class Nonlinearity:
 
 
 def nonlinearity_preset(name):
-    """Presets selectable by name: `identity`, `cubic`, `porous:m`."""
-    if name == "identity":
-        return Nonlinearity(
-            phi=lambda z: np.asarray(z, dtype=float),
-            dphi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            psi=lambda z: np.asarray(z, dtype=float) ** 2 / 2,
-            critical_points=(),
-        )
+    """Presets selectable by name: `cubic` (phi = z^3) and `porous:m`
+    (phi = sign(z)|z|^m, m > 1)."""
     if name == "cubic":
         return Nonlinearity(
             phi=lambda z: np.asarray(z, dtype=float) ** 3,

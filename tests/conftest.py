@@ -2,7 +2,8 @@
 defaults (seed 0), the adversarial runs of the two probes and every demo
 script, each run once per session, in process, under a profiler that records
 which functions of `compactness_lab` they call: the runs into one record,
-each demo into its own.  Their expected outputs are in `GOLDEN`."""
+each demo into its own.  Their expected outputs are in `GOLDEN`.  Also the
+identity nonlinearity, shared by the tests of the scheme and the probes."""
 
 import contextlib
 import io
@@ -10,9 +11,11 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from compactness_lab import cli
+from compactness_lab.truncate import Nonlinearity
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(cli.__file__).resolve().parent
@@ -107,3 +110,12 @@ def adversarial_runs(reach, tmp_path_factory):
     """The output directory and exit codes of `run_adversarial`, made once."""
     out = tmp_path_factory.mktemp("adversarial")
     return out, run_adversarial(out, reach.record)
+
+
+# phi(z) = z, the heat equation: a test oracle, as no run or demo uses it
+IDENTITY = Nonlinearity(
+    phi=lambda z: np.asarray(z, dtype=float),
+    dphi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+    psi=lambda z: np.asarray(z, dtype=float) ** 2 / 2,
+    critical_points=(),
+)

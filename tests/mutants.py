@@ -50,6 +50,8 @@ MUTANTS = {
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),
     "divfree.seminorm": ("divfree.py", "seminorm = staggered_l2(pu)",
                          "seminorm = staggered_l2(pu) * 1.01"),
+    "divfree.slack": ("divfree.py", "slack = seminorm + (1.0 + c_poincare) * surrogate - l2",
+                      "slack = (seminorm + (1.0 + c_poincare) * surrogate - l2) * 1.01"),
     "nsprobe.line1-3": ("probe.py", "return [float(np.sqrt(total * u.delta)) for total in sums]",
                         "return [float(np.sqrt(total * u.delta)) * (1.01 if m < 3 else 1.0)"
                         " for m, total in enumerate(sums)]"),

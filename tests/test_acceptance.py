@@ -11,8 +11,9 @@ import pytest
 import scipy.linalg
 
 from compactness_lab.cli import run as cli_run
-from compactness_lab.divfree import (dual_norm_check, normal_trace,
-                                     per_slice_project, project_divfree0)
+from compactness_lab.divfree import (dual_norm_check, neumann_factor,
+                                     normal_trace, per_slice_project,
+                                     project_divfree0)
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   StaggeredVectorField, divergence,
                                   neumann_laplacian, staggered_inner,
@@ -148,13 +149,13 @@ def projection_suite():
     dom = RasterDomain.full(g)
     rng = generator(42)
     fields = [random_stream_velocity(g, rng) for _ in range(100)]
-    c_poincare = poincare_constant(dom)
-    reports = [dual_norm_check(u, dom, c_poincare=c_poincare) for u in fields]
-    return g, dom, fields, reports
+    c_poincare, factor = poincare_constant(dom), neumann_factor(dom)
+    reports = [dual_norm_check(u, dom, c_poincare, factor) for u in fields]
+    return g, dom, factor, fields, reports
 
 
 def test_criterion_06_projection_suite(projection_suite):
-    g, dom, fields, reports = projection_suite
+    g, dom, factor, fields, reports = projection_suite
     h = min(g.spacing)
     worst = {"div": 0.0, "trace": 0.0, "pyth": 0.0, "idem": 0.0, "selfadj": 0.0}
     rng = generator(7)
@@ -163,7 +164,7 @@ def test_criterion_06_projection_suite(projection_suite):
     prev_u = None
     for i, (u, rep) in enumerate(zip(fields, reports)):
         scale = rep.l2
-        pu = project_divfree0(u, dom)
+        pu = project_divfree0(u, dom, factor)
         worst["div"] = max(worst["div"],
                            float(np.max(np.abs(divergence(pu).values))) / (scale / h))
         tr = normal_trace(pu, dom)
@@ -172,7 +173,7 @@ def test_criterion_06_projection_suite(projection_suite):
         worst["pyth"] = max(worst["pyth"],
                             abs(rep.l2 ** 2 - rep.seminorm ** 2 - rep.surrogate ** 2) / rep.l2 ** 2)
         if i in idem_sample:
-            ppu = project_divfree0(pu, dom)
+            ppu = project_divfree0(pu, dom, factor)
             worst["idem"] = max(worst["idem"], staggered_l2(ppu - pu) / scale)
         if prev_pu is not None:
             lhs = staggered_inner(prev_pu, u)
@@ -181,7 +182,7 @@ def test_criterion_06_projection_suite(projection_suite):
                                    abs(lhs - rhs) / (scale * staggered_l2(prev_u)))
         prev_pu, prev_u = pu, u
     one = StaggeredVectorField.constant(g, (1.0, 0.0))
-    witness = staggered_l2(project_divfree0(one, dom))
+    witness = staggered_l2(project_divfree0(one, dom, factor))
     norm_one = staggered_l2(one)
     ok = (all(v <= 1e-8 for v in worst.values()) and witness <= 1e-8
           and abs(norm_one - 1.0) <= 1e-12)
@@ -190,7 +191,7 @@ def test_criterion_06_projection_suite(projection_suite):
 
 
 def test_criterion_07_dual_inequalities(projection_suite):
-    g, dom, fields, reports = projection_suite
+    g, dom, factor, fields, reports = projection_suite
     min_slack = min(rep.slack / rep.l2 for rep in reports)
     # per-slice version on the translating disk
     speed = 0.1

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compactness_lab
+from compactness_lab import cli
 from compactness_lab.cli import KEYS, list_experiments, load_config, main, run
 
 
@@ -49,6 +51,35 @@ def test_porous_smoke(tmp_path):
     from compactness_lab.grid import read_grid_file
     final = read_grid_file(out / "final_state.grid")
     assert final.grid.shape == (128,)
+
+
+def test_porous_exponent_reaches_the_scheme_exactly(tmp_path, monkeypatch):
+    # 2.0000001 reads as 2 when printed to six significant digits
+    exponents = []
+    real = cli.run_scheme
+
+    def spy(u0, n, interval, A, phi, **kwargs):
+        exponents.append(phi.dphi(np.ones(1))[0])  # m |1|^(m - 1) = m
+        return real(u0, n, interval, A, phi, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scheme", spy)
+    cfg = write_cfg(tmp_path, "m.cfg", "[porous]\nm = 2.0000001\ngrid_cells = 64\nn_list = 16,32\n")
+    assert run("porous", cfg, str(tmp_path / "out")) == 0
+    assert exponents == [2.0000001, 2.0000001]
+
+
+@pytest.mark.parametrize("line", ["n_list = 1", "halfwidth = 0.01"])
+def test_porous_newton_breakdown_is_a_failed_run(tmp_path, capsys, line):
+    # each value passes its rule, and then a Newton solve does not converge
+    cfg = write_cfg(tmp_path, "n.cfg", f"[porous]\n{line}\n")
+    out = tmp_path / "out"
+    assert run("porous", cfg, str(out)) == 1
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "verdict = FAIL" in manifest
+    [failure] = [x.removeprefix("failure: ") for x in manifest if x.startswith("failure: ")]
+    assert failure.startswith("NewtonFailure: Newton did not reach residual")
+    assert capsys.readouterr().err == f"FAIL {failure}\n"
+    assert not (out / "report.csv").exists()
 
 
 def test_nsprobe_adversarial_exits_1_and_names_step3(tmp_path):

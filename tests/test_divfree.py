@@ -26,6 +26,7 @@ from compactness_lab.synth import (curl_velocity, disk_bump_velocity,
 
 GRID = Grid((64, 64), (1.0, 1.0))
 FULL = RasterDomain.full(GRID)
+FULL_FACTOR = neumann_factor(FULL)
 
 
 def _domain(spec):
@@ -93,18 +94,18 @@ def test_incompatible_neumann_data_rejected():
     vals[0][-1, :] = 1.0  # net outflow, nothing in
     g = BoundaryData(FULL, tuple(vals))
     with pytest.raises(ValueError):
-        neumann_harmonic(g, FULL)
+        neumann_harmonic(g, FULL, FULL_FACTOR)
 
 
 def test_neumann_harmonic_zero_data():
     zero = BoundaryData(FULL, (np.zeros((65, 64)), np.zeros((64, 65))))
-    v = neumann_harmonic(zero, FULL)
+    v = neumann_harmonic(zero, FULL, FULL_FACTOR)
     assert np.max(np.abs(v.values)) == 0.0
 
 
 def test_neumann_harmonic_linear_closed_form():
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    v = neumann_harmonic(normal_trace(u, FULL), FULL)
+    v = neumann_harmonic(normal_trace(u, FULL), FULL, FULL_FACTOR)
     expected = np.tile((GRID.axis_centers(0) - 0.5)[:, None], (1, 64))
     assert np.max(np.abs(v.values - expected)) <= 1e-8
     assert abs(float(v.values.mean())) <= 1e-12
@@ -114,7 +115,7 @@ def test_neumann_harmonic_green_identity():
     rng = generator(5)
     u = random_stream_velocity(GRID, rng)
     g = normal_trace(u, FULL)
-    v = neumann_harmonic(g, FULL)
+    v = neumann_harmonic(g, FULL, FULL_FACTOR)
     energy = interior_dirichlet_energy(v, FULL)
     fm = [face_measure(GRID, a) for a in range(2)]
     s = ((np.sum(g.values[0][-1, :] * v.values[-1, :])
@@ -128,7 +129,7 @@ def test_neumann_harmonic_green_identity():
 def test_neumann_harmonic_solves_discrete_problem(spec):
     dom = _domain(spec)
     u = random_stream_velocity(GRID, generator(11)).restricted(dom)
-    v = neumann_harmonic(normal_trace(u, dom), dom)
+    v = neumann_harmonic(normal_trace(u, dom), dom, neumann_factor(dom))
     # right-hand side: divergence of the boundary faces of u, the prescribed flux
     flux = StaggeredVectorField(GRID, tuple(
         np.where(boundary, c, 0.0)
@@ -145,40 +146,20 @@ def test_neumann_harmonic_single_cell_is_zero():
     g1 = Grid((1,), (1.0,))
     one = RasterDomain.full(g1)
     u = StaggeredVectorField.constant(g1, (1.0,))
-    assert np.all(neumann_harmonic(normal_trace(u, one), one).values == 0.0)
+    assert np.all(neumann_harmonic(normal_trace(u, one), one, neumann_factor(one)).values == 0.0)
     mem = np.zeros((4, 4), bool)
     mem[2, 1] = True
     cell = RasterDomain(Grid((4, 4), (1.0, 1.0)), mem)
     u = StaggeredVectorField.constant(cell.grid, (1.0, -2.0))
-    assert np.all(neumann_harmonic(normal_trace(u, cell), cell).values == 0.0)
+    assert np.all(neumann_harmonic(normal_trace(u, cell), cell, neumann_factor(cell)).values == 0.0)
 
 
 def test_neumann_harmonic_disconnected_rejected():
     g = Grid((8,), (1.0,))
     mem = np.zeros(8, bool)
     mem[1] = mem[6] = True
-    d = RasterDomain(g, mem)
-    zero = BoundaryData(d, (np.zeros(9),))
-    with pytest.raises(ValueError):
-        neumann_harmonic(zero, d)
     with pytest.raises(ValueError, match="connected"):
-        neumann_factor(d)
-
-
-@pytest.mark.parametrize("spec", [None, "annulus:0.15:0.4"])
-def test_passed_factor_gives_identical_results(spec):
-    dom = _domain(spec)
-    factor = neumann_factor(dom)
-    u = random_stream_velocity(GRID, generator(29)).restricted(dom)
-    g = normal_trace(u, dom)
-    assert np.array_equal(neumann_harmonic(g, dom).values,
-                          neumann_harmonic(g, dom, factor).values)
-    own = dual_norm_check(u, dom, 0.3)
-    shared = dual_norm_check(u, dom, 0.3, factor)
-    for name in ("l2", "seminorm", "surrogate", "slack"):
-        assert getattr(own, name) == getattr(shared, name), name
-    for a, b in zip(own.projected.components, shared.projected.components):
-        assert np.array_equal(a, b)
+        neumann_factor(RasterDomain(g, mem))
 
 
 def test_factor_refuses_another_raster():
@@ -196,18 +177,18 @@ def test_factor_refuses_another_raster():
     # an equal raster built separately is the same raster
     again = RasterDomain.full(GRID)
     assert np.array_equal(project_divfree0(u, again, factor).components[0],
-                          project_divfree0(u, FULL).components[0])
+                          project_divfree0(u, FULL, neumann_factor(FULL)).components[0])
 
 
 def test_projection_fixes_zero_trace_fields():
     u = disk_bump_velocity(GRID, (0.5, 0.5), 0.3)
-    pu = project_divfree0(u, FULL)
+    pu = project_divfree0(u, FULL, FULL_FACTOR)
     assert staggered_l2(pu - u) <= 1e-10 * staggered_l2(u)
 
 
 def test_projection_kills_gradient_field():
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    pu = project_divfree0(u, FULL)
+    pu = project_divfree0(u, FULL, FULL_FACTOR)
     assert staggered_l2(pu) <= 1e-8
     assert staggered_l2(u) == pytest.approx(1.0, abs=1e-12)
 
@@ -219,10 +200,10 @@ def test_projection_residuals_and_pythagoras():
         u = random_stream_velocity(GRID, rng)
         scale = staggered_l2(u)
         assert np.max(np.abs(divergence(u).values)) <= 1e-12 * scale / h
-        rep = dual_norm_check(u, FULL, c_poincare=0.5)
+        rep = dual_norm_check(u, FULL, 0.5, FULL_FACTOR)
         pyth = abs(rep.l2 ** 2 - rep.seminorm ** 2 - rep.surrogate ** 2) / rep.l2 ** 2
         assert pyth <= 1e-8
-        pu = project_divfree0(u, FULL)
+        pu = project_divfree0(u, FULL, FULL_FACTOR)
         assert np.max(np.abs(divergence(pu).values)) <= 1e-10 * scale / h
         tr = normal_trace(pu, FULL)
         assert max(np.max(np.abs(v)) for v in tr.values) <= 1e-10 * scale
@@ -232,9 +213,9 @@ def test_projection_idempotent_and_self_adjoint():
     rng = generator(11)
     u = random_stream_velocity(GRID, rng)
     w = random_stream_velocity(GRID, rng)
-    pu = project_divfree0(u, FULL)
-    pw = project_divfree0(w, FULL)
-    assert staggered_l2(project_divfree0(pu, FULL) - pu) <= 1e-8 * staggered_l2(u)
+    pu = project_divfree0(u, FULL, FULL_FACTOR)
+    pw = project_divfree0(w, FULL, FULL_FACTOR)
+    assert staggered_l2(project_divfree0(pu, FULL, FULL_FACTOR) - pu) <= 1e-8 * staggered_l2(u)
     scale = staggered_l2(u) * staggered_l2(w)
     assert abs(staggered_inner(pu, w) - staggered_inner(u, pw)) <= 1e-8 * scale
     # orthogonality of the removed part against the zero-trace space
@@ -276,7 +257,7 @@ def test_projected_field_has_exactly_zero_normal_trace_on_random_masks(data):
     # `harmonic_gradient` writes u's own component on every boundary face, so
     # the trace of P u = u - grad v is exact zero, not round-off
     dom, (u,) = _random_raster_fields(data, 1)
-    trace = normal_trace(project_divfree0(u, dom), dom)
+    trace = normal_trace(project_divfree0(u, dom, neumann_factor(dom)), dom)
     assert all(np.all(v == 0.0) for v in trace.values)
 
 
@@ -285,12 +266,13 @@ def test_projection_of_a_projection_on_the_l_shaped_raster():
     # round-off, and so is its divergence relative to its own norm
     g = Grid((2, 2), (1.0, 1.0))
     dom = RasterDomain(g, np.array([[False, True], [True, True]]))
+    factor = neumann_factor(dom)
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = curl_velocity(g, rng.normal(size=(3, 3)))
-        pu = project_divfree0(u, dom)
+        pu = project_divfree0(u, dom, factor)
         assert staggered_l2(pu) <= 1e-14 * staggered_l2(u)
-        assert staggered_l2(project_divfree0(pu, dom) - pu) <= 1e-12 * staggered_l2(u)
+        assert staggered_l2(project_divfree0(pu, dom, factor) - pu) <= 1e-12 * staggered_l2(u)
 
 
 def test_projection_with_a_non_harmonic_extension_raises(monkeypatch):
@@ -298,36 +280,54 @@ def test_projection_with_a_non_harmonic_extension_raises(monkeypatch):
     x, y = np.meshgrid(*(GRID.axis_centers(a) for a in range(2)), indexing="ij")
     bump = 1e-3 * np.sin(np.pi * x) * np.sin(np.pi * y)
 
-    def not_harmonic(g_data, domain, factor=None):
+    def not_harmonic(g_data, domain, factor):
         v = real(g_data, domain, factor)
         return ScalarField(domain.grid, v.values + bump, mask=domain)
 
     u = random_stream_velocity(GRID, generator(3))
-    project_divfree0(u, FULL)
+    project_divfree0(u, FULL, FULL_FACTOR)
     monkeypatch.setattr(divfree, "neumann_harmonic", not_harmonic)
     with pytest.raises(RuntimeError, match="divergence residual"):
-        project_divfree0(u, FULL)
+        project_divfree0(u, FULL, FULL_FACTOR)
     with pytest.raises(RuntimeError, match="divergence residual"):
-        dual_norm_check(u, FULL, c_poincare=1.0)
+        dual_norm_check(u, FULL, 1.0, FULL_FACTOR)
 
 
 def test_dual_seminorm_witness():
     c = poincare_constant(FULL)
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    assert dual_norm_check(u, FULL, c_poincare=c).seminorm <= 1e-8
+    assert dual_norm_check(u, FULL, c, FULL_FACTOR).seminorm <= 1e-8
     z = disk_bump_velocity(GRID, (0.5, 0.5), 0.3)
-    assert dual_norm_check(z, FULL, c_poincare=c).seminorm == pytest.approx(
+    assert dual_norm_check(z, FULL, c, FULL_FACTOR).seminorm == pytest.approx(
         staggered_l2(z), rel=1e-10)
 
 
 def test_dual_norm_check_sweep():
     sq = RasterDomain.full(Grid((48, 48), (1.0, 1.0)))
-    c = poincare_constant(sq)
+    c, factor = poincare_constant(sq), neumann_factor(sq)
     rng = generator(13)
     for _ in range(25):
         u = random_stream_velocity(sq.grid, rng)
-        rep = dual_norm_check(u, sq, c_poincare=c)
+        rep = dual_norm_check(u, sq, c, factor)
         assert rep.slack >= -1e-8 * rep.l2
+
+
+def test_divfree_slack_column_from_its_row(default_runs):
+    # oracle: on every field row of the default `divfree` report,
+    # slack = seminorm + (1 + C) surrogate - l2, C = 1/sqrt(lambda_1) with the
+    # closed-form first nonzero Neumann eigenvalue of the n x n unit-square
+    # raster, lambda_1 = (4/h^2) sin^2(pi/(2n))
+    out, codes = default_runs
+    assert codes["divfree"] == 0
+    n = 64
+    c = 1.0 / np.sqrt(4.0 * n ** 2 * np.sin(np.pi / (2 * n)) ** 2)
+    rows = [line.split(",") for line in
+            (out / "divfree" / "report.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(i) for i in range(100)] + ["witness"]
+    for r in rows[:-1]:
+        l2, seminorm, surrogate, slack = (float(r[i]) for i in (1, 2, 3, 7))
+        scale = l2 + seminorm + (1.0 + c) * surrogate
+        assert abs(slack - (seminorm + (1.0 + c) * surrogate - l2)) <= 1e-10 * scale
 
 
 def test_trace_continuity_surrogate():
@@ -337,18 +337,18 @@ def test_trace_continuity_surrogate():
     rng = generator(23)
     for _ in range(10):
         u = random_stream_velocity(GRID, rng)
-        surrogate = dual_norm_check(u, FULL, c_poincare=c).surrogate
+        surrogate = dual_norm_check(u, FULL, c, FULL_FACTOR).surrogate
         assert surrogate <= (1.0 + c) * staggered_l2(u) * (1 + 1e-12)
 
 
 def test_trace_surrogate_cases():
     c = poincare_constant(FULL)
     zero = StaggeredVectorField.constant(GRID, (0.0, 0.0))
-    assert dual_norm_check(zero, FULL, c_poincare=c).surrogate == 0.0
+    assert dual_norm_check(zero, FULL, c, FULL_FACTOR).surrogate == 0.0
     u = StaggeredVectorField.constant(GRID, (1.0, 0.0))
-    val = dual_norm_check(u, FULL, c_poincare=c).surrogate
+    val = dual_norm_check(u, FULL, c, FULL_FACTOR).surrogate
     assert val == pytest.approx(1.0, abs=0.02)  # ||grad(x - 1/2)|| = 1 + O(h)
-    double = dual_norm_check(u * 2.0, FULL, c_poincare=c).surrogate
+    double = dual_norm_check(u * 2.0, FULL, c, FULL_FACTOR).surrogate
     assert double == pytest.approx(2.0 * val, rel=1e-10)
 
 
@@ -371,7 +371,7 @@ def test_per_slice_static_matches_single_slice():
     series = StepTimeSeries((0.0, 1.0), (u,) * 4)
     [out] = per_slice_project([series], nc, 0.05)
     d = nc.transported(0, 0.05)
-    single = project_divfree0(u.restricted(d), d)
+    single = project_divfree0(u.restricted(d), d, neumann_factor(d))
     for f in out.projected.fields:
         assert staggered_l2(f - single) <= 1e-9 * staggered_l2(u)
     assert _pythagoras_defect(series, out, nc, 0.05) <= 1e-8

@@ -18,6 +18,7 @@ from compactness_lab.parabolic import (DiffusionTensor, NewtonFailure,
                                        hypothesis_monitor, time_derivative_tv)
 from compactness_lab.synth import oscillating_family
 from compactness_lab.truncate import Nonlinearity, nonlinearity_preset
+from conftest import IDENTITY
 
 
 def semi_implicit_step(u_k, delta, A, phi, bc="noflux", t=0.0):
@@ -93,7 +94,7 @@ def test_heat_step_matches_dense_solve_oracle():
                           ("variable", _variable_tensor(g.dim))):
             for bc in ("noflux", "dirichlet0"):
                 L = _dense_flux_operator(g, A.entries(t, g), bc)
-                for name, phi, slope in (("identity", nonlinearity_preset("identity"), 1.0),
+                for name, phi, slope in (("identity", IDENTITY, 1.0),
                                          ("affine", _affine_phi(), 2.0)):
                     oracle = np.linalg.solve(np.eye(g.n_cells) + delta * slope * L, u0.reshape(-1))
                     out = semi_implicit_step(ScalarField(g, u0), delta, A, phi, bc=bc, t=t)
@@ -125,7 +126,7 @@ def test_newton_matrix_is_derivative_of_residual():
 def test_heat_eigenfunction_decay():
     # u_{k+1} = u_k / (1 + delta pi^2) up to O(h^2) for the Dirichlet mode
     g = Grid((256,), (1.0,))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     delta = 0.01
     out = semi_implicit_step(u0, delta, DiffusionTensor.identity(), phi, bc="dirichlet0")
@@ -153,7 +154,8 @@ def test_run_scheme_mass_telescopes_per_step_under_noflux(data):
     else:
         A = diagonal_tensor([lambda t, p, a=a: 1.0 + 0.5 * np.sin(3.0 * p[:, a] + t)
                              for a in range(dim)], coercivity=0.5)
-    phi = nonlinearity_preset(data.draw(st.sampled_from(["identity", "porous:2", "porous:3"])))
+    phi = data.draw(st.sampled_from([IDENTITY, nonlinearity_preset("porous:2"),
+                                     nonlinearity_preset("porous:3")]))
     n = data.draw(st.integers(1, 6))
     run = run_scheme(u0, n, (0.0, data.draw(st.floats(0.001, 0.1))), A, phi, bc="noflux")
     for a, b in zip(run.states[:-1], run.states[1:]):
@@ -194,7 +196,7 @@ def test_barenblatt_benchmark_coarse():
 
 def test_run_scheme_single_step_reduces_to_step():
     g = Grid((64,), (1.0,))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g, lambda p: np.cos(2 * np.pi * p[:, 0]))
     A = DiffusionTensor.identity()
     run = run_scheme(u0, 1, (0.0, 0.1), A, phi)
@@ -274,7 +276,7 @@ def test_newton_failure_reported():
 def test_first_order_time_accuracy():
     # heat equation with exact solution e^{-pi^2 t} sin(pi x): observed order in [0.8, 1.2]
     g = Grid((512,), (1.0,))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     T = 0.1
     errs = []
@@ -300,7 +302,7 @@ def test_energy_report_constant_series():
 
 def test_energy_report_heat_dissipative():
     g = Grid((128,), (1.0,))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     run = run_scheme(u0, 16, (0.0, 0.2), DiffusionTensor.identity(), phi, bc="dirichlet0")
     rep = energy_report(run.series, DiffusionTensor.identity(), phi)
@@ -462,7 +464,7 @@ def test_monitor_identical_series_zero_cauchy():
     g = Grid((64,), (1.0,))
     d = RasterDomain.full(g)
     f = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     fam = [constant_series(f, (0.0, 1.0), n) for n in (8, 16, 32)]
     rep = hypothesis_monitor(fam, phi, 1, d)
     assert all(r[4] == 0.0 for r in rep.rows[1:])
@@ -471,7 +473,7 @@ def test_monitor_identical_series_zero_cauchy():
 def test_monitor_heat_refinements_consistent():
     g = Grid((128,), (1.0,))
     d = RasterDomain.full(g)
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     fam = [run_scheme(u0, n, (0.0, 0.5), DiffusionTensor.identity(), phi,
                       bc="dirichlet0").series for n in (16, 32, 64)]
@@ -484,7 +486,7 @@ def test_monitor_heat_refinements_consistent():
 def test_monitor_adversarial_negative():
     g = Grid((128,), (1.0,))
     d = RasterDomain.full(g)
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     bump = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
     fam = [oscillating_family(bump, (0.0, 1.0), 2 * n, [n])[0] for n in (8, 16, 32, 64)]
     rep = hypothesis_monitor(fam, phi, 1, d)
@@ -498,7 +500,7 @@ def test_monitor_csv_schema(tmp_path):
     g = Grid((64,), (1.0,))
     d = RasterDomain.full(g)
     f = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[:, 0]))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     rep = hypothesis_monitor([constant_series(f, (0.0, 1.0), n) for n in (4, 8)], phi, 1, d)
     path = tmp_path / "monitor.csv"
     path.write_text(_csv_text(rep.columns, rep.rows))
@@ -542,7 +544,7 @@ def test_diffusion_tensor_coercivity_check():
     x = g.axis_centers(0)
     expected = 2.0 * min(1.0 + 0.5 * np.sin(2 * np.pi * x).min(), 1.0)
     u0 = ScalarField.constant(g, 1.0)
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     for declared in (1.0, expected):
         run_scheme(u0, 2, (0.0, 0.5), diagonal_tensor(fns, declared), phi)
     # with the pass above: the checked Spec(A+A^T) is within 1e-12 of `expected`
@@ -561,7 +563,7 @@ def test_run_scheme_checks_coercivity_at_each_reassembly():
     A = diagonal_tensor((lambda t, p: np.full(len(p), 1.0 - t),), coercivity=1.0)
     u0 = ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError, match="t = 0.75"):
-        run_scheme(u0, 4, (0.0, 1.0), A, nonlinearity_preset("identity"))
+        run_scheme(u0, 4, (0.0, 1.0), A, IDENTITY)
 
 
 def test_variable_diagonal_tensor_step_conserves_mass():

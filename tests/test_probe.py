@@ -20,8 +20,7 @@ from compactness_lab.mollify import (convolve_space, convolve_staggered,
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, sobolev_embedding_exponent)
 from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
-                                       constant_series, limit_series,
-                                       run_scheme, series_l2,
+                                       constant_series, run_scheme, series_l2,
                                        time_derivative_tv)
 from compactness_lab.probe import (DECAY_RATIO, Battery, _floor, kruzhkov_probe,
                                    make_battery, ns_probe, series_lp,
@@ -34,6 +33,7 @@ from compactness_lab.synth import (bump, disk_bump_velocity, generator,
                                    random_smooth_field, random_stream_velocity,
                                    translating_disk_ns_family)
 from compactness_lab.truncate import build_beta, nonlinearity_preset
+from conftest import IDENTITY
 
 
 GRID = Grid((64, 64), (1.0, 1.0))
@@ -260,20 +260,19 @@ def limsup_probe(a_seq, phi, eps_list, m, domain, a_limit, k_pipeline):
     if max(tv) > max(4.0 * max(min(tv), tv_floor), tv_floor):
         failures.append("time-derivative measure bound fails across the family "
                         "(pipeline Step 2 hypothesis)")
-    a_lim_series = limit_series(a_limit, a_seq[0])
-    lim_l2 = series_l2(a_lim_series)
+    lim_l2 = series_l2(constant_series(a_limit, a_seq[0].interval, a_seq[0].n_steps))
     interval_measure = (a_seq[0].interval[1] - a_seq[0].interval[0]) * domain.measure
     sup_norm = max(series_l2(s) for s in a_seq)
     eps_rows, worst_defect = [], 0.0
     for eps in sorted(eps_list):
         beta = build_beta(phi, eps)
         b_seq = [s.map(lambda f: f.map(beta)) for s in a_seq]
-        b_lim = a_lim_series.map(lambda f: f.map(beta))
+        b_lim = a_limit.map(beta)
         dev_bound = beta.deviation_constant * eps * np.sqrt(interval_measure) + 1e-12
         if any(series_l2(s - b, [domain] * s.n_steps) > dev_bound * (1.0 + 1e-9)
                for s, b in zip(a_seq, b_seq)):
             failures.append(f"truncation deviation exceeds C_meas*eps at eps={eps:g}")
-        report = product_pipeline(a_seq, b_seq, theta, [k_pipeline], a_lim_series, b_lim)
+        report = product_pipeline(a_seq, b_seq, theta, [k_pipeline], a_limit, b_lim)
         worst_defect = max(worst_defect, report.max_accounting_defect())
         totals = [abs(t) for t in report.column("total", k=k_pipeline)]
         if totals[-1] > max(DECAY_RATIO * totals[0], _floor(sup_norm ** 2)):
@@ -418,7 +417,7 @@ def test_battery_and_dual_estimate_cases():
 
 def test_dual_estimate_heat_flow_bounded():
     g1 = Grid((128,), (1.0,))
-    phi = nonlinearity_preset("identity")
+    phi = IDENTITY
     u0 = ScalarField.from_function(g1, lambda p: np.sin(np.pi * p[:, 0]))
     vals = []
     for n in (16, 32, 64):

@@ -241,7 +241,7 @@ def test_localize_l1_budget():
     f = ScalarField.constant(g, 1.0, mask=disk)
     s = constant_series(f, (0.0, 1.0), 2)
     theta, comp = build_cutoff(disk, 4)
-    loc = s * theta
+    loc = s.map(lambda f: f * theta)
     l1 = lp_norm((f - loc.fields[0]).restricted(disk), 1)
     assert l1 <= comp + 1e-12
 

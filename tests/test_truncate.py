@@ -5,6 +5,7 @@ from compactness_lab.grid import Grid, ScalarField
 from compactness_lab.truncate import (Nonlinearity, build_beta,
                                       chain_gradient_check,
                                       nonlinearity_preset)
+from conftest import IDENTITY
 
 
 def validate(phi, span=(-3.0, 3.0)):
@@ -45,7 +46,8 @@ def two_well():
 
 
 def test_presets_validate():
-    for name in ("identity", "cubic", "porous:2", "porous:1.5"):
+    validate(IDENTITY)
+    for name in ("cubic", "porous:2", "porous:1.5"):
         validate(nonlinearity_preset(name))
 
 
