@@ -231,7 +231,10 @@ def _exp_porous(cfg, seed, out_dir):
     m, t0, t1, half = cfg["m"], cfg["t0"], cfg["t1"], cfg["halfwidth"]
     grid = Grid((cfg["grid_cells"],), (2 * half,))
     phi = nonlinearity_preset(f"porous:{m!r}")
-    profile = barenblatt_profile(m, cfg["mass"])
+    try:
+        profile = barenblatt_profile(m, cfg["mass"])
+    except ValueError as e:
+        raise _bad("porous", "m", m, str(e)) from None
     x = grid.axis_centers(0) - half
     u0 = ScalarField(grid, profile(x, t0))
     A = DiffusionTensor.identity()

@@ -401,7 +401,10 @@ def barenblatt_profile(m, mass=1.0):
     alpha = 1.0 / (m + 1.0)
     kappa = alpha * (m - 1.0) / (2.0 * m)
     p = 1.0 / (m - 1.0)
-    beta_int = np.sqrt(np.pi) * scipy.special.gamma(p + 1.0) / scipy.special.gamma(p + 1.5)
+    g_num, g_den = scipy.special.gamma(p + 1.0), scipy.special.gamma(p + 1.5)
+    if not np.isfinite(g_den):
+        raise ValueError("m too close to 1 for the profile: Gamma(1/(m - 1) + 1.5) overflows")
+    beta_int = np.sqrt(np.pi) * g_num / g_den
     C = (mass * np.sqrt(kappa) / beta_int) ** (1.0 / (p + 0.5))
 
     def profile(x, t):

@@ -48,6 +48,8 @@ MUTANTS = {
     "kruzhkov.term2": ("probe.py", "t2 = series_l2(middle, inner_domains)",
                        "t2 = series_l2(middle, inner_domains) * 1.01"),
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),
+    "movedom.poincare": ("movedom.py", "return float(max(h / (2.0 * np.sin(np.pi / (2 * m)))",
+                         "return 1.01 * float(max(h / (2.0 * np.sin(np.pi / (2 * m)))"),
     "divfree.seminorm": ("divfree.py", "seminorm = staggered_l2(pu)",
                          "seminorm = staggered_l2(pu) * 1.01"),
     "divfree.slack": ("divfree.py", "slack = seminorm + (1.0 + c_poincare) * surrogate - l2",

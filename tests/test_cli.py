@@ -163,6 +163,8 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("porous", "grid_cell = 64"),        # unknown key: a typo for grid_cells
     ("kruzhkov", "budget_tol = nan"),
     ("porous", "mass = -1"),
+    ("porous", "m = 1.0000001"),         # the self-similar profile's Gamma(1/(m - 1) + 1.5)
+    ("porous", "m = 1.005"),             # overflows for m below about 1.00588
     ("commutator", "decay_factor = 0"),
     ("divfree", "residual_tol = nan"),
     ("kruzhkov", "speed = 5"),           # the reference disk leaves the box

@@ -427,14 +427,87 @@ def test_poincare_unit_square_analytic():
     assert c == pytest.approx(1.0 / np.pi, rel=0.01)
 
 
+def filled_box(inside):
+    """Cells per axis of the bounding box of the inside cells when they fill
+    it, else None."""
+    cells = np.argwhere(inside)
+    box = inside[tuple(slice(lo, hi + 1) for lo, hi in zip(cells.min(axis=0), cells.max(axis=0)))]
+    return box.shape if box.all() else None
+
+
 def test_poincare_dense_cross_check_32():
-    # oracle: dense eigensolve of the same Neumann matrix at 32x32
+    # oracle: dense eigensolve of the same Neumann matrix on a 32x32 disk, a
+    # raster that does not fill its bounding box, so shift-invert Lanczos runs
     g = Grid((32, 32), (1.0, 1.0))
-    d = make_domain("square:1.0", g)
+    d = make_domain("disk:0.4", g)
+    assert filled_box(d.inside) is None
     L, _ = neumann_laplacian(d)
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
     lam1 = lam[1]
     assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam1), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape, extent, box", [
+    ((12, 7), (1.0, 3.0), (slice(0, 12), slice(0, 7))),    # the whole grid, hx != hy
+    ((12, 7), (1.0, 3.0), (slice(3, 9), slice(1, 5))),     # off-centre in its grid
+    ((20, 9), (0.5, 2.0), (slice(11, 20), slice(4, 5))),   # one cell wide
+    ((30,), (2.0,), (slice(0, 30),)),
+    ((30,), (2.0,), (slice(7, 19),)),
+])
+def test_poincare_closed_form_on_boxes_matches_dense_eigh(monkeypatch, shape, extent, box):
+    # oracle: dense eigensolve of the Neumann matrix of a raster that fills its
+    # bounding box; the closed form builds no matrix and no factor
+    g = Grid(shape, extent)
+    inside = np.zeros(shape, bool)
+    inside[box] = True
+    d = RasterDomain(g, inside)
+    L, _ = neumann_laplacian(d)
+    lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
+
+    def refuse(*args):
+        raise AssertionError("the closed form needs no matrix")
+
+    monkeypatch.setattr(movedom, "neumann_laplacian", refuse)
+    assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam[1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("experiment, builds", [("movedom", 0), ("divfree", 1)])
+def test_default_run_raster_factor_builds(tmp_path, monkeypatch, experiment, builds):
+    # every Poincare constant of a default run is on a raster that fills its
+    # box: movedom factors nothing, divfree only its Neumann factor
+    from compactness_lab import cli, grid
+    calls = []
+    real = grid.RasterFactor.__init__
+
+    def counted(self, domain, matrix):
+        calls.append(domain)
+        real(self, domain, matrix)
+
+    monkeypatch.setattr(grid.RasterFactor, "__init__", counted)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    assert cli.run(experiment, str(cfg), str(tmp_path / "out"), seed=0) == 0
+    assert len(calls) == builds
+
+
+def test_movedom_poincare_rows_from_the_closed_form(default_runs):
+    # oracle: the first nonzero Neumann eigenvalue of an m x m box of cells of
+    # side h = 1/128 is lambda_1 = (4/h^2) sin^2(pi/(2m)); the unit square and
+    # its 0.05- and 0.1-interiors are such boxes
+    out, codes = default_runs
+    assert codes["movedom"] == 0
+    g = Grid((128, 128), (1.0, 1.0))
+    square = make_domain("square:1.0", g)
+    constants = []
+    for eps in (0.0, 0.05, 0.1):
+        m, m_y = filled_box(eps_interior(square, eps).inside)
+        assert m == m_y
+        constants.append(1.0 / np.sqrt(4.0 * 128 ** 2 * np.sin(np.pi / (2 * m)) ** 2))
+    report = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in
+              (out / "movedom" / "report.csv").read_text().splitlines()[1:]}
+    assert report["poincare", "unit_square"] == pytest.approx(constants[0], rel=1e-12)
+    spread = (max(constants) - min(constants)) / max(constants)
+    assert report["poincare_sweep", "square_spread"] == pytest.approx(spread, rel=1e-12)
 
 
 def _grown_mask(shape, size, rng):

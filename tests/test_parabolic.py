@@ -182,6 +182,18 @@ def test_barenblatt_profile_mass_oracle():
     assert q == pytest.approx(1.0, rel=1e-6)
 
 
+def test_barenblatt_profile_exponent_near_one():
+    # Gamma(1/(m - 1) + 1.5) overflows for m below about 1.00588, which would
+    # make the normalising constant inf/inf; just above, the profile still
+    # carries the requested mass (a near-Gaussian, wider than [-4, 4])
+    for m in (1.0000001, 1.005, 1.0058):
+        with pytest.raises(ValueError, match="too close to 1"):
+            barenblatt_profile(m, 1.0)
+    prof = barenblatt_profile(1.006, 1.0)
+    x = np.linspace(-8, 8, 400001)
+    assert np.trapezoid(prof(x, 0.37), x) == pytest.approx(1.0, rel=1e-6)
+
+
 def test_barenblatt_benchmark_coarse():
     g = Grid((256,), (6.0,))
     phi = nonlinearity_preset("porous:2")
