@@ -3,9 +3,8 @@ profile and audit every hypothesis the compactness argument needs."""
 
 import numpy as np
 
-from compactness_lab import (DiffusionTensor, Grid, RasterDomain, ScalarField,
-                             barenblatt_profile, energy_report, run_scheme,
-                             hypothesis_monitor)
+from compactness_lab import (Grid, RasterDomain, ScalarField, barenblatt_profile,
+                             energy_report, hypothesis_monitor, run_scheme)
 from compactness_lab.parabolic import mass
 from compactness_lab.synth import oscillating_family
 from compactness_lab.truncate import nonlinearity_preset
@@ -21,21 +20,20 @@ phi = nonlinearity_preset("porous:2")
 profile = barenblatt_profile(2.0, mass=1.0)
 x = grid.axis_centers(0) - 3.0
 u0 = ScalarField(grid, profile(x, 0.1))
-A = DiffusionTensor.identity()
 
 print("running N = 256 steps from t = 0.1 to t = 1.0 ...")
-sim = run_scheme(u0, 256, (0.1, 1.0), A, phi, bc="noflux")
+sim = run_scheme(u0, 256, (0.1, 1.0), phi, bc="noflux")
 exact = profile(x, 1.0)
 l1 = np.sum(np.abs(sim.states[-1].values - exact)) * grid.cell_volume
 print(f"  L1 error vs closed form : {l1:.3e} ({l1 / np.sum(np.abs(exact)) / grid.cell_volume:.3%})")
 masses = [mass(f) for f in sim.states]
 print(f"  mass drift (max step)   : {max(abs(b - a) for a, b in zip(masses[:-1], masses[1:])):.2e}")
 print(f"  Newton iterations (max) : {max(sim.newton_iters)}")
-erep = energy_report(sim.series, A, phi)
+erep = energy_report(sim.series, phi)
 print(f"  energy inequality       : {'holds at every step' if erep.ok else erep.violations}")
 
 print("\nhypothesis monitor across time refinements:")
-fam = [run_scheme(u0, n, (0.1, 1.0), A, phi).series for n in (16, 32, 64, 128)]
+fam = [run_scheme(u0, n, (0.1, 1.0), phi).series for n in (16, 32, 64, 128)]
 mon = hypothesis_monitor(fam, phi, 1, RasterDomain.full(grid))
 print("  N     l2        grad_phi   tv(H^-1)  cauchy")
 for n, l2, gp, tv, cz in mon.rows:

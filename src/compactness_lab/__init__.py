@@ -27,9 +27,9 @@ from .movedom import (DiffeoFamily, NonCylindricalDomain, bilipschitz,  # noqa: 
                       eps_exterior, eps_interior, framing_check,
                       jacobian_bounds, make_domain, make_family, peel_measure,
                       poincare_constant, transported_poincare)
-from .parabolic import (DiffusionTensor, SchemeRun, StepTimeSeries,  # noqa: F401
-                        barenblatt_profile, energy_report, run_scheme,
-                        hypothesis_monitor, time_derivative_tv)
+from .parabolic import (SchemeRun, StepTimeSeries, barenblatt_profile,  # noqa: F401
+                        energy_report, hypothesis_monitor, run_scheme,
+                        time_derivative_tv)
 from .productlimit import (exp_orlicz_pair, luxemburg_gauge,  # noqa: F401
                            orlicz_holder_check, product_pipeline)
 from .divfree import (dual_norm_check, neumann_factor, neumann_harmonic,  # noqa: F401

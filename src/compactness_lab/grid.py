@@ -93,10 +93,8 @@ class Grid:
         return np.stack([X, Y], axis=-1)
 
     def corner_coords(self):
-        """Cell-corner coordinates, shape (nx+1[, ny+1], dim)."""
+        """Cell-corner coordinates of a 2D grid, shape (nx+1, ny+1, 2)."""
         axes = [np.arange(n + 1) * h for n, h in zip(self.shape, self.spacing)]
-        if self.dim == 1:
-            return axes[0][:, None]
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.stack([X, Y], axis=-1)
 

@@ -1,16 +1,13 @@
-"""Semi-implicit scheme for d_t u = div(A grad phi(u)), step-in-time series, and
-the hypothesis monitor for the degenerate-parabolic compactness diagnostics.
+"""Semi-implicit scheme for d_t u = Delta phi(u), step-in-time series, and the
+hypothesis monitor for the degenerate-parabolic compactness diagnostics.
 
 The scheme is backward Euler in the flux: (u_{k+1} - u_k)/delta =
-div(A grad phi(u_{k+1})).  L_A = -div(A grad .) is assembled with
-`grid.face_laplacian` (face coefficients 2 A/h^2 on the box edges under
-`dirichlet0`, 0 under `noflux`), together with the place of each of its
-entries in the Newton matrix's band storage.  `run_scheme` assembles it once
-per run and again only at a step whose `A.entries(t, grid)` differ from the
-entries it was built from, so a t-independent A costs one assembly and a
-t-dependent one a fresh L_A per step.  Each step solves
-u - u_k + delta L_A (phi(u) - phi(0)) = 0 by Newton.  The Newton matrix
-I + delta L_A diag(phi') is the exact derivative of that residual, with phi'
+Delta phi(u_{k+1}).  L = -Delta is assembled with `grid.face_laplacian` (face
+coefficients 1/h^2, 2/h^2 on the box edges under `dirichlet0` and 0 under
+`noflux`), together with the place of each of its entries in the Newton
+matrix's band storage, once per `run_scheme`.  Each step solves
+u - u_k + delta L (phi(u) - phi(0)) = 0 by Newton.  The Newton matrix
+I + delta L diag(phi') is the exact derivative of that residual, with phi'
 clamped at 1e-12 to guard the degenerate cells where phi' = 0; each Newton
 iteration is one banded LU solve of it (`scipy.linalg.solve_banded`), in 1D
 and 2D alike.  With no-flux faces the discrete mass telescopes exactly.
@@ -25,8 +22,8 @@ import numpy as np
 import scipy
 
 from .grid import (RasterDomain, ScalarField, StaggeredVectorField,
-                   _axis_slices, dirichlet_factor, face_laplacian, gradient,
-                   h_minus_m_norm, inner, lp_norm, staggered_l2)
+                   dirichlet_factor, face_laplacian, gradient, h_minus_m_norm,
+                   inner, lp_norm, staggered_l2)
 
 NEWTON_MAX_ITERS = 50
 NEWTON_TOL = 1e-10
@@ -66,11 +63,6 @@ class StepTimeSeries:
     @property
     def grid(self):
         return self.fields[0].grid
-
-    def times(self):
-        """Partition points t_0 .. t_N."""
-        a, b = self.interval
-        return a + np.arange(self.n_steps + 1) * self.delta
 
     def map(self, fn):
         return StepTimeSeries(self.interval, tuple(fn(f) for f in self.fields))
@@ -133,55 +125,14 @@ def series_distance(fine, coarse):
         f for f in coarse.fields for _ in range(ratio))))
 
 
-# ---------------------------------------------------------------------------
-# diffusion tensor
-
-
-class DiffusionTensor:
-    """Cellwise diagonal diffusion tensor A(t, x) with a declared coercivity
-    lambda <= Spec(A + A^T) = 2 min(entries), which `run_scheme` checks.
-
-    `entries(t, grid)` returns per-cell arrays (a11,) in 1D or (a11, a22) in 2D;
-    the scheme only accepts diagonal tensors.
-    """
-
-    def __init__(self, entries, coercivity):
-        self._entries = entries
-        self.coercivity = float(coercivity)
-        if self.coercivity <= 0:
-            raise ValueError("coercivity must be positive")
-
-    @classmethod
-    def identity(cls, scale=1.0):
-        def entries(t, grid):
-            return tuple(np.full(grid.shape, float(scale)) for _ in range(grid.dim))
-
-        return cls(entries, coercivity=2.0 * scale)
-
-    def entries(self, t, grid):
-        out = self._entries(t, grid)
-        if len(out) != grid.dim:
-            raise ValueError("diffusion tensor entry count does not match grid dim")
-        return out
-
-
-def _face_coefficients(entries, grid, axis):
-    """Arithmetic-mean face values of a cellwise coefficient along one axis;
-    boundary faces take the adjacent cell's value."""
-    pad = [(int(a == axis),) * 2 for a in range(grid.dim)]
-    a = np.pad(entries[axis], pad, mode="edge")
-    below, above, _ = _axis_slices(grid.dim, axis)
-    return 0.5 * (a[below] + a[above])
-
-
-def _flux_operator(entries, grid, bc):
-    """L_A on the whole box from A's cell `entries`, as (L_A, band, slots):
-    band is the half-width of the Newton matrix (1 in 1D, one raster row in
-    2D, as cells are numbered row-major) and slots the flat place of each
-    stored entry of L_A in its LAPACK band layout, ab[band + i - j, j] = J[i, j]."""
+def _flux_operator(grid, bc):
+    """L = -Delta on the whole box, as (L, band, slots): band is the
+    half-width of the Newton matrix (1 in 1D, one raster row in 2D, as cells
+    are numbered row-major) and slots the flat place of each stored entry of
+    L in its LAPACK band layout, ab[band + i - j, j] = J[i, j]."""
     if bc not in ("noflux", "dirichlet0"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    coef = [_face_coefficients(entries, grid, a) / h ** 2 for a, h in enumerate(grid.spacing)]
+    coef = [1.0 / h ** 2 for h in grid.spacing]
     edge = [2.0 * c if bc == "dirichlet0" else 0.0 for c in coef]
     L, _ = face_laplacian(RasterDomain.full(grid), coef, edge)
     n = L.shape[0]
@@ -193,9 +144,9 @@ def _flux_operator(entries, grid, bc):
 
 def _backward_euler(u_k, delta, flux_operator, phi):
     """Residual and Newton matrix of one backward-Euler step with the
-    `_flux_operator` (L_A, band, slots), as functions of the flat state u:
-    F(u) = u - u_k + delta L_A (phi(u) - phi(0)) and
-    dF/du = I + delta L_A diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
+    `_flux_operator` (L, band, slots), as functions of the flat state u:
+    F(u) = u - u_k + delta L (phi(u) - phi(0)) and
+    dF/du = I + delta L diag(max(phi'(u), JACOBIAN_CLAMP)).  The Newton
     matrix comes as the (2 band + 1, n) array `ab` in the band layout that
     `scipy.linalg.solve_banded` takes."""
     if delta <= 0:
@@ -252,30 +203,20 @@ class SchemeRun:
     final_residuals: list
 
 
-def run_scheme(u0, n_steps, interval, A, phi, bc="noflux"):
+def run_scheme(u0, n_steps, interval, phi, bc="noflux"):
     """Iterate the semi-implicit step over a uniform partition of `interval`.
 
     The returned series places state u_k on (t_k, t_{k+1}); the state at the
-    final time is exposed via `states[-1]`.  L_A is assembled at the first
-    step and again only where A's entries change; each time, a ValueError
-    unless 2 min(entries) >= A.coercivity - 1e-12.
+    final time is exposed via `states[-1]`.  L is assembled once, before the
+    first step.
     """
     a, b = interval
     delta = (b - a) / n_steps
-    grid = u0.grid
+    flux = _flux_operator(u0.grid, bc)
     states = [u0]
     iters, residuals = [], []
-    entries = operator = None
-    for k in range(n_steps):
-        t = a + (k + 1) * delta
-        step_entries = A.entries(t, grid)
-        if operator is None or not all(map(np.array_equal, step_entries, entries)):
-            spec = 2.0 * min(float(np.min(e)) for e in step_entries)
-            if spec < A.coercivity - 1e-12:
-                raise ValueError(f"Spec(A+A^T) = {spec:.3e} at t = {t:g} is below the "
-                                 f"declared coercivity {A.coercivity:.3e}")
-            entries, operator = step_entries, _flux_operator(step_entries, grid, bc)
-        nxt, history = _newton_step(states[-1], delta, operator, phi)
+    for _ in range(n_steps):
+        nxt, history = _newton_step(states[-1], delta, flux, phi)
         states.append(nxt)
         iters.append(len(history))
         residuals.append(history[-1])
@@ -301,28 +242,19 @@ class EnergyReport:
         return not self.violations
 
 
-def energy_report(s, A, phi, rel_tol=1e-8):
+def energy_report(s, phi, rel_tol=1e-8):
     """Per transition u_k -> u_{k+1} inside the series, check
-    int psi(u_{k+1}) + delta <grad phi(u_{k+1}), A grad phi(u_{k+1})> <= int psi(u_k).
-    psi is integrated once per state, and A's face coefficients are rebuilt
-    only at a step whose `A.entries` differ from the ones they were built
-    from."""
+    int psi(u_{k+1}) + delta int |grad phi(u_{k+1})|^2 <= int psi(u_k); psi
+    is integrated once per state."""
     report = EnergyReport()
     delta = s.delta
-    grid = s.grid
-    vol = grid.cell_volume
-    times = s.times()
+    vol = s.grid.cell_volume
     psi = [float(np.sum(phi.psi(f.values)) * vol) for f in s.fields]
-    entries = coefs = None
     for k in range(s.n_steps - 1):
-        step_entries = A.entries(times[k + 1], grid)
-        if coefs is None or not all(map(np.array_equal, step_entries, entries)):
-            entries = step_entries
-            coefs = [_face_coefficients(entries, grid, a) for a in range(grid.dim)]
         g = gradient(s.fields[k + 1].map(phi.phi))
         diss = 0.0
-        for coef, c in zip(coefs, g.components):
-            diss += float(np.sum(coef * c ** 2) * vol)
+        for c in g.components:
+            diss += float(np.sum(c ** 2) * vol)
         rhs = psi[k]
         lhs = psi[k + 1] + delta * diss
         report.rows.append((k, lhs, rhs, delta * diss))

@@ -33,6 +33,10 @@ SKIPPED = ("tests/test_golden.py", "tests/test_demos.py")
 # name -> (module of src/compactness_lab, original text, mutated text); each
 # original text occurs exactly once in its module
 MUTANTS = {
+    "porous.l2_norm": ("parabolic.py", "l2 = series_l2(s)", "l2 = series_l2(s) * 1.01"),
+    "porous.cauchy_to_prev": (
+        "parabolic.py", "cauchy = np.nan if prev is None else series_distance(s, prev)",
+        "cauchy = np.nan if prev is None else series_distance(s, prev) * 1.01"),
     "porous.grad_phi_l2": ("parabolic.py", "gphi = grad_phi_l2(s, phi)",
                            "gphi = grad_phi_l2(s, phi) * 1.01"),
     "porous.tv_hminus_m": ("parabolic.py", "tv = time_derivative_tv(s, m, factor)",

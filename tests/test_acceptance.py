@@ -22,9 +22,9 @@ from compactness_lab.mollify import commutator, make_mollifier
 from compactness_lab.movedom import (NonCylindricalDomain, eps_interior,
                                      framing_check, make_domain, make_family,
                                      poincare_constant)
-from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
-                                       barenblatt_profile, energy_report, mass,
-                                       run_scheme, hypothesis_monitor)
+from compactness_lab.parabolic import (StepTimeSeries, barenblatt_profile,
+                                       energy_report, mass, run_scheme,
+                                       hypothesis_monitor)
 from compactness_lab.probe import kruzhkov_probe, ns_probe
 from compactness_lab.synth import (disk_bump_velocity, generator,
                                    oscillating_family,
@@ -88,14 +88,13 @@ def test_criterion_03_barenblatt_benchmark():
     prof = barenblatt_profile(2.0, 1.0)
     x = g.axis_centers(0) - 3.0
     u0 = ScalarField(g, prof(x, 0.1))
-    A = DiffusionTensor.identity()
-    sim = run_scheme(u0, 256, (0.1, 1.0), A, phi, bc="noflux")
+    sim = run_scheme(u0, 256, (0.1, 1.0), phi, bc="noflux")
     exact = prof(x, 1.0)
     l1 = np.sum(np.abs(sim.states[-1].values - exact)) * g.cell_volume
     l1_rel = l1 / (np.sum(np.abs(exact)) * g.cell_volume)
     masses = [mass(f) for f in sim.states]
     drift = max(abs(b - a) for a, b in zip(masses[:-1], masses[1:])) / abs(masses[0])
-    erep = energy_report(sim.series, A, phi, rel_tol=1e-8)
+    erep = energy_report(sim.series, phi, rel_tol=1e-8)
     report(3, l1_rel <= 0.02 and drift <= 1e-12 and erep.ok,
            f"L1 error {l1_rel:.4%} (<= 2%), mass drift {drift:.2e} (<= 1e-12), "
            f"energy inequality ok at all {len(erep.rows)} steps")
@@ -107,8 +106,7 @@ def test_criterion_04_hypothesis_monitor():
     phi = nonlinearity_preset("porous:2")
     prof = barenblatt_profile(2.0, 1.0)
     u0 = ScalarField(g, prof(g.axis_centers(0) - 3.0, 0.1))
-    A = DiffusionTensor.identity()
-    fam = [run_scheme(u0, n, (0.1, 1.0), A, phi).series for n in (16, 32, 64, 128)]
+    fam = [run_scheme(u0, n, (0.1, 1.0), phi).series for n in (16, 32, 64, 128)]
     mon = hypothesis_monitor(fam, phi, 1, dom)
     cols_ok = mon.verdict
     cauchy = [r[4] for r in mon.rows[1:]]

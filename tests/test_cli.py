@@ -58,9 +58,9 @@ def test_porous_exponent_reaches_the_scheme_exactly(tmp_path, monkeypatch):
     exponents = []
     real = cli.run_scheme
 
-    def spy(u0, n, interval, A, phi, **kwargs):
+    def spy(u0, n, interval, phi, **kwargs):
         exponents.append(phi.dphi(np.ones(1))[0])  # m |1|^(m - 1) = m
-        return real(u0, n, interval, A, phi, **kwargs)
+        return real(u0, n, interval, phi, **kwargs)
 
     monkeypatch.setattr(cli, "run_scheme", spy)
     cfg = write_cfg(tmp_path, "m.cfg", "[porous]\nm = 2.0000001\ngrid_cells = 64\nn_list = 16,32\n")
@@ -165,6 +165,8 @@ def test_commutator_zero_family_reports_exact_zeros(tmp_path):
     ("porous", "mass = -1"),
     ("porous", "m = 1.0000001"),         # the self-similar profile's Gamma(1/(m - 1) + 1.5)
     ("porous", "m = 1.005"),             # overflows for m below about 1.00588
+    ("porous", "n_list = 16,24"),        # the Cauchy column compares nested partitions
+    ("porous", "n_list = 64,32,16"),
     ("commutator", "decay_factor = 0"),
     ("divfree", "residual_tol = nan"),
     ("kruzhkov", "speed = 5"),           # the reference disk leaves the box

@@ -19,9 +19,8 @@ from compactness_lab.mollify import (convolve_space, convolve_staggered,
                                      make_mollifier)
 from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
                                      make_family, sobolev_embedding_exponent)
-from compactness_lab.parabolic import (DiffusionTensor, StepTimeSeries,
-                                       constant_series, run_scheme, series_l2,
-                                       time_derivative_tv)
+from compactness_lab.parabolic import (StepTimeSeries, constant_series,
+                                       run_scheme, series_l2, time_derivative_tv)
 from compactness_lab.probe import (DECAY_RATIO, Battery, _floor, kruzhkov_probe,
                                    make_battery, ns_probe, series_lp,
                                    shift_budget_lines, step3_dual_constant,
@@ -421,7 +420,7 @@ def test_dual_estimate_heat_flow_bounded():
     u0 = ScalarField.from_function(g1, lambda p: np.sin(np.pi * p[:, 0]))
     vals = []
     for n in (16, 32, 64):
-        run = run_scheme(u0, n, INTERVAL, DiffusionTensor.identity(), phi, bc="dirichlet0")
+        run = run_scheme(u0, n, INTERVAL, phi, bc="dirichlet0")
         bat = scalar_battery(g1, INTERVAL, n, seed=3)
         c, _ = dual_time_estimate(run.series, bat)
         vals.append(c)
