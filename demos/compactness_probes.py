@@ -41,8 +41,7 @@ nc2 = NonCylindricalDomain(fam2, ref2, 16)
 members = translating_disk_ns_family(grid, interval, 16, 4, center, 0.3,
                                      (speed, 0.0), stream_fraction=0.55)
 delta_list = [0.0625, 0.03125]
-dt = 1.0 / 16
-rep = ns_probe(members, nc2, delta_list, [dt, 2 * dt, 4 * dt],
+rep = ns_probe(members, nc2, delta_list, (1, 2, 4),
                nc2.compact_core(2 * max(delta_list)))
 print(f"  translating-disk family: verdict {'POSITIVE' if rep.verdict else 'NEGATIVE'}")
 print(f"  step-1 defect by delta : "
@@ -55,7 +54,7 @@ ref3 = make_domain("disk:0.3", grid)
 nc3 = NonCylindricalDomain(fam3, ref3, 16)
 adv = oscillating_family(disk_bump_velocity(grid, (0.5, 0.5), 0.55 * 0.3),
                          interval, 16, [2, 4, 8])
-rep2 = ns_probe(adv, nc3, delta_list, [dt, 2 * dt, 4 * dt],
+rep2 = ns_probe(adv, nc3, delta_list, (1, 2, 4),
                 nc3.compact_core(2 * max(delta_list)))
 print(f"\n  oscillating family: verdict {'POSITIVE' if rep2.verdict else 'NEGATIVE'}")
 for f in rep2.failures:

@@ -335,17 +335,16 @@ def _exp_movedom(cfg, seed, out_dir):
         if not ok:
             failures.append(f"{check}:{name}")
 
-    # the eps = 0 interior is the square itself, whose constant is c_sq
-    interiors = [None if e == 0.0 else eps_interior(square, e) for e in cfg["eps_list"]]
+    interiors = [eps_interior(square, e) for e in cfg["eps_list"]]
     for e, inner in zip(cfg["eps_list"], interiors):
-        if inner is not None and inner.n_inside < 2:
+        if inner.n_inside < 2:
             raise _bad("movedom", "eps_list", cfg["eps_list"],
                        f"the {e:g}-interior of the unit square holds {inner.n_inside} "
                        "cells; a Poincare constant needs two")
     c_sq = poincare_constant(square)
     ok = abs(c_sq - 1.0 / np.pi) <= cfg["poincare_tol"] / np.pi
     record("poincare", "unit_square", c_sq, 1.0 / np.pi, ok)
-    sweep = [c_sq if inner is None else poincare_constant(inner) for inner in interiors]
+    sweep = [poincare_constant(inner) for inner in interiors]
     spread = (max(sweep) - min(sweep)) / max(sweep)
     record("poincare_sweep", "square_spread", spread, cfg["spread_tol"],
            spread <= cfg["spread_tol"])
@@ -454,9 +453,7 @@ def _exp_nsprobe(cfg, seed, out_dir):
     slices = [nc.slice_raster(k) for k in range(n_slices)]
     members = [s.restricted(slices) for s in family]
     del family
-    dt = (interval[1] - interval[0]) / n_slices
-    report = ns_probe(members, nc, delta_list, [dt, 2 * dt, 4 * dt], compact,
-                      battery_seed=seed)
+    report = ns_probe(members, nc, delta_list, (1, 2, 4), compact, battery_seed=seed)
     failures = list(report.failures)
     if report.budget_defect > 1e-10:
         failures.append(f"budget additivity defect {report.budget_defect:.3e}")

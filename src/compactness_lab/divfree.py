@@ -65,7 +65,7 @@ def neumann_factor(domain):
     every solve on that raster; it refuses any other raster."""
     if not domain.is_connected():
         raise ValueError("harmonic extension needs a connected raster")
-    L, _ = neumann_laplacian(domain)
+    L = neumann_laplacian(domain)
     L[0, 0] += 1.0  # in place: every row of L stores its diagonal
     return RasterFactor(domain, L)
 
@@ -126,7 +126,7 @@ def _check_residuals(u, pu, domain):
     scale = staggered_l2(u) + 1e-300
     h = min(domain.grid.spacing)
     added = divergence(pu - u).values[domain.inside]
-    div_res = float(np.max(np.abs(added))) if domain.n_inside else 0.0
+    div_res = float(np.max(np.abs(added)))
     if div_res > 10 * DIV_RESIDUAL_TOL * scale / h:
         raise RuntimeError(f"projected field divergence residual {div_res:.3e} out of tolerance")
 

@@ -24,10 +24,10 @@ carries no mask and loses no value.  Norms take the raster they measure over
 (`lp_norm`, `staggered_l2`), so a field is measured on another raster
 without a restricted copy.
 
-The one operator assembler, `face_laplacian`, builds -div(c grad .) on a raster's
-inside cells from per-face coefficients plus a boundary-face closure: the
-Dirichlet and Neumann Laplacians are two calls to it, and the parabolic
-scheme's Newton matrix is built from the same operator.
+The one operator assembler, `face_laplacian`, builds -Delta on a raster's
+inside cells with a boundary-face closure: the Dirichlet and Neumann
+Laplacians are two calls to it, and the parabolic scheme's Newton matrix is
+built from the same operator.
 """
 
 from __future__ import annotations
@@ -476,14 +476,15 @@ def divergence(u):
 # a dense eigenbasis as reference
 
 
-def face_laplacian(domain, coef, boundary_coef):
-    """-div(c grad .) on the inside cells of a raster: CSR matrix and cell index
-    (row number per cell, -1 outside).
+def face_laplacian(domain, edge):
+    """-Delta on the inside cells of a raster, as a CSR matrix whose rows are
+    the inside cells in row-major order.
 
-    `coef[a]` and `boundary_coef[a]` are scalars or face arrays of axis a.  A
-    face between two inside cells couples them with weight coef; a face with
-    exactly one inside neighbour adds boundary_coef to that cell's diagonal
-    (grid edges count as outside).  Every row stores its diagonal entry.
+    A face of axis a between two inside cells couples them with weight
+    1/h_a^2; a face with exactly one inside neighbour adds edge/h_a^2 to that
+    cell's diagonal (grid edges count as outside): edge = 1 closes the
+    raster with a Dirichlet condition, 0 with a Neumann one.  Every row
+    stores its diagonal entry.
     """
     grid, inside = domain.grid, domain.inside
     n = domain.n_inside
@@ -495,35 +496,32 @@ def face_laplacian(domain, coef, boundary_coef):
     diag = np.zeros(grid.shape)
     for a, (interior, boundary, _) in enumerate(domain.face_masks):
         below, above, inner = _axis_slices(grid.dim, a)
-        c = np.broadcast_to(coef[a], interior.shape)
-        w = np.where(interior, c, boundary * boundary_coef[a])
+        c = 1.0 / grid.spacing[a] ** 2
+        w = np.where(interior, c, boundary * (edge * c))
         diag += w[above]
         diag += w[below]
         link = interior[inner]
         i, j = index[below][link], index[above][link]
         rows.extend([i, j])
         cols.extend([j, i])
-        vals.extend([-c[inner][link]] * 2)
+        vals.extend([np.full(i.size, -c)] * 2)
     rows.append(np.arange(n))
     cols.append(np.arange(n))
     vals.append(diag[inside])
-    L = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    return L, index
 
 
 def dirichlet_laplacian(domain):
     """5-point (3-point in 1D) Dirichlet Laplacian on a raster's inside cells, CSR."""
-    c = [1.0 / h ** 2 for h in domain.grid.spacing]
-    return face_laplacian(domain, c, c)
+    return face_laplacian(domain, 1.0)
 
 
 def neumann_laplacian(domain):
     """5-point Neumann (no-flux) Laplacian on a raster's inside cells, CSR; the
     diagonal counts interior faces only, so constants are in the kernel exactly."""
-    c = [1.0 / h ** 2 for h in domain.grid.spacing]
-    return face_laplacian(domain, c, [0.0] * len(c))
+    return face_laplacian(domain, 0.0)
 
 
 class DirichletEigenbasis:
@@ -533,7 +531,7 @@ class DirichletEigenbasis:
 
     def __init__(self, domain):
         self.domain = domain
-        L, _ = dirichlet_laplacian(domain)
+        L = dirichlet_laplacian(domain)
         lam, vec = scipy.linalg.eigh(L.toarray())
         self.eigenvalues = lam
         # orthonormal wrt <f,g> = vol * sum f g
@@ -570,7 +568,7 @@ def dirichlet_factor(domain):
     """The factor of I+L, L the Dirichlet Laplacian of a raster, for
     `h_minus_m_norm`.  Build it once per raster and pass it to every norm on
     that raster."""
-    L, _ = dirichlet_laplacian(domain)
+    L = dirichlet_laplacian(domain)
     return RasterFactor(domain, scipy.sparse.identity(L.shape[0], format="csr") + L)
 
 

@@ -236,7 +236,7 @@ class NonCylindricalDomain:
     def transported(self, k, eps):
         """Raster of A_{t_k}(Omega_eps)."""
         def build():
-            base = self.eroded_reference(eps) if eps > 0 else self.reference
+            base = self.eroded_reference(eps)
             return RasterDomain(self.grid, _pull_back(self.family, base, self.slice_times()[k]))
         return self._cached("transported", k, eps, build)
 
@@ -307,8 +307,6 @@ class PeelReport:
 def peel_measure(nc, eps):
     """sup_t of the rasterized measure of Omega^t minus A_t(Omega_eps), against
     the transport bound beta * mu(Omega minus Omega_eps)."""
-    if eps == 0.0:
-        return PeelReport(0.0, 0.0)
     worst = 0.0
     for k in range(nc.n_slices):
         peel = nc.slice_raster(k).inside & ~nc.transported(k, eps).inside
@@ -346,7 +344,7 @@ def poincare_constant(domain):
         # 1/sqrt(lambda_1) = h_a / (2 sin(pi/(2 m_a))) on the axis that sets lambda_1
         return float(max(h / (2.0 * np.sin(np.pi / (2 * m)))
                          for h, m in zip(domain.grid.spacing, counts) if m >= 2))
-    L, _ = neumann_laplacian(domain)
+    L = neumann_laplacian(domain)
     n = L.shape[0]
     scale = float(L.diagonal().max())
     zero_tol = 1e-8 * scale

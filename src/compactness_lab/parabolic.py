@@ -132,9 +132,7 @@ def _flux_operator(grid, bc):
     L in its LAPACK band layout, ab[band + i - j, j] = J[i, j]."""
     if bc not in ("noflux", "dirichlet0"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    coef = [1.0 / h ** 2 for h in grid.spacing]
-    edge = [2.0 * c if bc == "dirichlet0" else 0.0 for c in coef]
-    L, _ = face_laplacian(RasterDomain.full(grid), coef, edge)
+    L = face_laplacian(RasterDomain.full(grid), 2.0 if bc == "dirichlet0" else 0.0)
     n = L.shape[0]
     band = int(np.prod(grid.shape[1:]))
     rows = np.repeat(np.arange(n), np.diff(L.indptr))

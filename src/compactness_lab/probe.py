@@ -16,14 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divfree import per_slice_project
-from .grid import (RasterDomain, _axis_slices, signed_distance_transform,
-                   staggered_inner, staggered_l2)
+from .grid import _axis_slices, signed_distance_transform, staggered_inner, staggered_l2
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz, sobolev_embedding_exponent
 from .parabolic import series_l2, slices_l2
 from .synth import bump, generator, random_stream_velocity
 
 DECAY_RATIO = 0.6
+SHIFT_SAFETY_TIMES = 16
 CAUCHY_RATIO = 0.35
 FLOOR_FACTOR = 1e-6
 
@@ -138,10 +138,11 @@ def kruzhkov_probe(f_seq, nc, m_interior, ell_list):
 # time-shift safety radius
 
 
-def time_shift_safety(nc, delta, n_times=16):
+def time_shift_safety(nc, delta):
     """Largest xi > 1e-4 on a dyadic search with A_{t+sigma}(Omega_{2 delta})
-    inside A_t(Omega_delta) for all sampled t and sigma in {xi/4, xi/2, xi}
-    (rasterized, 1.5-cell band), else 0; the erosions come from `nc`'s memo."""
+    inside A_t(Omega_delta) for sigma in {xi/4, xi/2, xi} and the
+    SHIFT_SAFETY_TIMES sample times t (rasterized, 1.5-cell band), else 0;
+    the erosions come from `nc`'s memo."""
     family, grid = nc.family, nc.grid
     a, b = family.interval
     d1 = nc.eroded_reference(delta)
@@ -156,7 +157,7 @@ def time_shift_safety(nc, delta, n_times=16):
     # one level down, the dyadic search asks again about xi/2 and xi/4
     @functools.cache
     def inclusion_holds(sigma):
-        tt = np.linspace(a, max(a, b - sigma), n_times)
+        tt = np.linspace(a, max(a, b - sigma), SHIFT_SAFETY_TIMES)
         for t in tt:
             m1 = pulled(d1, t)
             viol = pulled(d2, t + sigma) & ~m1
@@ -283,46 +284,49 @@ class NsProbeReport:
     columns = tuple(f.name for f in fields(NsProbeRow))
 
 
-def shift_budget_lines(u, v, pu, j, window):
-    """Window norms of lambda_s d - d, s = j slices, for d = u - v, v - pu
-    and pu (lines 1-3), for d = u (the total) and for the re-summed defect
-    line1 + line2 + line3 - total, bitwise as `series_l2` of the shifted
-    series, streamed slice by slice.
+def shift_budget_lines(u, v, pu, j, first, compact):
+    """Norms over `compact` on the slices k >= first of lambda_s d - d, s = j
+    slices with 1 <= j <= first, for d = u - v, v - pu and pu (lines 1-3),
+    for d = u (the total) and for the re-summed defect line1 + line2 + line3
+    - total: bitwise `series_l2` of the shifted series on the window that
+    holds nothing before slice `first`, streamed slice by slice.
 
-    lambda_s d - d on slice k is d_{k-j} - d_k, with d_{k-j} the zero field
-    `d_0 * 0.0` for k < j.  Each slice's parts u_k - v_k and v_k - pu_k are
-    formed once and held until slice k + j has read them, so about j + 1
-    slices of each part are alive at a time, not whole series; the squared
-    norms add up in slice order, as in `series_l2`."""
+    lambda_s d - d on slice k is d_{k-j} - d_k.  Each slice's parts u_k - v_k
+    and v_k - pu_k, from slice first - j on, are formed once and held until
+    slice k + j has read them, so about j + 1 slices of each part are alive
+    at a time, not whole series; the squared norms add up in slice order, as
+    in `series_l2`."""
+    if not 1 <= j <= first:
+        raise ValueError(f"shift j = {j} must lie in [1, first = {first}]")
     n = u.n_steps
     held = collections.deque()
     sums = [0.0] * 5
-    for k, (uk, vk, pk) in enumerate(zip(u.fields, v.fields, pu.fields, strict=True)):
+    for k in range(first - j, n):
+        uk, vk, pk = u.fields[k], v.fields[k], pu.fields[k]
         parts = (uk - vk, vk - pk, pk, uk)
-        if k == 0:
-            zeros = tuple(f * 0.0 for f in parts)
-        earlier = held.popleft() if k >= j else zeros
+        if k >= first:
+            diffs = [a - b for a, b in zip(held.popleft(), parts)]
+            diffs.append(diffs[0] + diffs[1] + diffs[2] - diffs[3])
+            for m, d in enumerate(diffs):
+                sums[m] += staggered_l2(d, compact) ** 2
         if k + j < n:
             held.append(parts)
-        diffs = [a - b for a, b in zip(earlier, parts)]
-        diffs.append(diffs[0] + diffs[1] + diffs[2] - diffs[3])
-        for m, d in enumerate(diffs):
-            sums[m] += staggered_l2(d, window[k]) ** 2
     return [float(np.sqrt(total * u.delta)) for total in sums]
 
 
-def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
+def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
     """Equicontinuity budget for per-slice div-free families on a moving domain.
 
     Per mollification radius delta (1/delta integer): Step-1 projection defect
     on the 2delta-transported slices against the strip-mass chain bound
     kappa ||u_n||_r mu(strip)^{1/2 - 1/r}, with r halfway between 2 and the
     Sobolev exponent of 2 and the trace-equivalence factor kappa measured on
-    the first member; Step-3 dual
-    constants on a seeded battery, the time-shift safety radius, and the
-    three-line translation budget on the compact raster.  Verdict: the budget
-    lines vanish in the proof's order (delta first, then s) and the dual
-    constants stay bounded across the family.
+    the first member; Step-3 dual constants on a seeded battery, the
+    time-shift safety radius, and the three-line translation budget on the
+    compact raster for each shift s = j delta_t within that radius, j in
+    `j_list` a whole number of slices.  Verdict: the budget lines vanish in
+    the proof's order (delta first, then s) and the dual constants stay
+    bounded across the family.
 
     Per delta the mollified and projected members are held whole; every
     field derived from them (the mollification line, the jumps of step 3,
@@ -335,7 +339,6 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
     q = sobolev_embedding_exponent(2, grid.dim)
     r = (2.0 + q) / 2.0
     slice_domains = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    nowhere = RasterDomain(grid, np.zeros(grid.shape, dtype=bool))
     members = [s.restricted(slice_domains) for s in u_seq]
     scale = max(series_l2(s) for s in members)
     r_norms = [series_lp(s, r) for s in members[1:]]
@@ -387,18 +390,15 @@ def ns_probe(u_seq, nc, delta_list, s_list, compact, battery_seed=0):
         moll_sup[delta] = max(molls)
         # the compact subset of space-time: `compact` on the slices from the
         # largest shift on, nothing before it
-        j_window = max((round(s / delta_t) for s in s_list), default=0)
-        window = [nowhere] * j_window + [compact] * (nc.n_slices - j_window)
-        for s in sorted(s_list):
+        first = max(j_list, default=0)
+        for j in sorted(j_list):
+            s = j * delta_t
             if not (0 < s <= xi + 1e-12):
-                continue
-            j = round(s / delta_t)
-            if j == 0 or abs(s - j * delta_t) > 1e-9 * max(1.0, abs(s)):
                 continue
             for i, u_series in enumerate(members):
                 v, proj = projected[i]
                 l1, l2v, l3, tot, defect = shift_budget_lines(u_series, v, proj.projected,
-                                                              j, window)
+                                                              j, first, compact)
                 budget_defect = max(budget_defect, defect / (tot + 1e-300))
                 rows.append(NsProbeRow(i + 1, delta, s, defects[i], c3s[i],
                                        l1, l2v, l3, tot))

@@ -52,6 +52,11 @@ MUTANTS = {
     "kruzhkov.term2": ("probe.py", "t2 = series_l2(middle, inner_domains)",
                        "t2 = series_l2(middle, inner_domains) * 1.01"),
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),
+    "movedom.peel_bound": ("cli.py", "peel.bound * 1.02,", "peel.bound * 1.02 * 1.01,"),
+    "movedom.jacobian_value": ("cli.py", 'record("jacobian", name, jb.raw_min,',
+                               'record("jacobian", name, jb.raw_min * 1.01,'),
+    "movedom.jacobian_bound": ("cli.py", "name, jb.raw_min, jb.raw_max,",
+                               "name, jb.raw_min, jb.raw_max * 1.01,"),
     "movedom.poincare": ("movedom.py", "return float(max(h / (2.0 * np.sin(np.pi / (2 * m)))",
                          "return 1.01 * float(max(h / (2.0 * np.sin(np.pi / (2 * m)))"),
     "divfree.seminorm": ("divfree.py", "seminorm = staggered_l2(pu)",

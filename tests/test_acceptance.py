@@ -48,7 +48,7 @@ def test_criterion_01_poincare_unit_square():
     # cross-check: dense eigensolve of the same operator at 32x32
     g32 = Grid((32, 32), (1.0, 1.0))
     d32 = make_domain("square:1.0", g32)
-    L, _ = neumann_laplacian(d32)
+    L = neumann_laplacian(d32)
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
     dense = 1.0 / np.sqrt(lam[1])
     cross = abs(poincare_constant(d32) - dense) / dense
@@ -255,16 +255,15 @@ def test_criterion_09_ns_probe():
                                          (speed, 0.0), stream_fraction=0.55)
     delta_list = [0.0625, 0.03125]
     compact = nc.compact_core(2 * max(delta_list))
-    dt = 1.0 / n_slices
-    s_list = [dt, 2 * dt, 4 * dt]
-    pos = ns_probe(members, nc, delta_list, s_list, compact, battery_seed=0)
+    j_list = [1, 2, 4]
+    pos = ns_probe(members, nc, delta_list, j_list, compact, battery_seed=0)
     fam2 = make_family("identity", interval)
     ref2 = make_domain("disk:0.3", g)
     nc2 = NonCylindricalDomain(fam2, ref2, n_slices)
     adv = oscillating_family(disk_bump_velocity(g, (0.5, 0.5), 0.55 * 0.3),
                              interval, n_slices, [2, 4, 8])
     compact2 = nc2.compact_core(2 * max(delta_list))
-    neg = ns_probe(adv, nc2, delta_list, s_list, compact2, battery_seed=0)
+    neg = ns_probe(adv, nc2, delta_list, j_list, compact2, battery_seed=0)
     growth_ok = all(
         all(b / a >= 1.8 for a, b in zip(c3[:-1], c3[1:]))
         for c3 in neg.step3_constants.values())

@@ -397,10 +397,14 @@ def test_run_nsprobe_makes_no_poincare_solve(tmp_path, monkeypatch):
 
 
 def test_peel_measure_zero_eps():
+    # nothing is peeled at eps = 0, and the bound is beta * 0 (beta != 1 for
+    # the dilation)
     g = Grid((64, 64), (1.0, 1.0))
     disk = make_domain("disk:0.3", g)
-    nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 4)
-    assert peel_measure(nc, 0.0).measured_sup == 0.0
+    for fam in (make_family("identity", (0.0, 1.0)),
+                make_family("dilation", (0.0, 1.0), amplitude=0.25, center=(0.5, 0.5))):
+        rep = peel_measure(NonCylindricalDomain(fam, disk, 4), 0.0)
+        assert (rep.measured_sup, rep.bound) == (0.0, 0.0) and rep.ok
 
 
 def test_peel_measure_identity_annulus():
@@ -441,7 +445,7 @@ def test_poincare_dense_cross_check_32():
     g = Grid((32, 32), (1.0, 1.0))
     d = make_domain("disk:0.4", g)
     assert filled_box(d.inside) is None
-    L, _ = neumann_laplacian(d)
+    L = neumann_laplacian(d)
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
     lam1 = lam[1]
     assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam1), rel=1e-9)
@@ -461,7 +465,7 @@ def test_poincare_closed_form_on_boxes_matches_dense_eigh(monkeypatch, shape, ex
     inside = np.zeros(shape, bool)
     inside[box] = True
     d = RasterDomain(g, inside)
-    L, _ = neumann_laplacian(d)
+    L = neumann_laplacian(d)
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
 
     def refuse(*args):
@@ -510,6 +514,29 @@ def test_movedom_poincare_rows_from_the_closed_form(default_runs):
     assert report["poincare_sweep", "square_spread"] == pytest.approx(spread, rel=1e-12)
 
 
+def test_movedom_jacobian_rows_and_peel_bounds_recomputed(default_runs):
+    # oracle: det M(t) is 1 for the translation and (1 + 0.25 sin t)^2 for the
+    # dilation at the 65 sample times on [0, 1]; the peel bound is
+    # 1.02 * 1.01 * max det * mu(disk minus its 0.1-erosion), the erosion
+    # counted from scipy's EDT of the disk's cells
+    out, codes = default_runs
+    assert codes["movedom"] == 0
+    g = Grid((128, 128), (1.0, 1.0))
+    h = 1.0 / 128
+    dets = {"translation": np.ones(65),
+            "dilation": (1.0 + 0.25 * np.sin(np.linspace(0.0, 1.0, 65))) ** 2}
+    disk = make_domain("disk:0.4", g).inside
+    depth = scipy.ndimage.distance_transform_edt(disk, sampling=(h, h)) - h / 2
+    peeled = np.count_nonzero(disk) - np.count_nonzero(depth > 0.1)
+    rows = [line.split(",") for line in
+            (out / "movedom" / "report.csv").read_text().splitlines()[1:]]
+    values = {(c, n): (float(v), float(b)) for c, n, v, b, _ in rows if c in ("jacobian", "peel")}
+    for name, det in dets.items():
+        assert values["jacobian", name] == pytest.approx((det.min(), det.max()), rel=1e-12)
+        bound = 1.02 * 1.01 * det.max() * peeled * h ** 2
+        assert values["peel", name][1] == pytest.approx(bound, rel=1e-12)
+
+
 def _grown_mask(shape, size, rng):
     """A face-connected mask of `size` cells grown from a random seed cell."""
     inside = np.zeros(shape, bool)
@@ -544,7 +571,7 @@ def test_poincare_matches_dense_eigh_on_random_masks(data):
     g = Grid(shape, extent)
     inside = _grown_mask(shape, size, rng)
     d = RasterDomain(g, inside)
-    L, _ = neumann_laplacian(d)
+    L = neumann_laplacian(d)
     lam = scipy.linalg.eigh(L.toarray(), eigvals_only=True)
     assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam[1]), rel=1e-9)
     # one more cell with no face neighbour in the mask disconnects it

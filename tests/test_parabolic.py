@@ -442,7 +442,7 @@ def test_porous_monitor_builds_one_dirichlet_factor(tmp_path, monkeypatch):
     cfg.write_text("")
     assert cli.run("porous", str(cfg), str(tmp_path / "out"), seed=0) == 0
     assert len(builds) == 1
-    L, _ = dirichlet_laplacian(RasterDomain.full(Grid((512,), (6.0,))))
+    L = dirichlet_laplacian(RasterDomain.full(Grid((512,), (6.0,))))
     assert np.array_equal(builds[0].toarray(), np.eye(512) + L.toarray())
     assert len(norms) == 491
     assert all(isinstance(f, Counted) and f is norms[0] for f in norms)

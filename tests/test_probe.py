@@ -360,10 +360,11 @@ def test_nsprobe_pulls_each_raster_and_time_back_once(tmp_path, monkeypatch):
     assert [len(c) for c in calls] == [len(set(c)) for c in calls] == [79, 82]
 
 
-def test_time_shift_safety_dilation_found():
+def test_time_shift_safety_dilation_found(monkeypatch):
     ref = make_domain("disk:0.3", GRID)
     fam = make_family("dilation", INTERVAL, amplitude=0.25, center=(0.5, 0.5))
-    xi = time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05, n_times=64)
+    monkeypatch.setattr(probe, "SHIFT_SAFETY_TIMES", 64)
+    xi = time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05)
     assert xi > 0
 
 
@@ -447,18 +448,17 @@ def ns_setup():
     members = translating_disk_ns_family(GRID, INTERVAL, n_slices, 4, center, 0.3,
                                          (speed, 0.0), stream_fraction=0.55)
     delta_list = [0.0625, 0.03125]
-    dt = 1.0 / n_slices
-    return nc, members, delta_list, [dt, 2 * dt, 4 * dt], nc.compact_core(2 * max(delta_list))
+    return nc, members, delta_list, [1, 2, 4], nc.compact_core(2 * max(delta_list))
 
 
 @pytest.fixture(scope="module")
 def ns_convergent(ns_setup):
-    nc, members, delta_list, s_list, compact = ns_setup
-    return ns_probe(members, nc, delta_list, s_list, compact, battery_seed=0)
+    nc, members, delta_list, j_list, compact = ns_setup
+    return ns_probe(members, nc, delta_list, j_list, compact, battery_seed=0)
 
 
 def test_ns_probe_convergent_positive(ns_setup, ns_convergent):
-    nc, members, delta_list, s_list, compact = ns_setup
+    nc, members, delta_list, _, compact = ns_setup
     rep = ns_convergent
     assert rep.verdict, rep.failures
     assert rep.budget_defect <= 1e-10
@@ -482,9 +482,9 @@ def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent):
     # oracle: each budget line of each row from the mollified and projected
     # slices, an L^2 norm over `compact` summed slice by slice from the
     # largest shift on (the rows' window); lambda_s d - d is d_{k-j} - d_k there
-    nc, members, delta_list, s_list, compact = ns_setup
+    nc, members, delta_list, j_list, compact = ns_setup
     dt = members[0].delta
-    j_window = round(max(s_list) / dt)
+    j_window = max(j_list)
     slices = [nc.slice_raster(k) for k in range(nc.n_slices)]
     us = [s.restricted(slices).fields for s in members]
 
@@ -497,8 +497,8 @@ def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent):
         mol = make_mollifier(round(1.0 / delta), GRID)
         vs = [StepTimeSeries(INTERVAL, tuple(convolve_staggered(f, mol) for f in u)) for u in us]
         pvs = [p.projected.fields for p in per_slice_project(vs, nc, 2.0 * delta)]
-        for s in sorted(s_list):
-            j = round(s / dt)
+        for j in sorted(j_list):
+            s = j * dt
             if s > ns_convergent.xi[delta] + 1e-12:
                 continue
             for n, (u, v, pv) in enumerate(zip(us, vs, pvs), start=1):
@@ -573,15 +573,19 @@ def test_streamed_budget_lines_equal_series_form(ns_setup):
     v = u.map(lambda f: convolve_staggered(f, mol))
     pu = per_slice_project([v], nc, 2.0 * delta)[0].projected
     nowhere = RasterDomain(GRID, np.zeros(GRID.shape, dtype=bool))
-    for j, j_window in ((1, 4), (2, 4), (4, 4), (4, 0), (n, 4), (n + 3, 0)):
+    for j, j_window in ((1, 1), (1, 4), (2, 4), (4, 4), (3, 7)):
         window = [nowhere] * j_window + [compact] * (n - j_window)
         diffs = [shifted(f, j) - f for f in (u - v, v - pu, pu)]
         total = shifted(u, j) - u
         want = [series_l2(d, window) for d in (*diffs, total)]
         want.append(series_l2(diffs[0] + diffs[1] + diffs[2] - total, window))
-        got = shift_budget_lines(u, v, pu, j, window)
+        got = shift_budget_lines(u, v, pu, j, j_window, compact)
         assert got == want, (j, j_window)
         assert min(got[:4]) > 0 and got[4] < 1e-12 * got[3]
+    # no shift, or one that reaches back before slice 0 from the window start
+    for j, first in ((5, 4), (0, 4)):
+        with pytest.raises(ValueError, match="shift j"):
+            shift_budget_lines(u, v, pu, j, first, compact)
 
 
 @pytest.mark.parametrize("n_slices,n", [(16, 2), (16, 4), (24, 3), (48, 4)])
@@ -594,10 +598,9 @@ def test_shift_by_a_whole_period_of_the_oscillating_family_is_exactly_zero(n_sli
     u, v, pu = (oscillating_family(random_stream_velocity(g, rng), INTERVAL, n_slices, [n])[0]
                 for _ in range(3))
     j = n_slices // n
-    nowhere = RasterDomain(g, np.zeros(g.shape, dtype=bool))
-    window = [nowhere] * j + [RasterDomain.full(g)] * (n_slices - j)
-    assert shift_budget_lines(u, v, pu, j, window) == [0.0] * 5
-    assert min(shift_budget_lines(u, v, pu, j // 2, window)[:4]) > 0
+    full = RasterDomain.full(g)
+    assert shift_budget_lines(u, v, pu, j, j, full) == [0.0] * 5
+    assert min(shift_budget_lines(u, v, pu, j // 2, j, full)[:4]) > 0
 
 
 def test_ns_probe_traced_peak_holds_few_series():
@@ -615,7 +618,7 @@ def test_ns_probe_traced_peak_holds_few_series():
     for _ in range(2):
         tracemalloc.start()
         try:
-            rep = ns_probe(members, nc, delta_list, [1 / 8, 2 / 8], compact)
+            rep = ns_probe(members, nc, delta_list, [1, 2], compact)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -634,19 +637,19 @@ def test_ns_budget_adds_up_on_random_disks(disk):
     delta_list = [1 / 8, 1 / 16]
     compact = nc.compact_core(2 * max(delta_list))
     assert compact.n_inside > 0
-    rep = ns_probe(members, nc, delta_list, [1 / 8, 2 / 8], compact)
+    rep = ns_probe(members, nc, delta_list, [1, 2], compact)
     assert rep.rows and rep.budget_defect <= 1e-10
 
 
 def test_ns_probe_oscillating_negative(ns_setup):
-    _, _, delta_list, s_list, _ = ns_setup
+    _, _, delta_list, j_list, _ = ns_setup
     n_slices = 16
     fam = make_family("identity", INTERVAL)
     ref = make_domain("disk:0.3", GRID)
     nc = NonCylindricalDomain(fam, ref, n_slices)
     members = oscillating_family(disk_bump_velocity(GRID, (0.5, 0.5), 0.55 * 0.3),
                                  INTERVAL, n_slices, [2, 4, 8])
-    rep = ns_probe(members, nc, delta_list, s_list, nc.compact_core(2 * max(delta_list)),
+    rep = ns_probe(members, nc, delta_list, j_list, nc.compact_core(2 * max(delta_list)),
                    battery_seed=0)
     assert not rep.verdict
     assert any("dual bound violated" in f for f in rep.failures)
@@ -656,15 +659,15 @@ def test_ns_probe_oscillating_negative(ns_setup):
 
 
 def test_ns_probe_compact_escape_rejected(ns_setup):
-    nc, members, delta_list, s_list, _ = ns_setup
+    nc, members, delta_list, j_list, _ = ns_setup
     too_big = make_domain("disk:0.29", GRID, center=(0.5 - 0.15 / 2, 0.5))
     with pytest.raises(ValueError):
-        ns_probe(members, nc, delta_list, s_list, too_big)
+        ns_probe(members, nc, delta_list, j_list, too_big)
 
 
 def test_ns_probe_csv_schema(ns_setup, tmp_path):
-    nc, members, delta_list, s_list, compact = ns_setup
-    rep = ns_probe(members[:2], nc, [delta_list[0]], s_list[:1], compact)
+    nc, members, delta_list, j_list, compact = ns_setup
+    rep = ns_probe(members[:2], nc, [delta_list[0]], j_list[:1], compact)
     path = tmp_path / "ns.csv"
     path.write_text(_csv_text(rep.columns, [astuple(r) for r in rep.rows]))
     assert path.read_text().splitlines()[0] == "n,delta,s,step1,step3,line1,line2,line3,total"
