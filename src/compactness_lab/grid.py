@@ -212,6 +212,12 @@ def signed_distance_transform(grid, inside, side):
     complement: the signed distance on the outside cells and +h/2 on the
     others.  Either side thresholds like the whole transform at any level on
     its own side of 0.
+
+    The EDT of an all-False array is all 0.0, so an empty raster's inside
+    side and a full raster's outside side need no case of their own: the
+    general line gives exactly -h/2 and +h/2.  A full raster's inside side
+    (the EDT of an all-True array measures to a phantom background) and an
+    empty raster's outside side (no inside cell to measure to) do.
     """
     inside = np.asarray(inside, dtype=bool)
     h = grid.spacing
@@ -220,14 +226,10 @@ def signed_distance_transform(grid, inside, side):
         if inside.all():
             # no complement cells: distance to the raster's edge is unbounded; use box distance
             return _box_distance(grid, grid.cell_centers().reshape(-1, grid.dim)).reshape(grid.shape)
-        if not inside.any():
-            return np.full(grid.shape, -half)
         return scipy.ndimage.distance_transform_edt(inside, sampling=h) - half
     if side == "outside":
         if not inside.any():
             return np.full(grid.shape, -float(max(grid.extent)))
-        if inside.all():
-            return np.full(grid.shape, half)
         return -(scipy.ndimage.distance_transform_edt(~inside, sampling=h) - half)
     raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
 

@@ -110,7 +110,7 @@ def shift_space(f, h_vec):
     for a, j in enumerate(steps):
         n = g.shape[a]
         if abs(j) >= n:
-            return ScalarField(g, out)
+            return ScalarField(g, out)  # shifted out of the box
         if j >= 0:
             dst.append(slice(j, n))
             src.append(slice(0, n - j))

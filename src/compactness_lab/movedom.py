@@ -1,7 +1,6 @@
 """Diffeomorphism families, non-cylindrical domains, epsilon-interior geometry,
 and the uniform constants (Jacobian bounds, bilipschitz frame, Poincare
-transport, Sobolev exponent) that the moving-domain compactness argument
-consumes.
+transport) that the moving-domain compactness argument consumes.
 
 All set identities are raster statements: erosion thresholds the inside
 side of the membership's exact Euclidean distance transform and dilation its
@@ -380,14 +379,3 @@ def transported_poincare(family, domain, eps_list):
     jb = jacobian_bounds(family)
     sup_grad = grad_sup_norm(family)
     return float(np.sqrt(jb.raw_max / jb.raw_min) * c_common * sup_grad)
-
-
-# ---------------------------------------------------------------------------
-# Sobolev exponent
-
-
-def sobolev_embedding_exponent(p, dim):
-    """p* = dim p/(dim - p) below the critical exponent, else the p+1 surrogate."""
-    if p < dim:
-        return dim * p / (dim - p)
-    return p + 1.0

@@ -1,12 +1,15 @@
 """Session-wide runs shared by several test files: every experiment at its
 defaults (seed 0), the adversarial runs of the two probes and every demo
-script, each run once per session, in process, under a profiler that records
-which functions of `compactness_lab` they call: the runs into one record,
-each demo into its own.  Their expected outputs are in `GOLDEN`.  Also the
-identity nonlinearity, shared by the tests of the scheme and the probes."""
+script, each run once per session, in process, under one line tracer that
+records which functions of `compactness_lab` they call and which of their
+lines run: the runs into one record, each demo into its own.  Their expected
+outputs are in `GOLDEN`.  Also the identity nonlinearity, shared by the tests
+of the scheme and the probes, and `sobolev_embedding_exponent`, the exponent
+the Sobolev helpers of `test_movedom.py` and `test_probe.py` measure with."""
 
 import contextlib
 import io
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -24,47 +27,67 @@ GOLDEN = ROOT / "tests" / "golden"
 
 
 class Reach:
-    """Runs callables under `sys.setprofile` and keeps the code object of
-    every Python function they call: in `codes` for runs and commands, in
-    `demo_codes[path]` for each demo."""
+    """Runs callables under one `sys.settrace` hook that follows only frames
+    of `compactness_lab` files.  It keeps the code object of every package
+    function they call and every (code object, line) pair that runs in them:
+    in `codes` and `lines` for runs and commands, in `demo_codes[path]` and
+    `demo_lines[path]` for each demo.  The tracer that was active before is
+    restored after each call."""
+
+    # the `co_filename` prefix of package code, taken once: a per-event
+    # `Path.resolve` costs more than the traced runs themselves
+    PREFIX = os.path.join(os.path.dirname(cli.main.__code__.co_filename), "")
 
     def __init__(self):
-        self.codes = set()
-        self.demo_codes = {}
-        self.demo_output = {}
+        self.codes, self.lines = set(), set()
+        self.demo_codes, self.demo_lines, self.demo_output = {}, {}, {}
 
-    def record(self, fn, *args, codes=None):
-        add = (self.codes if codes is None else codes).add
+    def record(self, fn, *args, codes=None, lines=None):
+        add_code = (self.codes if codes is None else codes).add
+        add_line = (self.lines if lines is None else lines).add
+        prefix = self.PREFIX
 
-        def profile(frame, event, arg):
-            if event == "call":
-                add(frame.f_code)
+        def line(frame, event, arg):
+            if event == "line":
+                add_line((frame.f_code, frame.f_lineno))
+            return line
 
-        previous = sys.getprofile()
-        sys.setprofile(profile)
+        def call(frame, event, arg):
+            if frame.f_code.co_filename.startswith(prefix):
+                add_code(frame.f_code)
+                return line
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(call)
         try:
             return fn(*args)
         finally:
-            sys.setprofile(previous)
+            sys.settrace(previous)
 
     def run_demo(self, path):
         """The demo's printed output; the script runs on the first request only."""
         if path not in self.demo_output:
             out = io.StringIO()
-            self.demo_codes[path] = set()
+            self.demo_codes[path], self.demo_lines[path] = set(), set()
             with contextlib.redirect_stdout(out):
                 self.record(runpy.run_path, str(path), None, "__main__",
-                            codes=self.demo_codes[path])
+                            codes=self.demo_codes[path], lines=self.demo_lines[path])
             self.demo_output[path] = out.getvalue()
         return self.demo_output[path]
 
     def package_functions(self, codes=None):
-        """(module, first line, name) of every package function in `codes`
-        (default: every run and command recorded so far); the first line is
-        that of the first decorator, if any."""
+        """(module, first line, name) of every function in `codes` (default:
+        every run and command recorded so far); the first line is that of the
+        first decorator, if any."""
         codes = self.codes if codes is None else codes
-        return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in codes
-                if Path(c.co_filename).resolve().parent == PACKAGE}
+        return {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in codes}
+
+    def package_lines(self, lines=None):
+        """(module, line) of every line in `lines` (default: every run and
+        command recorded so far)."""
+        lines = self.lines if lines is None else lines
+        return {(Path(c.co_filename).stem, n) for c, n in lines}
 
 
 @pytest.fixture(scope="session")
@@ -110,6 +133,13 @@ def adversarial_runs(reach, tmp_path_factory):
     """The output directory and exit codes of `run_adversarial`, made once."""
     out = tmp_path_factory.mktemp("adversarial")
     return out, run_adversarial(out, reach.record)
+
+
+def sobolev_embedding_exponent(p, dim):
+    """p* = dim p/(dim - p) below the critical exponent, else the p+1 surrogate."""
+    if p < dim:
+        return dim * p / (dim - p)
+    return p + 1.0
 
 
 # phi(z) = z, the heat equation: a test oracle, as no run or demo uses it

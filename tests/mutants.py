@@ -4,8 +4,9 @@ Each mutant changes numbers that go into a `report.csv`: most scale one
 number by 1.01, and `oscillating.unreduced_phase` takes the oscillating
 family's coefficients from the unreduced np.sin(2 pi n t_j), off by a few
 ulp.  It must fail some tier-1 test other than the byte compares of
-`tests/test_golden.py` and `tests/test_demos.py`: a column whose mutant
-passes every other test has no independent check.
+`tests/test_golden.py` and `tests/test_demos.py` and the reach check of
+`tests/test_ledger.py`: a column whose mutant passes every other test has no
+independent check.
 
 Run it by hand from any directory; pytest does not collect it:
 
@@ -13,8 +14,8 @@ Run it by hand from any directory; pytest does not collect it:
     python tests/mutants.py movedom.peel     # the named ones
 
 Each mutant is one string replacement in one module of a temporary copy of
-the repository.  The copy's tier-1 suite then runs without the two byte
-compares and stops at its first failure.  The exit status is the number of
+the repository.  The copy's tier-1 suite then runs without those three files
+and stops at its first failure.  The exit status is the number of
 mutants that survived or could not run.
 """
 
@@ -28,7 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "docs", "pyproject.toml")
-SKIPPED = ("tests/test_golden.py", "tests/test_demos.py")
+# the byte compares, and the reach check, which reads no value: a mutant that
+# moves a run into a guarded branch has not been caught by a value check
+SKIPPED = ("tests/test_golden.py", "tests/test_demos.py", "tests/test_ledger.py")
 
 # name -> (module of src/compactness_lab, original text, mutated text); each
 # original text occurs exactly once in its module
@@ -41,6 +44,16 @@ MUTANTS = {
                            "gphi = grad_phi_l2(s, phi) * 1.01"),
     "porous.tv_hminus_m": ("parabolic.py", "tv = time_derivative_tv(s, m, factor)",
                            "tv = time_derivative_tv(s, m, factor) * 1.01"),
+    "productlimit.step1": ("productlimit.py", "PipelineRow(idx, k, s1, s2, s3, s4, total))",
+                           "PipelineRow(idx, k, s1 * 1.01, s2, s3, s4, total))"),
+    "productlimit.step2": ("productlimit.py", "PipelineRow(idx, k, s1, s2, s3, s4, total))",
+                           "PipelineRow(idx, k, s1, s2 * 1.01, s3, s4, total))"),
+    "productlimit.step3": ("productlimit.py", "PipelineRow(idx, k, s1, s2, s3, s4, total))",
+                           "PipelineRow(idx, k, s1, s2, s3 * 1.01, s4, total))"),
+    "productlimit.step4": ("productlimit.py", "PipelineRow(idx, k, s1, s2, s3, s4, total))",
+                           "PipelineRow(idx, k, s1, s2, s3, s4 * 1.01, total))"),
+    "productlimit.total": ("productlimit.py", "PipelineRow(idx, k, s1, s2, s3, s4, total))",
+                           "PipelineRow(idx, k, s1, s2, s3, s4, total * 1.01))"),
     "commutator.sup_l1": ("mollify.py", "out.append(float(l1 * delta))",
                           "out.append(float(l1 * delta) * 1.01)"),
     "commutator.coefficients": (
@@ -51,6 +64,12 @@ MUTANTS = {
         "for row in np.sin(2 * np.pi * np.outer(osc_list, (np.arange(n_slices) + 0.5) / n_slices))]"),
     "kruzhkov.term2": ("probe.py", "t2 = series_l2(middle, inner_domains)",
                        "t2 = series_l2(middle, inner_domains) * 1.01"),
+    "kruzhkov.term1": ("probe.py", "ell, moduli[i], t2, moduli[j], total))",
+                       "ell, moduli[i] * 1.01, t2, moduli[j], total))"),
+    "kruzhkov.term3": ("probe.py", "ell, moduli[i], t2, moduli[j], total))",
+                       "ell, moduli[i], t2, moduli[j] * 1.01, total))"),
+    "kruzhkov.total": ("probe.py", "ell, moduli[i], t2, moduli[j], total))",
+                       "ell, moduli[i], t2, moduli[j], total * 1.01))"),
     "movedom.peel": ("movedom.py", "return PeelReport(worst,", "return PeelReport(worst * 1.01,"),
     "movedom.peel_bound": ("cli.py", "peel.bound * 1.02,", "peel.bound * 1.02 * 1.01,"),
     "movedom.jacobian_value": ("cli.py", 'record("jacobian", name, jb.raw_min,',
@@ -61,6 +80,10 @@ MUTANTS = {
                          "return 1.01 * float(max(h / (2.0 * np.sin(np.pi / (2 * m)))"),
     "divfree.seminorm": ("divfree.py", "seminorm = staggered_l2(pu)",
                          "seminorm = staggered_l2(pu) * 1.01"),
+    "divfree.l2": ("cli.py", "rows.append((i, rep.l2, rep.seminorm,",
+                   "rows.append((i, rep.l2 * 1.01, rep.seminorm,"),
+    "divfree.surrogate": ("cli.py", "rep.seminorm, rep.surrogate, div_res,",
+                          "rep.seminorm, rep.surrogate * 1.01, div_res,"),
     "divfree.slack": ("divfree.py", "slack = seminorm + (1.0 + c_poincare) * surrogate - l2",
                       "slack = (seminorm + (1.0 + c_poincare) * surrogate - l2) * 1.01"),
     "nsprobe.line1-3": ("probe.py", "return [float(np.sqrt(total * u.delta)) for total in sums]",
@@ -69,6 +92,7 @@ MUTANTS = {
     "nsprobe.line1": ("probe.py", "l1, l2v, l3, tot))", "l1 * 1.01, l2v, l3, tot))"),
     "nsprobe.line2": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v * 1.01, l3, tot))"),
     "nsprobe.line3": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v, l3 * 1.01, tot))"),
+    "nsprobe.total": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v, l3, tot * 1.01))"),
 }
 
 

@@ -103,6 +103,8 @@ def test_shift_space_identity_and_zero_fill():
     fwd = shift_space(shift_space(f, [3 * h]), [-3 * h])
     assert np.array_equal(fwd.values[:-3], f.values[:-3])
     assert np.all(fwd.values[-3:] == 0.0)
+    for cells in (64, -70):  # shifted out of the box
+        assert np.array_equal(shift_space(f, [cells * h]).values, np.zeros(64))
 
 
 def test_shift_space_rejects_non_lattice():

@@ -15,10 +15,9 @@ from compactness_lab.movedom import (DiffeoFamily, FramingReport,
                                      eps_exterior, eps_interior, framing_check,
                                      grad_sup_norm, jacobian_bounds,
                                      make_domain, make_family, peel_measure,
-                                     poincare_constant,
-                                     sobolev_embedding_exponent,
-                                     transported_poincare)
+                                     poincare_constant, transported_poincare)
 from compactness_lab.synth import generator, random_smooth_field
+from conftest import sobolev_embedding_exponent
 
 
 GRID_256 = Grid((256, 256), (1.0, 1.0))
@@ -167,7 +166,9 @@ def test_eps_offsets_of_membership_rasters_match_fresh_transforms(data):
 @given(st.data())
 def test_distance_transform_sides_are_halves_of_the_whole(data):
     # oracle: the two-sided transform from scipy's EDT on random, all-inside
-    # and all-outside 1D/2D masks with non-square cells
+    # and all-outside 1D/2D masks with non-square cells; off its own cells a
+    # side reads exactly -h/2 (inside) or +h/2 (outside), the all-False EDT of
+    # an empty raster's inside side and a full raster's outside side included
     shape = tuple(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=2)))
     g = Grid(shape, tuple(data.draw(st.floats(0.25, 4.0)) for _ in shape))
     inside = data.draw(st.one_of(st.booleans().map(lambda b: np.full(shape, b)),
@@ -175,9 +176,11 @@ def test_distance_transform_sides_are_halves_of_the_whole(data):
     whole = whole_distance_transform(g, inside)
     d = RasterDomain(g, inside)
     assert "edt_inside" not in vars(d) and "edt_outside" not in vars(d)
-    for side, cells in (("inside", inside), ("outside", ~inside)):
+    half = 0.5 * min(g.spacing)
+    for side, cells, off in (("inside", inside, -half), ("outside", ~inside, half)):
         alone = signed_distance_transform(g, inside, side=side)
         assert np.array_equal(alone[cells], whole[cells])
+        assert np.all(alone[~cells] == off)
         assert np.array_equal(alone > 0, inside)
         assert np.array_equal(getattr(d, "edt_" + side), alone)
     assert np.array_equal(d.signed_distance, whole)

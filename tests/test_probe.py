@@ -17,8 +17,7 @@ from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
                                   staggered_inner, staggered_l2)
 from compactness_lab.mollify import (convolve_space, convolve_staggered,
                                      make_mollifier)
-from compactness_lab.movedom import (NonCylindricalDomain, make_domain,
-                                     make_family, sobolev_embedding_exponent)
+from compactness_lab.movedom import NonCylindricalDomain, make_domain, make_family
 from compactness_lab.parabolic import (StepTimeSeries, constant_series,
                                        run_scheme, series_l2, time_derivative_tv)
 from compactness_lab.probe import (DECAY_RATIO, Battery, _floor, kruzhkov_probe,
@@ -32,7 +31,7 @@ from compactness_lab.synth import (bump, disk_bump_velocity, generator,
                                    random_smooth_field, random_stream_velocity,
                                    translating_disk_ns_family)
 from compactness_lab.truncate import build_beta, nonlinearity_preset
-from conftest import IDENTITY
+from conftest import IDENTITY, sobolev_embedding_exponent
 
 
 GRID = Grid((64, 64), (1.0, 1.0))
@@ -360,6 +359,15 @@ def test_nsprobe_pulls_each_raster_and_time_back_once(tmp_path, monkeypatch):
     assert [len(c) for c in calls] == [len(set(c)) for c in calls] == [79, 82]
 
 
+def test_time_shift_safety_is_zero_when_no_shift_is_safe():
+    # on [0, 2e-4] the search tries xi = 2e-4 alone, and its shortest shift,
+    # 5e-5, moves the disk by 0.15 at speed 3000: three times delta, and the
+    # moved disk stays in the box
+    ref = make_domain("disk:0.2", GRID, center=(0.3, 0.5))
+    fam = make_family("translation", (0.0, 2e-4), velocity=(3000.0, 0.0))
+    assert time_shift_safety(NonCylindricalDomain(fam, ref, 16), 0.05) == 0.0
+
+
 def test_time_shift_safety_dilation_found(monkeypatch):
     ref = make_domain("disk:0.3", GRID)
     fam = make_family("dilation", INTERVAL, amplitude=0.25, center=(0.5, 0.5))
@@ -455,6 +463,15 @@ def ns_setup():
 def ns_convergent(ns_setup):
     nc, members, delta_list, j_list, compact = ns_setup
     return ns_probe(members, nc, delta_list, j_list, compact, battery_seed=0)
+
+
+def test_ns_probe_skips_shifts_beyond_the_safety_radius(ns_setup, monkeypatch):
+    # a safety radius of 1.5 slices leaves only the one-slice shift of [1, 2, 4]
+    nc, members, delta_list, j_list, compact = ns_setup
+    dt = members[0].delta
+    monkeypatch.setattr(probe, "time_shift_safety", lambda nc, delta: 1.5 * dt)
+    rep = ns_probe(members[:2], nc, delta_list[:1], j_list, compact)
+    assert [(r.n, r.s) for r in rep.rows] == [(1, dt), (2, dt)]
 
 
 def test_ns_probe_convergent_positive(ns_setup, ns_convergent):
