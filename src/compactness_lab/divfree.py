@@ -1,7 +1,8 @@
 """Discrete divergence-free calculus: normal traces, Neumann-harmonic extension,
 projection onto zero-normal-trace fields, the dual seminorm, and per-slice
-versions on moving domains, where a time-indexed face field is a
-`parabolic.StepTimeSeries` of `StaggeredVectorField` slices.
+versions on moving domains, where a time-indexed face field is read one
+`StaggeredVectorField` slice at a time: the slices of a
+`parabolic.StepTimeSeries`, or a stream of them.
 
 Divergence-free means the exact MAC stencil zero, so "u is div-free" and
 "trace of the projection vanishes" are floating-point statements, not modeling
@@ -19,7 +20,6 @@ import numpy as np
 from .grid import (RasterDomain, RasterFactor, ScalarField,
                    StaggeredVectorField, _axis_slices, divergence, gradient,
                    neumann_laplacian, staggered_l2)
-from .parabolic import StepTimeSeries
 
 
 def face_measure(grid, axis):
@@ -179,33 +179,27 @@ def dual_norm_check(u, domain, c_poincare, factor):
 # time-indexed fields on moving domains
 
 
-@dataclass
-class PerSliceProjection:
-    projected: StepTimeSeries
-    slice_surrogates: list
-    spacetime_trace_norm: float
-
-
 def per_slice_project(series_list, nc, eps):
     """Apply the zero-trace projection slice by slice on the A_t(Omega_eps)
-    rasters to every series of `series_list`; returns one `PerSliceProjection`
-    per series, with the space-time surrogate trace norm (time integral of
-    squared slice surrogates, square root).
+    rasters to every series of `series_list`, each an iterable of face slices
+    with one slice per slice of `nc`.  Yields, for each slice k, one
+    (slice, surrogate, projection) per series: slice k as read, the surrogate
+    trace norm ||grad v||_2 of its Helmholtz split and P u.  A whole-series
+    caller collects the yields; the space-time surrogate trace norm is the
+    square root of the time integral of the squared slice surrogates.
 
-    Slices are the outer loop: each slice's `neumann_factor` is built once,
-    projects that slice of every series, and is dropped before the next
-    slice's, so one factor is alive at a time."""
-    if any(s.n_steps != nc.n_slices for s in series_list):
-        raise ValueError("series and domain slice counts differ")
-    projected = [[] for _ in series_list]
-    surrs = [[] for _ in series_list]
-    for k in range(nc.n_slices):
+    Slices are the outer loop: slice k's `neumann_factor` is built once,
+    projects slice k of every series, and is dropped before the caller reads
+    the splits, so one factor is alive at a time; slice k of each series is
+    read only then, so a caller that streams its series and drops each yield
+    once read holds no whole series.  A series with another slice count is
+    zip's ValueError."""
+    for k, *slices in zip(range(nc.n_slices), *series_list, strict=True):
         domain = nc.transported(k, eps)
         factor = neumann_factor(domain)
-        for i, s in enumerate(series_list):
-            _, gv, pu = _helmholtz_split(s.fields[k], domain, factor)
-            projected[i].append(pu)
-            surrs[i].append(staggered_l2(gv))
-    return [PerSliceProjection(StepTimeSeries(s.interval, tuple(out)), surr,
-                               float(np.sqrt(s.delta * sum(x ** 2 for x in surr))))
-            for s, out, surr in zip(series_list, projected, surrs)]
+        splits = []
+        for f in slices:
+            _, gv, pu = _helmholtz_split(f, domain, factor)
+            splits.append((f, staggered_l2(gv), pu))
+        del factor
+        yield splits

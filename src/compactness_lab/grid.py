@@ -343,10 +343,6 @@ class StaggeredVectorField:
             return self
         return StaggeredVectorField(self.grid, self.components, mask=domain)
 
-    def __add__(self, other):
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        return StaggeredVectorField(self.grid, comps, mask=_sum_mask(self, other))
-
     def __sub__(self, other):
         comps = [a - b for a, b in zip(self.components, other.components)]
         return StaggeredVectorField(self.grid, comps, mask=_sum_mask(self, other))
@@ -427,8 +423,14 @@ def staggered_l2(u, domain=None):
     box without one), boundary faces half-weighted so constants have their
     exact continuum norm.  Faces of no inside cell weigh 0, so the norm equals
     that of `u.restricted(domain)` bitwise."""
-    w = _face_weights(u.grid, u.mask if domain is None else domain)
-    return float(np.sqrt(sum(np.sum(wa * c ** 2) for wa, c in zip(w, u.components))))
+    return _weighted_l2(u.components, _face_weights(u.grid, u.mask if domain is None else domain))
+
+
+def _weighted_l2(components, weights):
+    """sqrt(sum_a sum(w_a c_a^2)) of face components under per-axis weights
+    (`_face_weights`): `staggered_l2` of bare component arrays, for a caller
+    that weighs many of them over one raster."""
+    return float(np.sqrt(sum(np.sum(wa * c ** 2) for wa, c in zip(weights, components))))
 
 
 def staggered_inner(u, v):

@@ -16,10 +16,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divfree import per_slice_project
-from .grid import _axis_slices, signed_distance_transform, staggered_inner, staggered_l2
+from .grid import (_axis_slices, _face_weights, _weighted_l2, signed_distance_transform,
+                   staggered_inner, staggered_l2)
 from .mollify import convolve_space, convolve_staggered, make_mollifier
 from .movedom import _pull_back, bilipschitz
-from .parabolic import series_l2, slices_l2
+from .parabolic import series_l2
 from .synth import bump, generator, random_stream_velocity
 
 DECAY_RATIO = 0.6
@@ -231,23 +232,19 @@ def make_battery(grid, interval, n_steps, seed=0):
                    time_profiles(interval, n_steps))
 
 
-def step3_dual_constant(series, battery):
+def step3_dual_constant(pairings, battery):
     """max over the battery of |<d_t v, psi>| / ||psi||_2 for the mollified
     family (the measured C_delta of the proof's third step), with the
-    maximiser's label (the first one on ties).  Each jump of `series` is
-    formed once, paired with every spatial factor and dropped, and each
-    spatial factor is normed once; the time pairing is exact summation by
-    parts for step series."""
-    pairings = [[] for _ in battery.spaces]
-    for k in range(1, series.n_steps):
-        jump = series.fields[k] - series.fields[k - 1]
-        for out, space in zip(pairings, battery.spaces):
-            out.append(staggered_inner(jump, space))
+    maximiser's label (the first one on ties).  `pairings[si]` lists
+    <v_k - v_{k-1}, spaces[si]> (`staggered_inner`) for k = 1, ..., n - 1:
+    `ns_probe` forms each jump once, pairs it with every spatial factor and
+    drops it, holding only the previous slice.  Each spatial factor is normed
+    once; the time pairing is exact summation by parts for step series."""
     best, best_label = 0.0, None
-    for si, space in enumerate(battery.spaces):
+    for si, (space, pairs) in enumerate(zip(battery.spaces, pairings, strict=True)):
         norm = staggered_l2(space)
         for label, time_values, time_l2 in battery.profiles:
-            num = abs(float(np.dot(time_values, pairings[si])))
+            num = abs(float(np.dot(time_values, pairs)))
             denom = time_l2 * norm
             if denom > 0 and num / denom > best:
                 best, best_label = num / denom, label.replace("[", f"[s{si},", 1)
@@ -284,34 +281,70 @@ class NsProbeReport:
     columns = tuple(f.name for f in fields(NsProbeRow))
 
 
-def shift_budget_lines(u, v, pu, j, first, compact):
-    """Norms over `compact` on the slices k >= first of lambda_s d - d, s = j
-    slices with 1 <= j <= first, for d = u - v, v - pu and pu (lines 1-3),
+def shift_budget_lines(before, now, weights):
+    """The squared terms one slice adds to the budget lines of one time shift
+    s = j slices.  `before` and `now` are the parts (u - v, v - pu, pu, u) of
+    slices k - j and k, each part a list of face components; the terms are
+    the squared norms under `weights` (`compact`'s face weights) of
+    lambda_s d - d = d_{k-j} - d_k for d = u - v, v - pu and pu (lines 1-3),
     for d = u (the total) and for the re-summed defect line1 + line2 + line3
-    - total: bitwise `series_l2` of the shifted series on the window that
-    holds nothing before slice `first`, streamed slice by slice.
+    - total.
 
-    lambda_s d - d on slice k is d_{k-j} - d_k.  Each slice's parts u_k - v_k
-    and v_k - pu_k, from slice first - j on, are formed once and held until
-    slice k + j has read them, so about j + 1 slices of each part are alive
-    at a time, not whole series; the squared norms add up in slice order, as
-    in `series_l2`."""
-    if not 1 <= j <= first:
-        raise ValueError(f"shift j = {j} must lie in [1, first = {first}]")
-    n = u.n_steps
-    held = collections.deque()
-    sums = [0.0] * 5
-    for k in range(first - j, n):
-        uk, vk, pk = u.fields[k], v.fields[k], pu.fields[k]
-        parts = (uk - vk, vk - pk, pk, uk)
-        if k >= first:
-            diffs = [a - b for a, b in zip(held.popleft(), parts)]
-            diffs.append(diffs[0] + diffs[1] + diffs[2] - diffs[3])
-            for m, d in enumerate(diffs):
-                sums[m] += staggered_l2(d, compact) ** 2
-        if k + j < n:
-            held.append(parts)
-    return [float(np.sqrt(total * u.delta)) for total in sums]
+    Each term is bitwise `staggered_l2(field, compact) ** 2` of the field
+    difference that the series form of the shift builds: every face
+    `compact` weighs is a face of cells inside each slice raster and each
+    2 delta-interior, where the fields' masks change no value, and the other
+    faces weigh 0.  `ns_probe` adds the terms up in slice order over the
+    slices k >= max(j_list), the window that holds nothing before the
+    largest shift, as `series_l2` adds up a series."""
+    diffs = [[a - b for a, b in zip(p, q)] for p, q in zip(before, now)]
+    diffs.append([d0 + d1 + d2 - d3 for d0, d1, d2, d3 in zip(*diffs)])
+    return [_weighted_l2(d, weights) ** 2 for d in diffs]
+
+
+def _mollified_pass(members, nc, mol, eps, battery, shifts, first, weights):
+    """One pass over the slices at one mollification radius: slice k of
+    every member is mollified by `mol`, split on the slice's eps-interior
+    (`per_slice_project`) and read once by every accumulator: the step-1
+    surrogates, the battery pairings of the jump v_k - v_{k-1}, the
+    mollification line on `compact` (`weights`) and, from slice `first` on,
+    the budget lines of every shift in `shifts`.  Each member holds its
+    previous mollified slice and a window of the last max(shifts) slices'
+    parts u - v, v - pu and pu (u is the member's own slice), and every
+    accumulator adds in slice order.  Returns the step-1 defects, the step-3
+    constants, the mollification lines and the squared budget sums, indexed
+    [shift][member]."""
+    n = len(members)
+    surrs = [[] for _ in members]
+    pairings = [[[] for _ in battery.spaces] for _ in members]
+    moll_sq = [0.0] * n
+    sums = [[[0.0] * 5 for _ in members] for _ in shifts]
+    windows = [collections.deque(maxlen=max(shifts, default=0)) for _ in members]
+    prev = [None] * n
+    mollified = [(convolve_staggered(u, mol) for u in m.fields) for m in members]
+    for k, splits in enumerate(per_slice_project(mollified, nc, eps)):
+        for i, (v, surr, pu) in enumerate(splits):
+            u = members[i].fields[k].components
+            parts = ([a - b for a, b in zip(u, v.components)],
+                     [a - b for a, b in zip(v.components, pu.components)], pu.components, u)
+            surrs[i].append(surr)
+            moll_sq[i] += _weighted_l2(parts[0], weights) ** 2
+            if k:
+                jump = v - prev[i]
+                for out, space in zip(pairings[i], battery.spaces):
+                    out.append(staggered_inner(jump, space))
+            prev[i] = v
+            if k >= first:
+                for per_member, j in zip(sums, shifts):
+                    total = per_member[i]
+                    for m, term in enumerate(shift_budget_lines(windows[i][-j], parts, weights)):
+                        total[m] += term
+            windows[i].append(parts)
+    delta_t = members[0].delta
+    defects = [float(np.sqrt(delta_t * sum(x ** 2 for x in surr))) for surr in surrs]
+    c3s = [step3_dual_constant(p, battery)[0] for p in pairings]
+    molls = [float(np.sqrt(total * delta_t)) for total in moll_sq]
+    return defects, c3s, molls, sums
 
 
 def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
@@ -327,10 +360,11 @@ def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
     slices.  Verdict: the budget lines vanish in the proof's order (delta
     first, then s) and the dual constants stay bounded across the family.
 
-    Per delta the mollified and projected members are held whole; every
-    field derived from them (the mollification line, the jumps of step 3,
-    the shifted differences of the budget) is formed one slice at a time
-    and dropped once read (`shift_budget_lines`).  Members already on the
+    Per delta, one pass over the slices (`_mollified_pass`) builds each
+    slice's Neumann factor once, mollifies and projects that slice of every
+    member, and feeds it to every measurement; no mollified or projected
+    series is held whole, only each member's previous slice and a window of
+    at most max(j_list) slices of its budget parts.  Members already on the
     slice rasters are not copied.
     """
     grid = nc.grid
@@ -347,11 +381,14 @@ def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
     rows, failures = [], []
     step1_sup, xi_map, c3_map, moll_sup = {}, {}, {}, {}
     budget_defect = 0.0
+    # the compact subset of space-time: `compact` on the slices from the
+    # largest shift on, nothing before it
+    first = max(j_list, default=0)
+    weights = _face_weights(grid, compact)
     for delta in delta_list:
         k_mol = round(1.0 / delta)
         if abs(1.0 / delta - k_mol) > 1e-9:
             raise ValueError(f"delta = {delta:g} must be a reciprocal integer")
-        mol = make_mollifier(k_mol, grid)
         if any(np.any(compact.inside & ~nc.transported(k, 2.0 * delta).inside)
                for k in range(nc.n_slices)):
             raise ValueError(f"compact raster escapes the 2*delta interior at delta={delta:g}")
@@ -359,21 +396,13 @@ def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
                   for k in range(nc.n_slices)]
         mu_strip = nc.delta * sum(float(np.count_nonzero(m)) * grid.cell_volume
                                   for m in strips)
-        # free the previous delta's mollified family first, with the last
-        # member's pair that the budget loop below still names: holding two
-        # families at once raised the peak RSS of `run nsprobe` by about 7 MB
-        convolved = projected = v = proj = None
-        # the search holds its pull-backs until it returns: run it while no
-        # mollified family is alive
+        # the search holds its pull-backs until it returns: run it before the
+        # pass, which holds its windows until it returns
         xi = time_shift_safety(nc, delta)
         xi_map[delta] = xi
-        convolved = [u_series.map(lambda u: convolve_staggered(u, mol)) for u_series in members]
-        projected = list(zip(convolved, per_slice_project(convolved, nc, 2.0 * delta)))
-        defects = [proj.spacetime_trace_norm for _, proj in projected]
-        c3s = [step3_dual_constant(v, battery)[0] for v, _ in projected]
-        molls = [slices_l2((a - b for a, b in zip(u_series.fields, v.fields)),
-                           [compact] * nc.n_slices, u_series.delta)
-                 for u_series, (v, _) in zip(members, projected)]
+        shifts = [j for j in sorted(j_list) if 0 < j * delta_t <= xi + 1e-12]
+        defects, c3s, molls, sums = _mollified_pass(
+            members, nc, make_mollifier(k_mol, grid), 2.0 * delta, battery, shifts, first, weights)
         # the trace-equivalence factor, measured on the first member
         strip_mass = float(np.sqrt(members[0].delta * sum(
             staggered_l2_on_cells(members[0].fields[k], strips[k]) ** 2
@@ -388,19 +417,11 @@ def ns_probe(u_seq, nc, delta_list, j_list, compact, battery_seed=0):
         step1_sup[delta] = max(defects)
         c3_map[delta] = c3s
         moll_sup[delta] = max(molls)
-        # the compact subset of space-time: `compact` on the slices from the
-        # largest shift on, nothing before it
-        first = max(j_list, default=0)
-        for j in sorted(j_list):
-            s = j * delta_t
-            if not (0 < s <= xi + 1e-12):
-                continue
-            for i, u_series in enumerate(members):
-                v, proj = projected[i]
-                l1, l2v, l3, tot, defect = shift_budget_lines(u_series, v, proj.projected,
-                                                              j, first, compact)
+        for per_member, j in zip(sums, shifts):
+            for i, member_sums in enumerate(per_member):
+                l1, l2v, l3, tot, defect = [float(np.sqrt(t * delta_t)) for t in member_sums]
                 budget_defect = max(budget_defect, defect / (tot + 1e-300))
-                rows.append(NsProbeRow(i + 1, delta, s, defects[i], c3s[i],
+                rows.append(NsProbeRow(i + 1, delta, j * delta_t, defects[i], c3s[i],
                                        l1, l2v, l3, tot))
     d_first, d_last = delta_list[0], delta_list[-1]
     if moll_sup[d_last] > max(DECAY_RATIO * moll_sup[d_first], _floor(scale)):

@@ -4,8 +4,9 @@ script, each run once per session, in process, under one line tracer that
 records which functions of `compactness_lab` they call and which of their
 lines run: the runs into one record, each demo into its own.  Their expected
 outputs are in `GOLDEN`.  Also the identity nonlinearity, shared by the tests
-of the scheme and the probes, and `sobolev_embedding_exponent`, the exponent
-the Sobolev helpers of `test_movedom.py` and `test_probe.py` measure with."""
+of the scheme and the probes, `sobolev_embedding_exponent`, the exponent the
+Sobolev helpers of `test_movedom.py` and `test_probe.py` measure with, and
+`project_series`, the per-slice projection of whole series collected."""
 
 import contextlib
 import io
@@ -13,11 +14,14 @@ import os
 import runpy
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from compactness_lab import cli
+from compactness_lab.divfree import per_slice_project
+from compactness_lab.parabolic import StepTimeSeries
 from compactness_lab.truncate import Nonlinearity
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,3 +153,19 @@ IDENTITY = Nonlinearity(
     psi=lambda z: np.asarray(z, dtype=float) ** 2 / 2,
     critical_points=(),
 )
+
+
+def project_series(series_list, nc, eps):
+    """`per_slice_project` of whole step series, every yield collected: per
+    series, its `projected` series, its `slice_surrogates` and its
+    `spacetime_trace_norm`, the square root of the time integral of the
+    squared slice surrogates."""
+    splits = list(per_slice_project([s.fields for s in series_list], nc, eps))
+    out = []
+    for i, s in enumerate(series_list):
+        surrs = [sp[i][1] for sp in splits]
+        out.append(SimpleNamespace(
+            projected=StepTimeSeries(s.interval, tuple(sp[i][2] for sp in splits)),
+            slice_surrogates=surrs,
+            spacetime_trace_norm=float(np.sqrt(s.delta * sum(x ** 2 for x in surrs)))))
+    return out

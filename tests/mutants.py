@@ -1,12 +1,13 @@
-"""Mutation check of the reported columns.
+"""Mutation check of the reported columns and the verdict gates.
 
-Each mutant changes numbers that go into a `report.csv`: most scale one
-number by 1.01, and `oscillating.unreduced_phase` takes the oscillating
+Each mutant changes what goes into a `report.csv` or a verdict: most scale
+one number by 1.01, `oscillating.unreduced_phase` takes the oscillating
 family's coefficients from the unreduced np.sin(2 pi n t_j), off by a few
-ulp.  It must fail some tier-1 test other than the byte compares of
-`tests/test_golden.py` and `tests/test_demos.py` and the reach check of
-`tests/test_ledger.py`: a column whose mutant passes every other test has no
-independent check.
+ulp, and each `gate.*` mutant replaces a gate's condition by False, so that
+it never fires.  It must fail some tier-1 test other than the byte compares
+of `tests/test_golden.py` and `tests/test_demos.py` and the reach check of
+`tests/test_ledger.py`: a column or gate whose mutant passes every other
+test has no independent check.
 
 Run it by hand from any directory; pytest does not collect it:
 
@@ -86,13 +87,18 @@ MUTANTS = {
                           "rep.seminorm, rep.surrogate * 1.01, div_res,"),
     "divfree.slack": ("divfree.py", "slack = seminorm + (1.0 + c_poincare) * surrogate - l2",
                       "slack = (seminorm + (1.0 + c_poincare) * surrogate - l2) * 1.01"),
-    "nsprobe.line1-3": ("probe.py", "return [float(np.sqrt(total * u.delta)) for total in sums]",
-                        "return [float(np.sqrt(total * u.delta)) * (1.01 if m < 3 else 1.0)"
-                        " for m, total in enumerate(sums)]"),
+    "nsprobe.step1": ("probe.py", "defects[i], c3s[i],", "defects[i] * 1.01, c3s[i],"),
+    "nsprobe.step3": ("probe.py", "defects[i], c3s[i],", "defects[i], c3s[i] * 1.01,"),
+    "nsprobe.line1-3": ("probe.py", "[float(np.sqrt(t * delta_t)) for t in member_sums]",
+                        "[float(np.sqrt(t * delta_t)) * (1.01 if m < 3 else 1.0)"
+                        " for m, t in enumerate(member_sums)]"),
     "nsprobe.line1": ("probe.py", "l1, l2v, l3, tot))", "l1 * 1.01, l2v, l3, tot))"),
     "nsprobe.line2": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v * 1.01, l3, tot))"),
     "nsprobe.line3": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v, l3 * 1.01, tot))"),
     "nsprobe.total": ("probe.py", "l1, l2v, l3, tot))", "l1, l2v, l3, tot * 1.01))"),
+    "gate.nsprobe_budget": ("cli.py", "if report.budget_defect > 1e-10:", "if False:"),
+    "gate.nsprobe_step1": ("probe.py", "if defect > kappa * holder * (1.0 + 1e-8) + _floor(scale):",
+                           "if False:"),
 }
 
 

@@ -93,6 +93,36 @@ def test_nsprobe_adversarial_exits_1_and_names_step3(tmp_path):
     assert "step3 dual bound violated" in manifest
 
 
+@pytest.mark.parametrize("gate, failure", [
+    ("budget", "budget additivity defect 1.000e+00"),
+    ("step1", "step1 chain bound (measured constants) violated at delta=0.0625"),
+], ids=["budget", "step1"])
+def test_nsprobe_gates_fire(tmp_path, capsys, monkeypatch, gate, failure):
+    # the default run passes both gates; each case breaks one measured
+    # quantity: a re-summed budget defect as large as the squared total on
+    # every slice, or an L^r norm of 0, which leaves the chain bound at its floor
+    from compactness_lab import probe
+    if gate == "budget":
+        real = probe.shift_budget_lines
+
+        def lines(before, now, weights):
+            terms = real(before, now, weights)
+            return [*terms[:4], terms[3]]
+
+        monkeypatch.setattr(probe, "shift_budget_lines", lines)
+    else:
+        monkeypatch.setattr(probe, "series_lp", lambda s, p: 0.0)
+    cfg = write_cfg(tmp_path, "empty.cfg", "")
+    out = tmp_path / "out"
+    assert run("nsprobe", cfg, str(out)) == 1
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "verdict = FAIL" in manifest
+    failures = [x.removeprefix("failure: ") for x in manifest if x.startswith("failure: ")]
+    assert failures == [failure]
+    assert capsys.readouterr().err == f"FAIL {failure}\n"
+    assert (out / "report.csv").read_text().startswith("n,delta,s,step1,")
+
+
 def test_commutator_experiment(tmp_path):
     cfg = write_cfg(tmp_path, "c.cfg",
                     "[commutator]\ncells = 512\nmembers = 4\nn_slices = 8\n"

@@ -22,6 +22,7 @@ from compactness_lab.parabolic import StepTimeSeries, series_l2
 from compactness_lab.synth import (curl_velocity, disk_bump_velocity,
                                    generator, random_stream_velocity,
                                    translating_disk_ns_family)
+from conftest import project_series
 
 
 GRID = Grid((64, 64), (1.0, 1.0))
@@ -369,7 +370,7 @@ def test_per_slice_static_matches_single_slice():
     rng = generator(17)
     u = random_stream_velocity(GRID, rng)
     series = StepTimeSeries((0.0, 1.0), (u,) * 4)
-    [out] = per_slice_project([series], nc, 0.05)
+    [out] = project_series([series], nc, 0.05)
     d = nc.transported(0, 0.05)
     single = project_divfree0(u.restricted(d), d, neumann_factor(d))
     for f in out.projected.fields:
@@ -382,7 +383,7 @@ def test_per_slice_zero_trace_is_identity():
     nc = NonCylindricalDomain(make_family("identity", (0.0, 1.0)), disk, 3)
     u = disk_bump_velocity(GRID, (0.5, 0.5), 0.2)
     series = StepTimeSeries((0.0, 1.0), (u,) * 3)
-    [out] = per_slice_project([series], nc, 0.02)
+    [out] = project_series([series], nc, 0.02)
     for f, orig in zip(out.projected.fields, series.fields):
         d = nc.transported(0, 0.02)
         assert staggered_l2(f - orig.restricted(d)) <= 1e-9 * staggered_l2(u)
@@ -399,7 +400,7 @@ def test_per_slice_moving_disk_pythagoras():
     # the bump's surrogate is negligible against its norm; a constant flow
     # crosses every slice's boundary, so its surrogate is a share of ||u||^2
     flow = StepTimeSeries((0.0, 1.0), (StaggeredVectorField.constant(GRID, (1.0, 0.0)),) * 6)
-    outs = per_slice_project([members[0], flow], nc, 0.04)
+    outs = project_series([members[0], flow], nc, 0.04)
     for series, out in zip((members[0], flow), outs):
         assert _pythagoras_defect(series, out, nc, 0.04) <= 1e-8
         st = np.sqrt(series.delta * sum(s ** 2 for s in out.slice_surrogates))
@@ -414,11 +415,11 @@ def test_per_slice_grouped_equals_single_series(monkeypatch):
     nc = NonCylindricalDomain(fam, disk, 4)
     members = translating_disk_ns_family(GRID, (0.0, 1.0), 4, 3, (0.45, 0.5), 0.3,
                                          (0.1, 0.0), stream_fraction=0.8)
-    singles = [per_slice_project([s], nc, 0.04)[0] for s in members]
+    singles = [project_series([s], nc, 0.04)[0] for s in members]
     builds = []
     monkeypatch.setattr(divfree, "neumann_factor",
                         lambda d, build=divfree.neumann_factor: builds.append(d) or build(d))
-    grouped = per_slice_project(members, nc, 0.04)
+    grouped = project_series(members, nc, 0.04)
     assert len(builds) == nc.n_slices
     assert len(grouped) == len(members)
     for s, out, single in zip(members, grouped, singles):
@@ -427,9 +428,22 @@ def test_per_slice_grouped_equals_single_series(monkeypatch):
         assert out.slice_surrogates == single.slice_surrogates
         assert out.spacetime_trace_norm == single.spacetime_trace_norm
         assert _pythagoras_defect(s, out, nc, 0.04) <= 1e-8
-    short = StepTimeSeries((0.0, 1.0), members[0].fields[:2])
-    with pytest.raises(ValueError, match="slice counts differ"):
-        per_slice_project([members[0], short], nc, 0.04)
+    # a stream is read one slice at a time: slice k of every series only
+    # when slice k's splits are made, and yielded as read
+    reads = []
+
+    def stream(i):
+        for k, f in enumerate(members[i].fields):
+            reads.append((i, k))
+            yield f
+
+    for k, splits in enumerate(per_slice_project([stream(i) for i in range(3)], nc, 0.04)):
+        assert reads[-3:] == [(0, k), (1, k), (2, k)] and len(reads) == 3 * (k + 1)
+        assert [f for f, _, _ in splits] == [s.fields[k] for s in members]
+    short = members[0].fields[:2]
+    for series in ([members[0].fields, short], [short], [members[0].fields + short]):
+        with pytest.raises(ValueError, match="zip"):
+            list(per_slice_project(series, nc, 0.04))
 
 
 def test_face_series_l2_masked():

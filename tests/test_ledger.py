@@ -128,8 +128,6 @@ BRANCHES = {
     ("movedom.poincare_constant", "L = neumann_laplacian(domain)"): demo(
         "moving_domain_geometry", POINCARE_ORACLE),
     ("movedom.poincare_constant", "scipy.linalg.eigh("): guard(POINCARE_ORACLE),
-    ("probe.ns_probe", "continue"): guard(
-        "test_probe.py::test_ns_probe_skips_shifts_beyond_the_safety_radius"),
     ("probe.time_shift_safety", "return 0.0"): guard(
         "test_probe.py::test_time_shift_safety_is_zero_when_no_shift_is_safe"),
     ("truncate.nonlinearity_preset", "dtype=float) ** 3"): demo(

@@ -478,10 +478,12 @@ def test_poincare_closed_form_on_boxes_matches_dense_eigh(monkeypatch, shape, ex
     assert poincare_constant(d) == pytest.approx(1.0 / np.sqrt(lam[1]), rel=1e-12)
 
 
-@pytest.mark.parametrize("experiment, builds", [("movedom", 0), ("divfree", 1)])
+@pytest.mark.parametrize("experiment, builds", [("movedom", 0), ("divfree", 1), ("nsprobe", 32)])
 def test_default_run_raster_factor_builds(tmp_path, monkeypatch, experiment, builds):
     # every Poincare constant of a default run is on a raster that fills its
-    # box: movedom factors nothing, divfree only its Neumann factor
+    # box: movedom factors nothing, divfree only its Neumann factor, and
+    # nsprobe one Neumann factor per slice and radius (16 x 2), shared by its
+    # four members
     from compactness_lab import cli, grid
     calls = []
     real = grid.RasterFactor.__init__

@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from compactness_lab import cli, probe
 from compactness_lab.cli import _csv_text
-from compactness_lab.divfree import per_slice_project
 from compactness_lab.grid import (Grid, RasterDomain, ScalarField,
-                                  StaggeredVectorField, dirichlet_factor,
+                                  StaggeredVectorField, _face_weights, dirichlet_factor,
                                   h_minus_m_norm, inner, lp_norm,
                                   staggered_inner, staggered_l2)
 from compactness_lab.mollify import (convolve_space, convolve_staggered,
@@ -31,7 +30,7 @@ from compactness_lab.synth import (bump, disk_bump_velocity, generator,
                                    random_smooth_field, random_stream_velocity,
                                    translating_disk_ns_family)
 from compactness_lab.truncate import build_beta, nonlinearity_preset
-from conftest import IDENTITY, sobolev_embedding_exponent
+from conftest import IDENTITY, project_series, sobolev_embedding_exponent
 
 
 GRID = Grid((64, 64), (1.0, 1.0))
@@ -465,6 +464,29 @@ def ns_convergent(ns_setup):
     return ns_probe(members, nc, delta_list, j_list, compact, battery_seed=0)
 
 
+@pytest.fixture(scope="module")
+def ns_whole_series(ns_setup):
+    """delta -> (u, v, pv): per member, the slices on the slice rasters, their
+    whole mollified series and its `project_series` projection."""
+    nc, members, delta_list, _, _ = ns_setup
+    slices = [nc.slice_raster(k) for k in range(nc.n_slices)]
+    us = [s.restricted(slices).fields for s in members]
+    out = {}
+    for delta in delta_list:
+        mol = make_mollifier(round(1.0 / delta), GRID)
+        vs = [StepTimeSeries(INTERVAL, tuple(convolve_staggered(f, mol) for f in u)) for u in us]
+        out[delta] = us, vs, project_series(vs, nc, 2.0 * delta)
+    return out
+
+
+def dual_constant(series, battery):
+    """`step3_dual_constant` of a whole series: each jump paired with every
+    spatial factor."""
+    jumps = [b - a for a, b in zip(series.fields, series.fields[1:])]
+    return step3_dual_constant([[staggered_inner(d, space) for d in jumps]
+                                for space in battery.spaces], battery)
+
+
 def test_ns_probe_skips_shifts_beyond_the_safety_radius(ns_setup, monkeypatch):
     # a safety radius of 1.5 slices leaves only the one-slice shift of [1, 2, 4]
     nc, members, delta_list, j_list, compact = ns_setup
@@ -495,15 +517,33 @@ def test_ns_probe_convergent_positive(ns_setup, ns_convergent):
             assert moll <= np.sqrt(2) * delta * _face_gradient_l2(u) * (1 + 1e-6)
 
 
-def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent):
+def test_ns_step_columns_recomputed_from_whole_series(ns_setup, ns_convergent, ns_whole_series):
+    # oracle: the whole mollified members, projected as whole series, and
+    # each one's jumps paired with the seeded battery
+    nc, members, delta_list, _, _ = ns_setup
+    battery = make_battery(GRID, INTERVAL, nc.n_slices, seed=0)
+    got = {(r.delta, r.n): (r.step1, r.step3) for r in ns_convergent.rows}
+    want = {}
+    for delta in delta_list:
+        _, vs, pvs = ns_whole_series[delta]
+        step1 = [pv.spacetime_trace_norm for pv in pvs]
+        step3 = [dual_constant(v, battery)[0] for v in vs]
+        assert ns_convergent.step1_sup[delta] == max(step1)
+        assert ns_convergent.step3_constants[delta] == step3 and min(step3) > 0
+        # step1 is exactly 0 where the projection leaves the slices alone
+        assert min(step1) > 0 or delta == min(delta_list)
+        want.update({(delta, n): pair for n, pair in enumerate(zip(step1, step3), start=1)})
+    assert got.keys() == want.keys()
+    np.testing.assert_allclose([got[key] for key in want], list(want.values()), rtol=1e-12, atol=0)
+
+
+def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent, ns_whole_series):
     # oracle: each budget line of each row from the mollified and projected
     # slices, an L^2 norm over `compact` summed slice by slice from the
     # largest shift on (the rows' window); lambda_s d - d is d_{k-j} - d_k there
     nc, members, delta_list, j_list, compact = ns_setup
     dt = members[0].delta
     j_window = max(j_list)
-    slices = [nc.slice_raster(k) for k in range(nc.n_slices)]
-    us = [s.restricted(slices).fields for s in members]
 
     def norm(d, j):
         return np.sqrt(dt * sum(staggered_l2((d[k - j] - d[k]).restricted(compact)) ** 2
@@ -511,9 +551,8 @@ def test_ns_lines_recomputed_slice_by_slice(ns_setup, ns_convergent):
 
     want = []
     for delta in sorted(delta_list, reverse=True):
-        mol = make_mollifier(round(1.0 / delta), GRID)
-        vs = [StepTimeSeries(INTERVAL, tuple(convolve_staggered(f, mol) for f in u)) for u in us]
-        pvs = [p.projected.fields for p in per_slice_project(vs, nc, 2.0 * delta)]
+        us, vs, outs = ns_whole_series[delta]
+        pvs = [out.projected.fields for out in outs]
         for j in sorted(j_list):
             s = j * dt
             if s > ns_convergent.xi[delta] + 1e-12:
@@ -579,30 +618,47 @@ def test_step_series_shift_and_restriction(data):
     assert series_l2(s, domains) == series_l2(s.restricted(domains))
 
 
+def streamed_lines(u, v, pu, j, first, compact):
+    """The budget lines of one member and one shift of j slices as `ns_probe`
+    streams them: the parts of each slice as bare components, and the
+    `shift_budget_lines` terms of slices k - j and k added up in slice order
+    from slice `first` on."""
+    weights = _face_weights(compact.grid, compact)
+    parts = [([a - b for a, b in zip(uk.components, vk.components)],
+              [a - b for a, b in zip(vk.components, pk.components)], pk.components, uk.components)
+             for uk, vk, pk in zip(u.fields, v.fields, pu.fields, strict=True)]
+    sums = [0.0] * 5
+    for k in range(first, u.n_steps):
+        for m, term in enumerate(shift_budget_lines(parts[k - j], parts[k], weights)):
+            sums[m] += term
+    return [float(np.sqrt(total * u.delta)) for total in sums]
+
+
 def test_streamed_budget_lines_equal_series_form(ns_setup):
-    # oracle: every shifted difference as a whole series, then `series_l2`
-    # over the window; the streamed lines must be the same floats
+    # oracle: every shifted difference as a whole series of masked fields,
+    # then `series_l2` over the window; the lines streamed from unmasked
+    # components must be the same floats
     nc, members, delta_list, _, compact = ns_setup
     n = nc.n_slices
     u = members[0].restricted([nc.slice_raster(k) for k in range(n)])
     delta = delta_list[0]
     mol = make_mollifier(round(1.0 / delta), GRID)
     v = u.map(lambda f: convolve_staggered(f, mol))
-    pu = per_slice_project([v], nc, 2.0 * delta)[0].projected
+    pu = project_series([v], nc, 2.0 * delta)[0].projected
     nowhere = RasterDomain(GRID, np.zeros(GRID.shape, dtype=bool))
     for j, j_window in ((1, 1), (1, 4), (2, 4), (4, 4), (3, 7)):
         window = [nowhere] * j_window + [compact] * (n - j_window)
         diffs = [shifted(f, j) - f for f in (u - v, v - pu, pu)]
         total = shifted(u, j) - u
         want = [series_l2(d, window) for d in (*diffs, total)]
-        want.append(series_l2(diffs[0] + diffs[1] + diffs[2] - total, window))
-        got = shift_budget_lines(u, v, pu, j, j_window, compact)
+        resummed = StepTimeSeries(u.interval, tuple(
+            StaggeredVectorField(GRID, [d0 + d1 + d2 - t for d0, d1, d2, t in zip(
+                *(f.components for f in slice_k))])
+            for slice_k in zip(*(d.fields for d in diffs), total.fields)))
+        want.append(series_l2(resummed, window))
+        got = streamed_lines(u, v, pu, j, j_window, compact)
         assert got == want, (j, j_window)
         assert min(got[:4]) > 0 and got[4] < 1e-12 * got[3]
-    # no shift, or one that reaches back before slice 0 from the window start
-    for j, first in ((5, 4), (0, 4)):
-        with pytest.raises(ValueError, match="shift j"):
-            shift_budget_lines(u, v, pu, j, first, compact)
 
 
 @pytest.mark.parametrize("n_slices,n", [(16, 2), (16, 4), (24, 3), (48, 4)])
@@ -616,14 +672,15 @@ def test_shift_by_a_whole_period_of_the_oscillating_family_is_exactly_zero(n_sli
                 for _ in range(3))
     j = n_slices // n
     full = RasterDomain.full(g)
-    assert shift_budget_lines(u, v, pu, j, j, full) == [0.0] * 5
-    assert min(shift_budget_lines(u, v, pu, j // 2, j, full)[:4]) > 0
+    assert streamed_lines(u, v, pu, j, j, full) == [0.0] * 5
+    assert min(streamed_lines(u, v, pu, j // 2, j, full)[:4]) > 0
 
 
 def test_ns_probe_traced_peak_holds_few_series():
     # the second call, with the rasters already cached in `nc`: the members'
-    # restricted copies and the mollified and projected families are held
-    # whole (9 series), every field derived from them one slice at a time
+    # restricted copies are held whole (3 series); the mollified and projected
+    # slices are streamed, each member holding its previous mollified slice
+    # and a window of at most 2 slices of its budget parts
     radius, cx, cy = 0.41, 0.48, 0.75
     nc = _moving_disk((radius, cx, cy), 8)
     members = translating_disk_ns_family(BUDGET_GRID, INTERVAL, 8, 3, (cx, cy), radius,
@@ -640,8 +697,9 @@ def test_ns_probe_traced_peak_holds_few_series():
         finally:
             tracemalloc.stop()
     assert rep.rows
-    # whole shifted series in the budget loop took about 19 series
-    assert peaks[1] < 16 * series_bytes, peaks[1] / series_bytes
+    # whole shifted series in the budget loop took about 19 series, and whole
+    # mollified and projected families about 11.6
+    assert peaks[1] < 10 * series_bytes, peaks[1] / series_bytes
 
 
 @settings(max_examples=6, deadline=None)
@@ -713,7 +771,7 @@ def test_step3_constant_matched_battery_scaling():
     for n in (4, 8, 16):
         coefs = np.sign(np.sin(2 * np.pi * n * mids))
         series = StepTimeSeries(INTERVAL, tuple(u0 * float(c) for c in coefs))
-        c, _ = step3_dual_constant(series, battery)
+        c, _ = dual_constant(series, battery)
         if c_prev is not None:
             assert c / c_prev >= 1.8
         c_prev = c
@@ -744,13 +802,13 @@ def test_best_dual_ratio_matches_brute_force():
     for j, coefs in ((2, np.sign(np.sin(8 * np.pi * mids))), (1, (mids > 0.5) * 1.0),
                      (0, np.exp(-((mids - 0.5) / 0.2) ** 2))):
         series = StepTimeSeries(INTERVAL, tuple(battery.spaces[j] * float(c) for c in coefs))
-        best, label = step3_dual_constant(series, battery)
+        best, label = dual_constant(series, battery)
         assert (best, label) == _brute_force_dual_ratio(series, battery, staggered_l2)
         assert f"[s{j}," in label
         kinds.add(label.split("[")[0])
         # on a tie the first space wins
         twice = Battery([battery.spaces[j]] * 2, battery.profiles)
-        assert step3_dual_constant(series, twice) == (best, label.replace(f"[s{j},", "[s0,"))
+        assert dual_constant(series, twice) == (best, label.replace(f"[s{j},", "[s0,"))
     assert kinds == {"alt", "bump"}
 
 
